@@ -97,9 +97,7 @@ def cmd_bellman(args) -> int:
     ch = make_channel(args.p, args.mode)
     dp_mode = "rational" if args.mode == "rational" else "log-float"
     pe, table = exact_dp.bellman_optimum(args.n, ch, mode=dp_mode, state_cap=args.state_cap)
-    argmax_sizes = [0, 0, 0]
-    for key, arg in table.argmax.items():
-        argmax_sizes[len(arg) - 1] += 1
+    unique, two_way, three_way = table.tie_counts()
     result = {
         "config": _config(args),
         "p": ch.p,
@@ -109,10 +107,10 @@ def cmd_bellman(args) -> int:
         "p_e": pe,
         "exponent": (-exact_dp._log_of(pe, dp_mode) / args.n) if args.n else None,
         "argmax_summary": {
-            "states": sum(argmax_sizes),
-            "unique": argmax_sizes[0],
-            "two_way_tie": argmax_sizes[1],
-            "three_way_tie": argmax_sizes[2],
+            "states": unique + two_way + three_way,
+            "unique": unique,
+            "two_way_tie": two_way,
+            "three_way_tie": three_way,
             "tie_tolerance": table.tie_tolerance,
         },
     }

@@ -23,6 +23,7 @@ from fblab.channel import make_channel
 from fblab.exact_dp import bellman_optimum, error_curve, forward_distribution
 from fblab.montecarlo import run_trajectory_audit, run_trials
 from fblab.strategy import MAX_POSTERIOR
+from witnesses import HALF_CONSTANT_WITNESSES
 
 P_GRID = ["1/20", "1/10", "1/5", "3/10", "2/5"]
 MC_SEED = 20220301
@@ -49,23 +50,11 @@ def test_upper_bound_dominates_strategy_error():
     assert not witnesses, f"upper bound violated at {witnesses}"
 
 
-# The printed half-constant converse bound is false: the exact optimal error
-# sits below it at these (p, n), 220 points in all.  The set was found again by
-# an independent recursion over raw vote triples (no fblab code) with mpmath
-# comparisons at 60 digits; the tightest relative margin is 0.16%, at p=2/5.
-HALF_CONSTANT_WITNESSES = {
-    "1/20": {2} | set(range(4, 49)),
-    "1/10": {2} | set(range(4, 49)),
-    "1/5": set(range(2, 49)),
-    "3/10": set(range(4, 49)),
-    "2/5": set(range(13, 49)),
-}
-
-
 def test_half_constant_lower_bound_on_optimal_error():
     # printed claim: optimal error >= (1/2)(p^(1/3) q^(2/3) + p^(2/3) q^(1/3))^n
     # for n = 0..48.  It is refuted: the points where it fails must be exactly
-    # HALF_CONSTANT_WITNESSES, while the (1/3)-constant bound holds everywhere.
+    # HALF_CONSTANT_WITNESSES (see witnesses.py), while the (1/3)-constant
+    # bound holds everywhere.
     # Both sides are compared exactly in the cubic field.
     witnesses = {pl: set() for pl in P_GRID}
     third_failures = []

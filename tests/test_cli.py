@@ -1,8 +1,11 @@
 import json
+import math
 
 import pytest
 
+from fblab.channel import make_channel
 from fblab.cli import dispatch
+from fblab.exact_dp import bellman_optimum
 
 
 def run_cli(capsys, *argv):
@@ -71,6 +74,34 @@ def test_bellman_resource_cap_exit_code(capsys):
     code, _, err = run_cli(capsys, "bellman", "--p", "1/10", "--n", "30", "--state-cap", "10")
     assert code == 4
     assert json.loads(err)["error"] == "resource-cap"
+
+
+def test_float_underflow_is_a_failed_check(capsys):
+    # valid input whose float P_e lies below the smallest double
+    code, _, err = run_cli(capsys, "exact", "--p", "0.001", "--n", "400", "--mode", "float")
+    assert code == 3
+    diag = json.loads(err)
+    assert diag["error"] == "check-failed"
+    assert "underflow" in diag["detail"]
+
+
+def test_float_bellman_past_cancellation(capsys):
+    code, out, _ = run_cli(capsys, "bellman", "--p", "0.1", "--n", "150", "--mode", "float")
+    assert code == 0
+    pe = json.loads(out)["p_e"]
+    exact = float(bellman_optimum(150, make_channel("1/10"))[0])
+    assert math.isfinite(pe) and pe > 0
+    assert abs(pe - exact) <= 1e-12 * exact
+
+
+def test_float_optimal_sweep_long_horizon(capsys):
+    code, out, _ = run_cli(
+        capsys, "sweep", "--p", "0.1", "--n-max", "150", "--mode", "float", "--strategy", "optimal"
+    )
+    assert code == 0
+    rows = out.split("\r\n")[1:-1]
+    assert len(rows) == 150
+    assert all(0.0 < float(r.split(",")[2]) < 1.0 for r in rows)
 
 
 def test_verify_theorem2_runs_clean(capsys):

@@ -2,8 +2,10 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fblab.belief import leaders, normalize
+from fblab.belief import QuerySet, apply_outcome, leaders, normalize, posteriors
 from fblab.channel import make_channel
 from fblab.exact_dp import (
     ResourceCapError,
@@ -13,11 +15,14 @@ from fblab.exact_dp import (
     forward_error_prob,
     optimal_query_report,
     reachable_layers,
+    sorted_lattice,
 )
 from fblab.strategy import MAX_POSTERIOR, StrategyRule
+from witnesses import HALF_CONSTANT_WITNESSES
 
 P_GRID = ["1/20", "1/10", "1/5", "3/10", "2/5"]
 CH10 = make_channel("1/10")
+CH10F = make_channel("0.1", "float")
 
 
 # independent ground truth: enumerate every depth-n adaptive decision tree
@@ -53,6 +58,40 @@ def _tree_error(tree, ch):
         return total
 
     return sum(walk(tree, (0, 0, 0), t, Fraction(1)) for t in (1, 2, 3)) / 3
+
+
+# reference oracle: the Fraction value recursion V_t(s) = max_j E[V_{t-1}(s')]
+# over posteriors that the integer error-mass kernel replaced
+def _reference_bellman(n, ch):
+    p, q = ch.p, ch.q
+
+    def succ(s, j, y):
+        return tuple(sorted(apply_outcome(s, QuerySet.singleton(j), y)))
+
+    values = {(0, s): max(posteriors(s, ch)) for s in sorted_lattice(n)}
+    argmax = {}
+    for t in range(1, n + 1):
+        for s in sorted_lattice(n - t):
+            pi = posteriors(s, ch)
+            vals = []
+            for j in (1, 2, 3):
+                p1 = pi[j - 1] * p + (1 - pi[j - 1]) * q
+                v1, v0 = values[(t - 1, succ(s, j, 1))], values[(t - 1, succ(s, j, 0))]
+                vals.append(p1 * v1 + (1 - p1) * v0)
+            best = max(vals)
+            values[(t, s)] = best
+            argmax[(t, s)] = frozenset(j for j, v in zip((1, 2, 3), vals) if v == best)
+    return values, argmax
+
+
+def _rel_err(value, exact):
+    return abs(value - float(exact)) / float(exact)
+
+
+@st.composite
+def _rational_p(draw):
+    c = draw(st.integers(2, 50))
+    return Fraction(draw(st.integers(1, c // 2)), c)
 
 
 class TestForward:
@@ -158,6 +197,26 @@ class TestBellman:
         assert abs(float(pe_r) - pe_f) <= 1e-12
         assert table.tie_tolerance == 1e-12
 
+    @pytest.mark.parametrize("pl,n", [("1/10", 12), ("1/5", 30), ("2/5", 20), ("1/2", 6)])
+    def test_matches_fraction_recursion(self, pl, n):
+        ch = make_channel(pl)
+        pe, table = bellman_optimum(n, ch)
+        values, argmax = _reference_bellman(n, ch)
+        for t in range(n + 1):
+            assert table.optimal_error(t) == 1 - values[(t, (0, 0, 0))]
+        assert pe == table.optimal_error(n)
+        assert dict(table.values) == values
+        assert dict(table.argmax) == argmax
+
+    @pytest.mark.parametrize("n", [48, 120])
+    def test_float_relative_error(self, n):
+        _, exact = bellman_optimum(n, CH10)
+        _, fl = bellman_optimum(n, CH10F, mode="log-float")
+        for t in range(n + 1):
+            assert _rel_err(fl.optimal_error(t), exact.optimal_error(t)) <= 1e-12
+        if n == 48:
+            assert dict(fl.argmax) == dict(exact.argmax)
+
     def test_resource_cap(self):
         with pytest.raises(ResourceCapError):
             bellman_optimum(30, CH10, state_cap=10)
@@ -205,11 +264,7 @@ class TestLowerBoundLandscape:
         from fblab.bounds import error_lower_bound_exact
 
         expected = {
-            "1/20": {2} | set(range(4, 21)),
-            "1/10": {2} | set(range(4, 21)),
-            "1/5": set(range(2, 21)),
-            "3/10": set(range(4, 21)),
-            "2/5": set(range(13, 21)),
+            pl: {n for n in want if n <= 20} for pl, want in HALF_CONSTANT_WITNESSES.items()
         }
         for pl, want in expected.items():
             ch = make_channel(pl)
@@ -259,3 +314,14 @@ class TestErrorCurve:
         rows = error_curve(CH10, MAX_POSTERIOR, 8)
         for n in (2, 5, 8):
             assert rows[n - 1][1] == forward_error_prob(n, CH10, MAX_POSTERIOR)
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=_rational_p(), n=st.integers(0, 15))
+def test_float_kernel_tracks_rational_kernel(p, n):
+    _, exact = bellman_optimum(n, make_channel(p))
+    _, fl = bellman_optimum(n, make_channel(p, "float"), mode="log-float")
+    curve = [exact.optimal_error(t) for t in range(n + 1)]
+    assert all(b <= a for a, b in zip(curve, curve[1:]))
+    for t, pe in enumerate(curve):
+        assert _rel_err(fl.optimal_error(t), pe) <= 1e-12
