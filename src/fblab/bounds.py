@@ -22,6 +22,7 @@ import mpmath
 
 from .channel import ChannelParams, Number
 from .cubicfield import CubicExt
+from .exact_dp import log_of, logaddexp
 
 IDENTITY_DPS = 50
 
@@ -230,8 +231,7 @@ def simplex_event_prob(n: int, ch: ChannelParams, method: str = "block-sum") -> 
             term = 3.0 * math.lgamma(b + 1) - 3.0 * (
                 math.lgamma(t + 1) + math.lgamma(b - t + 1)
             ) + (b + t) * lp + (2 * b - t) * lq
-            hi, lo = (acc, term) if acc >= term else (term, acc)
-            acc = hi + math.log1p(math.exp(lo - hi))
+            acc = logaddexp(acc, term)
         return math.exp(acc)
     if method == "enumeration":
         if n > 15:
@@ -260,10 +260,7 @@ class SimplexEventReport:
 
 def simplex_event_report(n: int, ch: ChannelParams, method: str = "block-sum") -> SimplexEventReport:
     prob = simplex_event_prob(n, ch, method)
-    if isinstance(prob, Fraction):
-        log_prob = math.log(prob.numerator) - math.log(prob.denominator)
-    else:
-        log_prob = math.log(prob)
+    log_prob = log_of(prob)
     asym = simplex_asymptote(ch)
     b = n // 3
     grid = tuple((t, t / b) for t in range(b + 1))

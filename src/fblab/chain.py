@@ -9,12 +9,13 @@ away, and nine infinite tentacles.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from . import bounds
+from . import bounds, exact_dp
 from .belief import MetricState, QuerySet, apply_outcome
 from .channel import ChannelParams, Number
 from .cubicfield import CubicExt
@@ -80,10 +81,7 @@ def _raw_transitions(s: ChainState, ch: ChannelParams) -> list[tuple[ChainState,
             sym if w == 1 else f"{sym}/{w.denominator}" for w, sym in pieces
         )
         rows.append((target, pieces, label))
-    result = []
-    for target, pieces, label in sorted(rows, key=lambda r: r[0]):
-        result.append((target, pieces, label))
-    return result
+    return sorted(rows, key=lambda r: r[0])
 
 
 def _numeric(pieces, ch: ChannelParams) -> Number:
@@ -192,33 +190,18 @@ def reach_prob(
         depth_bound = max(2, n)
     if depth_bound < needed:
         raise ValueError(f"depth bound {depth_bound} < required {needed} for n={n}")
-    if mode == "rational":
+    exact = mode == "rational"
+    if exact:
         ch.require_exact("rational-mode reach probability")
     table = derive_transitions(ch, depth_bound)
-    if mode == "rational":
-        dist: dict[ChainState, Number] = {MAIN_STATE: Fraction(1)}
-        for _ in range(n):
-            nxt: dict[ChainState, Number] = {}
-            for s, pr in dist.items():
-                for tr in table.entries.get(s, ()):
-                    nxt[tr.target] = nxt.get(tr.target, Fraction(0)) + pr * tr.prob
-            dist = nxt
-        return dist.get(MAIN_STATE, Fraction(0))
-    logdist: dict[ChainState, float] = {MAIN_STATE: 0.0}
-    for _ in range(n):
-        nxt_log: dict[ChainState, float] = {}
-        for s, lp in logdist.items():
-            for tr in table.entries.get(s, ()):
-                term = lp + math.log(tr.prob)
-                prev = nxt_log.get(tr.target)
-                if prev is None:
-                    nxt_log[tr.target] = term
-                else:
-                    hi, lo = (prev, term) if prev >= term else (term, prev)
-                    nxt_log[tr.target] = hi + math.log1p(math.exp(lo - hi))
-        logdist = nxt_log
-    lp = logdist.get(MAIN_STATE)
-    return 0.0 if lp is None else math.exp(lp)
+    edges = {
+        s: [(tr.target, tr.prob, 1) if exact else (tr.target, math.log(tr.prob), 0.0) for tr in row]
+        for s, row in table.entries.items()
+    }
+    start = {MAIN_STATE: Fraction(1) if exact else 0.0}
+    dist = next(itertools.islice(exact_dp.propagate(start, edges.__getitem__, mode), n, None))
+    mass = dist.get(MAIN_STATE, Fraction(0) if exact else -math.inf)
+    return mass if exact else math.exp(mass)
 
 
 def enumerate_two_loops(s: ChainState, table: TransitionTable) -> list[tuple[ChainState, Number]]:

@@ -77,9 +77,6 @@ def cmd_exact(args) -> int:
     rule = _parse_strategy(args.strategy)
     dp_mode = "rational" if args.mode == "rational" else "log-float"
     pe = exact_dp.forward_error_prob(args.n, ch, rule, mode=dp_mode)
-    exponent = None
-    if args.n > 0:
-        exponent = -exact_dp._log_of(pe, dp_mode) / args.n
     result = {
         "config": _config(args),
         "p": ch.p,
@@ -87,7 +84,7 @@ def cmd_exact(args) -> int:
         "strategy": args.strategy,
         "mode": dp_mode,
         "p_e": pe,
-        "exponent": exponent,
+        "exponent": (-exact_dp.log_of(pe) / args.n) if args.n else None,
     }
     _emit(serialize.dumps(result), args.out)
     return EXIT_OK
@@ -105,7 +102,7 @@ def cmd_bellman(args) -> int:
         "strategy": "optimal",
         "mode": dp_mode,
         "p_e": pe,
-        "exponent": (-exact_dp._log_of(pe, dp_mode) / args.n) if args.n else None,
+        "exponent": (-exact_dp.log_of(pe) / args.n) if args.n else None,
         "argmax_summary": {
             "states": unique + two_way + three_way,
             "unique": unique,
@@ -242,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("bellman", help="optimal error by backward induction")
     common(sp)
-    sp.add_argument("--state-cap", type=int, default=2_000_000)
+    sp.add_argument("--state-cap", type=int, default=exact_dp.STATE_CAP)
     sp.set_defaults(func=cmd_bellman)
 
     sp = sub.add_parser("verify-theorem2", help="check fewest-votes queries are optimal")
@@ -272,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=int(os.environ.get("FBLAB_WORKERS", "1")),
-        help="shard count (result is worker-count independent)",
+        help="shard count; shards run in turn in one process: same result, no parallelism",
     )
     sp.add_argument("--strategy", default="max-posterior")
     sp.add_argument("--dump-trajectories", default=None, help="JSON-lines path for episode records")

@@ -3,7 +3,9 @@
 The forward pass computes the terminal-error probability of a fixed
 strategy by propagating the metric-state distribution conditioned on the
 true message (equivariant rules need one pass; others are averaged over
-the three conditionings), in exact rationals or log-domain floats.
+the three conditionings), in exact rationals or log-domain floats.  Its
+layer kernel, ``propagate``, also steps the chain module's return
+probability.
 
 The backward pass computes the minimum error over all metric-state
 strategies under the bayes transition law.  The value function is
@@ -17,8 +19,10 @@ relative error of a few machine epsilons per layer.  See bellman_optimum.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
-from collections.abc import Callable, Mapping
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -29,6 +33,10 @@ from .channel import ChannelParams, Number
 from .strategy import StrategyRule, select_query
 
 ARITHMETIC_MODES = ("rational", "log-float")
+
+# Most states one dynamic program may touch: lattice states over all layers
+# of backward induction, states summed over layers of a forward pass.
+STATE_CAP = 2_000_000
 
 
 class ResourceCapError(RuntimeError):
@@ -42,13 +50,62 @@ def _check_mode(ch: ChannelParams, mode: str) -> None:
         ch.require_exact("rational-mode dynamic programming")
 
 
-def _logadd(a: float, b: float) -> float:
+def logaddexp(a: float, b: float) -> float:
+    """ln(e**a + e**b) for natural-log probabilities; -inf is the log of 0."""
     if a == -math.inf:
         return b
     if b == -math.inf:
         return a
     hi, lo = (a, b) if a >= b else (b, a)
     return hi + math.log1p(math.exp(lo - hi))
+
+
+def log_of(value: Number) -> float:
+    """Natural log of a probability: of the exact value for a Fraction.
+
+    A float that underflowed to 0.0 raises FloatingPointError, which the
+    CLI reports as a failed check, never as a log of 0.
+    """
+    if not isinstance(value, float):
+        f = Fraction(value)
+        return math.log(f.numerator) - math.log(f.denominator)
+    if value == 0.0:
+        raise FloatingPointError(
+            "float probability underflowed to 0.0, below the smallest double; "
+            "rational mode gives the exact value"
+        )
+    return math.log(value)
+
+
+def propagate(
+    dist: dict[MetricState, Number],
+    edges: Callable[[MetricState], Sequence[tuple[MetricState, Number, Number]]],
+    mode: str,
+) -> Iterator[dict[MetricState, Number]]:
+    """Yield ``dist``, then the distribution after each further step.
+
+    ``edges(s)`` lists the moves out of state s as (target, f1, f2): in
+    rational mode the move has probability f1 * f2; in log-float mode
+    masses are natural logs, f1 + f2 is the move's log-probability and
+    masses meeting at a target combine by logaddexp.  A state without
+    moves loses its mass.  Raises ResourceCapError once the layers after
+    ``dist`` hold more than STATE_CAP states in total.
+    """
+    rational = mode == "rational"
+    touched = 0
+    while True:
+        yield dist
+        nxt: dict[MetricState, Number] = {}
+        for s, pr in dist.items():
+            for target, f1, f2 in edges(s):
+                if rational:
+                    nxt[target] = nxt.get(target, 0) + pr * f1 * f2
+                else:
+                    nxt[target] = logaddexp(nxt.get(target, -math.inf), pr + f1 + f2)
+        touched += len(nxt)
+        if touched > STATE_CAP:
+            raise ResourceCapError(f"forward pass touches {touched} states, cap is {STATE_CAP}")
+        dist = nxt
 
 
 def conditional_decode_error(s: MetricState, true: int, exact: bool = True) -> Number:
@@ -59,6 +116,27 @@ def conditional_decode_error(s: MetricState, true: int, exact: bool = True) -> N
     if exact:
         return 1 - Fraction(1, len(lead))
     return 1.0 - 1.0 / len(lead)
+
+
+def _forward_layers(
+    ch: ChannelParams, rule: StrategyRule, mode: str, true: int
+) -> Iterator[dict[MetricState, Number]]:
+    """State distributions given the true message after 0, 1, 2, ... uses."""
+    # cached so that the memoised edges share one factor object per weight
+    factor = functools.cache((lambda x: x) if mode == "rational" else (lambda x: math.log(float(x))))
+    fp, fq = factor(ch.p), factor(ch.q)
+
+    @functools.cache
+    def edges(s: MetricState) -> tuple[tuple[MetricState, Number, Number], ...]:
+        out = []
+        for j, w in select_query(rule, s, ch).items():
+            q_obj = QuerySet.singleton(j)
+            x = 0 if true == j else 1
+            for y in (0, 1):
+                out.append((apply_outcome(s, q_obj, y), factor(w), fq if y == x else fp))
+        return tuple(out)
+
+    return propagate({(0, 0, 0): Fraction(1) if mode == "rational" else 0.0}, edges, mode)
 
 
 def forward_distribution(
@@ -76,27 +154,7 @@ def forward_distribution(
     _check_mode(ch, mode)
     if n < 0:
         raise ValueError("horizon must be nonnegative")
-    start: MetricState = (0, 0, 0)
-    dist: dict[MetricState, Number]
-    dist = {start: Fraction(1)} if mode == "rational" else {start: 0.0}
-    p, q = ch.p, ch.q
-    for _ in range(n):
-        nxt: dict[MetricState, Number] = {}
-        for s, pr in dist.items():
-            for j, w in select_query(rule, s, ch).items():
-                q_obj = QuerySet.singleton(j)
-                for y in (0, 1):
-                    x = 0 if true == j else 1
-                    py = q if y == x else p
-                    ns = apply_outcome(s, q_obj, y)
-                    if mode == "rational":
-                        mass = pr * w * py
-                        nxt[ns] = nxt.get(ns, Fraction(0)) + mass
-                    else:
-                        term = pr + math.log(float(w)) + math.log(py)
-                        nxt[ns] = _logadd(nxt.get(ns, -math.inf), term)
-        dist = nxt
-    return dist
+    return next(itertools.islice(_forward_layers(ch, rule, mode, true), n, None))
 
 
 def _terminal_error(dist: dict[MetricState, Number], true: int, mode: str) -> Number:
@@ -108,8 +166,14 @@ def _terminal_error(dist: dict[MetricState, Number], true: int, mode: str) -> Nu
     for s, logp in dist.items():
         err = conditional_decode_error(s, true, exact=False)
         if err > 0.0:
-            acc = _logadd(acc, logp + math.log(err))
+            acc = logaddexp(acc, logp + math.log(err))
     return math.exp(acc)
+
+
+def _mean_error(dists: Iterable[dict[MetricState, Number]], mode: str) -> Number:
+    """Terminal error from the distributions given true message 1, 2, ..."""
+    parts = [_terminal_error(dist, t, mode) for t, dist in enumerate(dists, 1)]
+    return parts[0] if len(parts) == 1 else sum(parts) / 3
 
 
 def forward_error_prob(
@@ -117,14 +181,8 @@ def forward_error_prob(
 ) -> Number:
     """Terminal decoding-error probability of ``rule`` at horizon n."""
     _check_mode(ch, mode)
-    if rule.equivariant:
-        dist = forward_distribution(n, ch, rule, mode, true=1)
-        return _terminal_error(dist, 1, mode)
-    parts = [
-        _terminal_error(forward_distribution(n, ch, rule, mode, true=t), t, mode)
-        for t in (1, 2, 3)
-    ]
-    return sum(parts) / 3
+    trues = (1,) if rule.equivariant else (1, 2, 3)
+    return _mean_error((forward_distribution(n, ch, rule, mode, true=t) for t in trues), mode)
 
 
 def sorted_lattice(kmax: int) -> list[MetricState]:
@@ -288,7 +346,7 @@ def bellman_optimum(
     ch: ChannelParams,
     mode: str = "rational",
     probability_mode: str = "bayes",
-    state_cap: int = 2_000_000,
+    state_cap: int = STATE_CAP,
 ) -> tuple[Number, ValueTable]:
     """Minimum achievable error over all metric-state strategies.
 
@@ -454,18 +512,6 @@ def optimal_query_report(
     return report
 
 
-def _log_of(value: Number, mode: str) -> float:
-    if mode == "rational":
-        f = Fraction(value)
-        return math.log(f.numerator) - math.log(f.denominator)
-    if value == 0.0:
-        raise FloatingPointError(
-            "float P_e underflowed to 0.0, below the smallest double; "
-            "rational mode gives the exact value"
-        )
-    return math.log(value)
-
-
 def error_curve(
     ch: ChannelParams,
     rule: StrategyRule | str,
@@ -479,40 +525,13 @@ def error_curve(
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    rows: list[tuple[int, Number, float]] = []
     if rule == "optimal":
         _, table = bellman_optimum(n_max, ch, mode=mode)
-        for n in range(1, n_max + 1):
-            pe = table.optimal_error(n)
-            rows.append((n, pe, -_log_of(pe, mode) / n))
-        return rows
-    assert isinstance(rule, StrategyRule)
-    _check_mode(ch, mode)
-    trues = (1,) if rule.equivariant else (1, 2, 3)
-    dists: dict[int, dict[MetricState, Number]]
-    if mode == "rational":
-        dists = {t: {(0, 0, 0): Fraction(1)} for t in trues}
+        pes = (table.optimal_error(n) for n in range(1, n_max + 1))
     else:
-        dists = {t: {(0, 0, 0): 0.0} for t in trues}
-    p, q = ch.p, ch.q
-    for n in range(1, n_max + 1):
-        for t in trues:
-            dist = dists[t]
-            nxt: dict[MetricState, Number] = {}
-            for s, pr in dist.items():
-                for j, w in select_query(rule, s, ch).items():
-                    q_obj = QuerySet.singleton(j)
-                    for y in (0, 1):
-                        x = 0 if t == j else 1
-                        py = q if y == x else p
-                        ns = apply_outcome(s, q_obj, y)
-                        if mode == "rational":
-                            nxt[ns] = nxt.get(ns, Fraction(0)) + pr * w * py
-                        else:
-                            term = pr + math.log(float(w)) + math.log(py)
-                            nxt[ns] = _logadd(nxt.get(ns, -math.inf), term)
-            dists[t] = nxt
-        parts = [_terminal_error(dists[t], t, mode) for t in trues]
-        pe = parts[0] if len(parts) == 1 else sum(parts) / 3
-        rows.append((n, pe, -_log_of(pe, mode) / n))
-    return rows
+        assert isinstance(rule, StrategyRule)
+        _check_mode(ch, mode)
+        trues = (1,) if rule.equivariant else (1, 2, 3)
+        layers = zip(*(_forward_layers(ch, rule, mode, t) for t in trues))
+        pes = (_mean_error(dists, mode) for dists in itertools.islice(layers, 1, n_max + 1))
+    return [(n, pe, -log_of(pe) / n) for n, pe in enumerate(pes, 1)]

@@ -188,8 +188,9 @@ def run_trials(
 ) -> SimulationStats:
     """Estimate the error probability from ``trials`` simulated episodes.
 
-    Trials are sharded by index across ``workers`` contiguous ranges and
-    processed in bounded batches; neither choice can affect the result.
+    Trials are sharded by index across ``workers`` contiguous ranges, run
+    one after another in this process (no parallelism), and processed in
+    bounded batches; neither choice can affect the result.
     The true message is drawn uniformly per trial from the seed stream.
     """
     ch.require_float("run_trials")

@@ -1,8 +1,10 @@
+import hashlib
 import json
 import math
 
 import pytest
 
+from fblab import exact_dp
 from fblab.channel import make_channel
 from fblab.cli import dispatch
 from fblab.exact_dp import bellman_optimum
@@ -83,6 +85,53 @@ def test_float_underflow_is_a_failed_check(capsys):
     diag = json.loads(err)
     assert diag["error"] == "check-failed"
     assert "underflow" in diag["detail"]
+
+
+def test_float_simplex_underflow_is_a_failed_check(capsys):
+    # valid p whose tie-event probability lies below the smallest double
+    code, _, err = run_cli(capsys, "simplex", "--p", "1e-300", "--n", "30", "--mode", "float")
+    assert code == 3
+    diag = json.loads(err)
+    assert diag["error"] == "check-failed"
+    assert "underflow" in diag["detail"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("exact", "--p", "1/10", "--n", "30"),
+        ("sweep", "--p", "0.1", "--n-max", "30", "--mode", "float"),
+        ("paths", "--p", "1/10", "--n", "30"),
+    ],
+)
+def test_forward_programs_respect_state_cap(capsys, monkeypatch, argv):
+    monkeypatch.setattr(exact_dp, "STATE_CAP", 100)
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 4
+    assert json.loads(err)["error"] == "resource-cap"
+
+
+# stdout digests of float jobs: a change in the order of any float operation of the
+# forward programs, the chain or the simplex block-sum shows here
+FLOAT_OUTPUT_SHA256 = {
+    "sweep --p 0.2 --n-max 30 --strategy round-robin --mode float":
+        "9db80ec324dbf0d0485a00a75c63586cc100dd07e232b5fb753cc9eb64b6ab4c",
+    "sweep --p 0.1 --n-max 60 --mode float":
+        "c8551bb37efb6d3c3e1d440773b7311c82a9e9f29111ca6473f17149cb2ef301",
+    "exact --p 0.1 --n 30 --strategy fixed:2 --mode float":
+        "63921130b6d5afd7a01bd6d1531cd3ef9163be03c18b41da43cd4b9d5790c3f8",
+    "paths --p 0.1 --n 60 --series loops --variant closed-form --mode float":
+        "4d976352c70715ca08f62c440a1559b5a37db521abdb4132ec495a92a0a8d1d0",
+    "simplex --p 0.1 --n 60 --mode float":
+        "c4d1c04a6dda17423dbfa59adce5793f81d7ffe48ce47703b29d4ff76c21f71e",
+}
+
+
+@pytest.mark.parametrize("job", sorted(FLOAT_OUTPUT_SHA256))
+def test_float_outputs_are_pinned(capsys, job):
+    code, out, _ = run_cli(capsys, *job.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == FLOAT_OUTPUT_SHA256[job]
 
 
 def test_float_bellman_past_cancellation(capsys):

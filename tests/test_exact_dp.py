@@ -310,10 +310,24 @@ class TestErrorCurve:
         for n, pe, _ in rows:
             assert pe == bellman_optimum(n, CH10)[0]
 
-    def test_matches_single_shot_forward(self):
-        rows = error_curve(CH10, MAX_POSTERIOR, 8)
-        for n in (2, 5, 8):
-            assert rows[n - 1][1] == forward_error_prob(n, CH10, MAX_POSTERIOR)
+    @pytest.mark.parametrize(
+        "ch, mode", [(CH10, "rational"), (CH10F, "log-float")], ids=["rational", "log-float"]
+    )
+    @pytest.mark.parametrize(
+        "rule",
+        [
+            MAX_POSTERIOR,
+            StrategyRule(tie_policy="lowest-index"),
+            StrategyRule(kind="round-robin"),
+            StrategyRule(kind="fixed", fixed_query=2),
+        ],
+        ids=["uniform-ties", "lowest-index-ties", "round-robin", "fixed-2"],
+    )
+    def test_matches_single_shot_forward(self, ch, mode, rule):
+        rows = error_curve(ch, rule, 8, mode)
+        assert [pe for _, pe, _ in rows] == [
+            forward_error_prob(n, ch, rule, mode) for n in range(1, 9)
+        ]
 
 
 @settings(max_examples=60, deadline=None)
