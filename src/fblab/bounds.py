@@ -215,8 +215,8 @@ def simplex_event_prob(n: int, ch: ChannelParams, method: str = "block-sum") -> 
     sum_t C(n/3, t)^3 p^(n/3+t) q^(2n/3-t).  The enumeration method walks
     all 2^n outputs (n <= 15) as an independent oracle.
     """
-    if n % 3:
-        raise ValueError(f"simplex event needs 3 | n, got {n}")
+    if n < 3 or n % 3:
+        raise ValueError(f"simplex event needs n >= 3 with 3 | n, got {n}")
     b = n // 3
     p, q = ch.p, ch.q
     if method == "block-sum":

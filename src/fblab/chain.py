@@ -181,7 +181,9 @@ def reach_prob(
     """Probability of sitting at the all-zero state at time n, from time 0.
 
     Needs a tentacle depth of at least ceil(n/2): a path that dives deeper
-    cannot climb back within the horizon, so truncation is exact.
+    cannot climb back within the horizon, so truncation is exact.  Rational
+    mode propagates integer masses over D**t, D the least common
+    denominator of the table's transition probabilities.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -194,14 +196,22 @@ def reach_prob(
     if exact:
         ch.require_exact("rational-mode reach probability")
     table = derive_transitions(ch, depth_bound)
-    edges = {
-        s: [(tr.target, tr.prob, 1) if exact else (tr.target, math.log(tr.prob), 0.0) for tr in row]
-        for s, row in table.entries.items()
-    }
-    start = {MAIN_STATE: Fraction(1) if exact else 0.0}
-    dist = next(itertools.islice(exact_dp.propagate(start, edges.__getitem__, mode), n, None))
-    mass = dist.get(MAIN_STATE, Fraction(0) if exact else -math.inf)
-    return mass if exact else math.exp(mass)
+    rows = table.entries
+    if exact:
+        scale = math.lcm(*(tr.prob.denominator for row in rows.values() for tr in row))
+        edges = {
+            s: [(tr.target, tr.prob.numerator * (scale // tr.prob.denominator), 1) for tr in row]
+            for s, row in rows.items()
+        }
+        start = 1
+    else:
+        edges = {s: [(tr.target, math.log(tr.prob), 0.0) for tr in row] for s, row in rows.items()}
+        start = 0.0
+    layers = exact_dp.propagate({MAIN_STATE: start}, edges.__getitem__, mode)
+    dist = next(itertools.islice(layers, n, None))
+    if exact:
+        return Fraction(dist.get(MAIN_STATE, 0), scale**n)
+    return math.exp(dist.get(MAIN_STATE, -math.inf))
 
 
 def enumerate_two_loops(s: ChainState, table: TransitionTable) -> list[tuple[ChainState, Number]]:
@@ -281,17 +291,21 @@ def closed_form_loop_bound_exact(n: int, ch: ChannelParams) -> CubicExt:
 
 
 def series_with_loops(n: int, ch: ChannelParams, variant: str = "restricted"):
-    """Return-probability series allowing generic 2-loops.
+    """Return-path series allowing generic 2-loops, with the exact return probability.
 
     restricted: exact sum over integer-feasible (k2, n3) with the
     sequential-arrangement count C(k2+n3, k2) (the looser printed count
     C(n, k2) overcounts at small n and is not a valid probability).
-    closed-form: (1/2) (pq^2)^(n/3) (1+z^(1/3))^n; returns a flag marking
+    closed-form: (1/2) (pq^2)^(n/3) (1+z^(1/3))^n; the flag marks
     whenever it exceeds the exact return probability, which the
-    divisibility relaxation makes possible.
+    divisibility relaxation makes possible (None for restricted).
+
+    Returns (value, compositions, flag, reach_prob(n, ch)).
     """
     if n < 2:
         raise ValueError("series need n >= 2")
+    if variant not in ("restricted", "closed-form"):
+        raise ValueError(f"unknown variant {variant!r}")
     two, three = _block_probs(ch)
     comps = []
     for k2 in range(0, n // 2 + 1):
@@ -300,25 +314,21 @@ def series_with_loops(n: int, ch: ChannelParams, variant: str = "restricted"):
             continue
         n3 = rem // 3
         comps.append(PathComposition(n2=0, n3=n3, k2=k2, m=k2 + n3))
+    reach = reach_prob(n, ch, mode="rational" if ch.exact else "log-float")
     if variant == "restricted":
         value = sum(
             (comb(c.m, c.k2) * two**c.k2) * three**c.n3 for c in comps
         )
-        return value, comps, None
-    if variant == "closed-form":
-        p, q, z = float(ch.p), float(ch.q), float(ch.z)
-        log_v = (
-            math.log(0.5)
-            + (n / 3.0) * math.log(p * q * q)
-            + n * math.log1p(z ** (1.0 / 3.0))
-        )
-        value = math.exp(log_v)
-        if ch.exact:
-            exceeds = closed_form_loop_bound_exact(n, ch) > reach_prob(n, ch)
-        else:
-            exceeds = value > reach_prob(n, ch, mode="log-float")
-        return value, comps, exceeds
-    raise ValueError(f"unknown variant {variant!r}")
+        return value, comps, None, reach
+    p, q, z = float(ch.p), float(ch.q), float(ch.z)
+    log_v = (
+        math.log(0.5)
+        + (n / 3.0) * math.log(p * q * q)
+        + n * math.log1p(z ** (1.0 / 3.0))
+    )
+    value = math.exp(log_v)
+    bound = closed_form_loop_bound_exact(n, ch) if ch.exact else value
+    return value, comps, bound > reach, reach
 
 
 def _node_name(s: ChainState) -> str:

@@ -148,17 +148,16 @@ def cmd_paths(args) -> int:
     if args.series == "basic":
         value, comps = chain.series_basic(args.n, ch, args.variant)
         exceeds = None
+        reach = chain.reach_prob(args.n, ch, mode="rational" if ch.exact else "log-float")
     else:
-        value, comps, exceeds = chain.series_with_loops(args.n, ch, args.variant)
+        value, comps, exceeds, reach = chain.series_with_loops(args.n, ch, args.variant)
     result = {
         "config": _config(args),
         "n": args.n,
         "series": args.series,
         "variant": args.variant,
         "value": value,
-        "return_probability": chain.reach_prob(
-            args.n, ch, mode="rational" if ch.exact else "log-float"
-        ),
+        "return_probability": reach,
         "closed_form_exceeds_exact": exceeds,
         "compositions": comps,
     }

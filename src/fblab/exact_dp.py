@@ -3,9 +3,9 @@
 The forward pass computes the terminal-error probability of a fixed
 strategy by propagating the metric-state distribution conditioned on the
 true message (equivariant rules need one pass; others are averaged over
-the three conditionings), in exact rationals or log-domain floats.  Its
-layer kernel, ``propagate``, also steps the chain module's return
-probability.
+the three conditionings), in exact integer numerators over one denominator
+per layer or in log-domain floats.  Its layer kernel, ``propagate``, also
+steps the chain module's return probability.
 
 The backward pass computes the minimum error over all metric-state
 strategies under the bayes transition law.  The value function is
@@ -22,6 +22,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -30,7 +31,7 @@ import numpy as np
 
 from .belief import MetricState, QuerySet, apply_outcome, leaders
 from .channel import ChannelParams, Number
-from .strategy import StrategyRule, select_query
+from .strategy import StrategyRule, select_query, weight_denominator
 
 ARITHMETIC_MODES = ("rational", "log-float")
 
@@ -85,10 +86,11 @@ def propagate(
     """Yield ``dist``, then the distribution after each further step.
 
     ``edges(s)`` lists the moves out of state s as (target, f1, f2): in
-    rational mode the move has probability f1 * f2; in log-float mode
-    masses are natural logs, f1 + f2 is the move's log-probability and
-    masses meeting at a target combine by logaddexp.  A state without
-    moves loses its mass.  Raises ResourceCapError once the layers after
+    rational mode masses are exact (callers pass integers scaled to one
+    common denominator per layer) and the move multiplies its source mass
+    by f1 * f2; in log-float mode masses are natural logs, f1 + f2 is the
+    move's log-probability and masses meeting at a target combine by
+    logaddexp.  A state without moves loses its mass.  Raises ResourceCapError once the layers after
     ``dist`` hold more than STATE_CAP states in total.
     """
     rational = mode == "rational"
@@ -118,13 +120,38 @@ def conditional_decode_error(s: MetricState, true: int, exact: bool = True) -> N
     return 1.0 - 1.0 / len(lead)
 
 
-def _forward_layers(
-    ch: ChannelParams, rule: StrategyRule, mode: str, true: int
-) -> Iterator[dict[MetricState, Number]]:
-    """State distributions given the true message after 0, 1, 2, ... uses."""
-    # cached so that the memoised edges share one factor object per weight
-    factor = functools.cache((lambda x: x) if mode == "rational" else (lambda x: math.log(float(x))))
-    fp, fq = factor(ch.p), factor(ch.q)
+def _error_sixths(s: MetricState, true: int) -> int:
+    """6 * conditional_decode_error(s, true), an integer: 0, 3, 4 or 6.
+
+    ``s`` is normalised, so its leaders are the messages with 0 votes.
+    """
+    return 6 - 6 // s.count(0) if s[true - 1] == 0 else 6
+
+
+Layer = tuple[dict[MetricState, Number], int]
+
+
+def _forward_layers(ch: ChannelParams, rule: StrategyRule, mode: str, true: int) -> Iterator[Layer]:
+    """(distribution, denominator) given the true message after 0, 1, 2, ... uses.
+
+    Rational masses are integers over one denominator per layer, (L*c)**t
+    after t uses, for p = a/c and L the least common denominator of the
+    rule's query weights: querying j with weight w moves w*L times b = c - a
+    when the answer agrees with the truth and w*L times a when it does not.
+    Log-float masses are natural logs and the denominator stays 1.
+    """
+    if mode == "rational":
+        scale = weight_denominator(rule)
+        a, c = ch.p.numerator, ch.p.denominator
+        fp, fq, start, step = a, c - a, 1, scale * c
+
+        def factor(w: Fraction) -> int:
+            return w.numerator * (scale // w.denominator)
+
+    else:
+        # cached so that the memoised edges share one factor object per weight
+        factor = functools.cache(lambda x: math.log(float(x)))
+        fp, fq, start, step = factor(ch.p), factor(ch.q), 0.0, 1
 
     @functools.cache
     def edges(s: MetricState) -> tuple[tuple[MetricState, Number, Number], ...]:
@@ -136,7 +163,14 @@ def _forward_layers(
                 out.append((apply_outcome(s, q_obj, y), factor(w), fq if y == x else fp))
         return tuple(out)
 
-    return propagate({(0, 0, 0): Fraction(1) if mode == "rational" else 0.0}, edges, mode)
+    dens = itertools.accumulate(itertools.repeat(step), operator.mul, initial=1)
+    return zip(propagate({(0, 0, 0): start}, edges, mode), dens)
+
+
+def _forward_layer(n: int, ch: ChannelParams, rule: StrategyRule, mode: str, true: int) -> Layer:
+    if n < 0:
+        raise ValueError("horizon must be nonnegative")
+    return next(itertools.islice(_forward_layers(ch, rule, mode, true), n, None))
 
 
 def forward_distribution(
@@ -152,16 +186,16 @@ def forward_distribution(
     natural-log probabilities.
     """
     _check_mode(ch, mode)
-    if n < 0:
-        raise ValueError("horizon must be nonnegative")
-    return next(itertools.islice(_forward_layers(ch, rule, mode, true), n, None))
+    dist, den = _forward_layer(n, ch, rule, mode, true)
+    if mode == "rational":
+        return {s: Fraction(mass, den) for s, mass in dist.items()}
+    return dist
 
 
 def _terminal_error(dist: dict[MetricState, Number], true: int, mode: str) -> Number:
+    """Rational: the integer sum of mass * 6 * error; log-float: the error probability."""
     if mode == "rational":
-        return sum(
-            pr * conditional_decode_error(s, true) for s, pr in dist.items()
-        )
+        return sum(pr * _error_sixths(s, true) for s, pr in dist.items())
     acc = -math.inf
     for s, logp in dist.items():
         err = conditional_decode_error(s, true, exact=False)
@@ -170,9 +204,14 @@ def _terminal_error(dist: dict[MetricState, Number], true: int, mode: str) -> Nu
     return math.exp(acc)
 
 
-def _mean_error(dists: Iterable[dict[MetricState, Number]], mode: str) -> Number:
-    """Terminal error from the distributions given true message 1, 2, ..."""
-    parts = [_terminal_error(dist, t, mode) for t, dist in enumerate(dists, 1)]
+def _mean_error(layers: Iterable[Layer], mode: str) -> Number:
+    """Terminal error from the layers given true message 1, 2, ... (one or all three).
+
+    Rational mode builds one Fraction from the integer parts.
+    """
+    parts, dens = zip(*((_terminal_error(d, t, mode), den) for t, (d, den) in enumerate(layers, 1)))
+    if mode == "rational":
+        return Fraction(sum(parts), 6 * len(parts) * dens[0])
     return parts[0] if len(parts) == 1 else sum(parts) / 3
 
 
@@ -182,7 +221,7 @@ def forward_error_prob(
     """Terminal decoding-error probability of ``rule`` at horizon n."""
     _check_mode(ch, mode)
     trues = (1,) if rule.equivariant else (1, 2, 3)
-    return _mean_error((forward_distribution(n, ch, rule, mode, true=t) for t in trues), mode)
+    return _mean_error((_forward_layer(n, ch, rule, mode, t) for t in trues), mode)
 
 
 def sorted_lattice(kmax: int) -> list[MetricState]:
@@ -533,5 +572,5 @@ def error_curve(
         _check_mode(ch, mode)
         trues = (1,) if rule.equivariant else (1, 2, 3)
         layers = zip(*(_forward_layers(ch, rule, mode, t) for t in trues))
-        pes = (_mean_error(dists, mode) for dists in itertools.islice(layers, 1, n_max + 1))
+        pes = (_mean_error(layer, mode) for layer in itertools.islice(layers, 1, n_max + 1))
     return [(n, pe, -log_of(pe) / n) for n, pe in enumerate(pes, 1)]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -76,6 +77,16 @@ def select_query(rule: StrategyRule, s: MetricState, ch: ChannelParams) -> Query
     return weights
 
 
+def weight_denominator(rule: StrategyRule) -> int:
+    """Least common multiple of the denominators of every query weight ``rule`` gives."""
+    if rule.kind == "table":
+        assert rule.table is not None
+        return math.lcm(*(w.denominator for ws in rule.table.values() for w in ws.values()))
+    if rule.kind == "max-posterior" and rule.tie_policy == "uniform-random":
+        return 6  # ties split evenly over 1, 2 or 3 leaders
+    return 1
+
+
 def step(
     rule: StrategyRule,
     s: MetricState,
@@ -112,15 +123,29 @@ def step(
 
 def load_table(path: str | Path) -> StrategyRule:
     """Read a table rule from JSON: a list of {state: [i,j,l], query: k} or
-    {state: ..., distribution: {"k": [num, den], ...}} entries."""
-    entries = json.loads(Path(path).read_text())
+    {state: ..., distribution: {"k": [num, den], ...}} entries.
+
+    A file that cannot be read or parsed, or a malformed entry, raises
+    ValueError naming the path.
+    """
+    try:
+        entries = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"cannot read table strategy {path}: {exc}") from None
+    if not isinstance(entries, list):
+        raise ValueError(f"table strategy {path} must hold a JSON list of entries")
     table: dict[MetricState, QueryWeights] = {}
     for entry in entries:
-        state = tuple(entry["state"])
-        if "query" in entry:
-            table[state] = {int(entry["query"]): Fraction(1)}
-        else:
-            table[state] = {
-                int(k): Fraction(v[0], v[1]) for k, v in entry["distribution"].items()
-            }
+        try:
+            state = tuple(entry["state"])
+            if "query" in entry:
+                table[state] = {int(entry["query"]): Fraction(1)}
+            else:
+                table[state] = {
+                    int(k): Fraction(v[0], v[1]) for k, v in entry["distribution"].items()
+                }
+        except (LookupError, TypeError, ValueError, ZeroDivisionError) as exc:
+            raise ValueError(
+                f"malformed entry {entry!r} in table strategy {path}: {exc!r}"
+            ) from None
     return StrategyRule(kind="table", table=table)

@@ -130,7 +130,7 @@ def test_chain_and_dp_agree_on_hub_mass():
         rp = reach_prob(n, ch)
         ok &= dp_mass == rp
         if n >= 2:
-            restricted, _, _ = series_with_loops(n, ch, "restricted")
+            restricted, _, _, _ = series_with_loops(n, ch, "restricted")
             ok &= restricted <= rp
     _verdict("forward DP and chain agree on hub mass (n 0..30)", ok)
     assert ok

@@ -167,23 +167,24 @@ class TestSeries:
             assert value == basic_return(n)
 
     def test_loop_series_small_horizons_meet_exact(self):
-        v2, comps2, _ = series_with_loops(2, CH10, "restricted")
+        v2, comps2, _, _ = series_with_loops(2, CH10, "restricted")
         assert v2 == reach_prob(2, CH10) == Fraction(9, 100)
         assert [(c.k2, c.n3) for c in comps2] == [(1, 0)]
-        v3, comps3, _ = series_with_loops(3, CH10, "restricted")
+        v3, comps3, _, _ = series_with_loops(3, CH10, "restricted")
         assert v3 == reach_prob(3, CH10)
         assert [(c.k2, c.n3) for c in comps3] == [(0, 1)]
 
     def test_loop_series_never_exceeds_exact(self):
         for n in range(2, 31):
-            value, _, _ = series_with_loops(n, CH10, "restricted")
+            value, _, _, _ = series_with_loops(n, CH10, "restricted")
             assert value <= reach_prob(n, CH10)
 
     def test_closed_form_value_and_flag(self):
-        value, _, exceeds = series_with_loops(3, CH10, "closed-form")
+        value, _, exceeds, reach = series_with_loops(3, CH10, "closed-form")
         # independent high-precision evaluation of (1/2) pq^2 (1+z^(1/3))^3
         assert abs(value - 0.13149223920865075) <= 1e-12
         assert exceeds is True  # 0.1315 > exact return probability 0.081
+        assert reach == Fraction(81, 1000)
 
     def test_basic_closed_form_is_finite_and_positive(self):
         value, _ = series_basic(9, CH10, "closed-form")

@@ -1,10 +1,12 @@
 import hashlib
+import itertools
 import json
 import math
 
 import pytest
 
 from fblab import exact_dp
+from fblab.belief import leaders
 from fblab.channel import make_channel
 from fblab.cli import dispatch
 from fblab.exact_dp import bellman_optimum
@@ -132,6 +134,48 @@ def test_float_outputs_are_pinned(capsys, job):
     code, out, _ = run_cli(capsys, *job.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == FLOAT_OUTPUT_SHA256[job]
+
+
+def _write_table(path, n, entry):
+    """A table rule over every normalised state with entries up to n."""
+    states = [s for s in itertools.product(range(n + 1), repeat=3) if min(s) == 0]
+    path.write_text(json.dumps([{"state": list(s), **entry(leaders(s))} for s in states]))
+
+
+def _lowest_leader(lead):
+    return {"query": lead[0]}
+
+
+def _two_sevenths(lead):
+    # weight 5/7 on the lowest leader and 2/7 on the next message: L = 7
+    return {"distribution": {str(lead[0]): [5, 7], str(lead[0] % 3 + 1): [2, 7]}}
+
+
+# stdout digests of rational jobs that the benchmark goldens do not cover, recorded
+# before the forward pass moved to integer numerators; the table jobs read their
+# tables from the working directory so that the echoed configuration holds no path
+RATIONAL_OUTPUT_SHA256 = {
+    "exact --p 1/10 --n 240":
+        "9afcb37c9b0be69236a2fd5c58b3d684fd88590535284f38e3fb3e678733bc3b",
+    "sweep --p 1/6 --n-max 40 --strategy table:lowest-index.json":
+        "b4213993a38ae9b943c1b8614aef939a915ed36d846229f243775029dfccc55f",
+    "exact --p 1/7 --n 30 --strategy table:two-sevenths.json":
+        "d166fbcf2cbf928c9690f1c64472f13e71830902b1045d1e25b6e44ecc204d64",
+    "sweep --p 1/3 --n-max 40 --strategy round-robin":
+        "ff116c6e6e877cfaba5f3a666f023afce81e0d6f40994e97dd4ee3bb82e82e76",
+    "paths --p 1/3 --n 30 --series loops --variant closed-form":
+        "a96961def8711dcab094e623afae2e8a55faa079e231174c25f2b473267903e4",
+}
+
+
+@pytest.mark.parametrize("job", sorted(RATIONAL_OUTPUT_SHA256))
+def test_rational_outputs_are_pinned(capsys, tmp_path, monkeypatch, job):
+    monkeypatch.chdir(tmp_path)
+    _write_table(tmp_path / "lowest-index.json", 40, _lowest_leader)
+    _write_table(tmp_path / "two-sevenths.json", 30, _two_sevenths)
+    code, out, _ = run_cli(capsys, *job.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == RATIONAL_OUTPUT_SHA256[job]
 
 
 def test_float_bellman_past_cancellation(capsys):
@@ -282,6 +326,38 @@ def test_octopus_verify_mismatch_exits_nonzero(monkeypatch, capsys):
     verdicts = {tuple(g["state"]): g["verdict"] for g in doc["verification"]["groups"]}
     assert verdicts[(0, 1, 1)] == "mismatch"
     assert verdicts[(0, 0, 0)] == "match"
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        None,
+        '[{"state": [0, 0, 0], "query": 1',
+        '[{"state": [0, 0, 0]}]',
+        '{"state": [0, 0, 0], "query": 1}',
+        '[{"state": [0, 0, 0], "query": "one"}]',
+        '[{"state": [0, 0, 0], "distribution": {"1": [1, 0]}}]',
+        '[{"state": [0, 0, 0], "distribution": {"1": [1]}}]',
+    ],
+    ids=["missing", "bad-json", "no-query", "not-a-list", "bad-query", "zero-den", "short-weight"],
+)
+def test_table_strategy_load_errors_are_invalid_input(capsys, tmp_path, content):
+    path = tmp_path / "table.json"
+    if content is not None:
+        path.write_text(content)
+    argv = ("exact", "--p", "1/10", "--n", "3", "--strategy", f"table:{path}")
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    diag = json.loads(err)
+    assert diag["error"] == "invalid-input"
+    assert str(path) in diag["detail"]
+
+
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_simplex_horizon_below_three_is_invalid_input(capsys, n):
+    code, _, err = run_cli(capsys, "simplex", "--p", "1/10", "--n", n)
+    assert code == 2
+    assert json.loads(err)["error"] == "invalid-input"
 
 
 def test_invalid_probability_exit_code(capsys):

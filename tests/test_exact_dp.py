@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fblab.belief import QuerySet, apply_outcome, leaders, normalize, posteriors
+from fblab.chain import derive_transitions, reach_prob
 from fblab.channel import make_channel
 from fblab.exact_dp import (
     ResourceCapError,
@@ -17,7 +19,7 @@ from fblab.exact_dp import (
     reachable_layers,
     sorted_lattice,
 )
-from fblab.strategy import MAX_POSTERIOR, StrategyRule
+from fblab.strategy import MAX_POSTERIOR, StrategyRule, select_query
 from witnesses import HALF_CONSTANT_WITNESSES
 
 P_GRID = ["1/20", "1/10", "1/5", "3/10", "2/5"]
@@ -84,6 +86,33 @@ def _reference_bellman(n, ch):
     return values, argmax
 
 
+# reference oracle: the Fraction forward propagation that the integer kernel
+# replaced; layer k of the result is the distribution after k uses
+def _reference_forward(n, ch, rule, true):
+    layers = [{(0, 0, 0): Fraction(1)}]
+    for _ in range(n):
+        nxt = {}
+        for s, pr in layers[-1].items():
+            for j, w in select_query(rule, s, ch).items():
+                x = 0 if true == j else 1
+                for y in (0, 1):
+                    t = apply_outcome(s, QuerySet.singleton(j), y)
+                    nxt[t] = nxt.get(t, 0) + pr * w * (ch.q if y == x else ch.p)
+        layers.append(nxt)
+    return layers
+
+
+def _reference_error(dists):
+    """Terminal error from the distributions given true message 1, 2, ..."""
+
+    def err(s, true):
+        lead = leaders(s)
+        return 1 - Fraction(1, len(lead)) if true in lead else Fraction(1)
+
+    parts = [sum(pr * err(s, t) for s, pr in d.items()) for t, d in enumerate(dists, 1)]
+    return parts[0] if len(parts) == 1 else sum(parts) / 3
+
+
 def _rel_err(value, exact):
     return abs(value - float(exact)) / float(exact)
 
@@ -140,6 +169,53 @@ class TestForward:
     def test_rational_mode_rejects_float_channel(self):
         with pytest.raises(ValueError):
             forward_error_prob(3, make_channel("0.1", "float"), MAX_POSTERIOR, mode="rational")
+
+
+# weight 5/7 on the lowest leader and 2/7 on the next message: L = 7
+TWO_SEVENTHS = StrategyRule(
+    kind="table",
+    table={
+        s: {leaders(s)[0]: Fraction(5, 7), leaders(s)[0] % 3 + 1: Fraction(2, 7)}
+        for s in itertools.product(range(13), repeat=3)
+        if min(s) == 0
+    },
+)
+FORWARD_RULES = [
+    MAX_POSTERIOR,
+    StrategyRule(tie_policy="lowest-index"),
+    StrategyRule(kind="round-robin"),
+    StrategyRule(kind="fixed", fixed_query=2),
+    TWO_SEVENTHS,
+]
+FORWARD_RULE_IDS = ["uniform-ties", "lowest-index-ties", "round-robin", "fixed-2", "table-2/7"]
+
+
+@pytest.mark.parametrize("pl", ["1/20", "1/6", "1/3", "1/2"])
+@pytest.mark.parametrize("rule", FORWARD_RULES, ids=FORWARD_RULE_IDS)
+def test_integer_forward_matches_fraction_propagation(pl, rule):
+    ch = make_channel(pl)
+    ref = {t: _reference_forward(12, ch, rule, t) for t in (1, 2, 3)}
+    for t, layers in ref.items():
+        for n, dist in enumerate(layers):
+            assert forward_distribution(n, ch, rule, true=t) == dist
+    trues = (1,) if rule.equivariant else (1, 2, 3)
+    want = [_reference_error([ref[t][n] for t in trues]) for n in range(13)]
+    assert [pe for _, pe, _ in error_curve(ch, rule, 12)] == want[1:]
+    assert [forward_error_prob(n, ch, rule) for n in (0, 7, 12)] == [want[0], want[7], want[12]]
+
+
+@pytest.mark.parametrize("pl", ["1/20", "1/6", "1/3", "1/2"])
+def test_reach_prob_matches_fraction_propagation(pl):
+    ch = make_channel(pl)
+    table = derive_transitions(ch, 20)
+    dist = {(0, 0, 0): Fraction(1)}
+    for n in range(21):
+        assert reach_prob(n, ch) == dist.get((0, 0, 0), 0)
+        nxt = {}
+        for s, pr in dist.items():
+            for tr in table.entries[s]:
+                nxt[tr.target] = nxt.get(tr.target, 0) + pr * tr.prob
+        dist = nxt
 
 
 class TestBellman:
