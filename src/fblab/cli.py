@@ -166,6 +166,14 @@ def cmd_paths(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if args.workers is None:
+        env = os.environ.get("FBLAB_WORKERS", "1")
+        try:
+            args.workers = int(env)
+        except ValueError:
+            raise ValueError(f"FBLAB_WORKERS must be an integer, got {env!r}") from None
+    if args.dump_count < 0:
+        raise ValueError(f"--dump-count must be non-negative, got {args.dump_count}")
     ch = make_channel(args.p, "float")
     rule = _parse_strategy(args.strategy)
     stats = montecarlo.run_trials(
@@ -180,10 +188,8 @@ def cmd_simulate(args) -> int:
     }
     if args.dump_trajectories:
         count = min(args.dump_count, args.trials)
-        lines = [
-            serialize.dumps_line(montecarlo.simulate_trajectory(args.n, ch, rule, args.seed, t))
-            for t in range(count)
-        ]
+        records = montecarlo.trajectory_records(args.n, ch, rule, args.seed, count)
+        lines = [serialize.dumps_line(rec) for rec in records]
         Path(args.dump_trajectories).write_text("".join(lines))
         result["trajectory_dump"] = {"path": args.dump_trajectories, "count": count}
     _emit(serialize.dumps(result), args.out)
@@ -267,8 +273,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--workers",
         type=int,
-        default=int(os.environ.get("FBLAB_WORKERS", "1")),
-        help="shard count; shards run in turn in one process: same result, no parallelism",
+        default=None,
+        help="worker count (default: FBLAB_WORKERS, else 1); checked and echoed, but "
+        "every trial runs in one batch loop in one process: no parallelism, same result",
     )
     sp.add_argument("--strategy", default="max-posterior")
     sp.add_argument("--dump-trajectories", default=None, help="JSON-lines path for episode records")

@@ -1,9 +1,12 @@
 """Seeded episode simulation, trajectory audits, and exponent estimation.
 
 Every random draw is a pure function of (seed, trial, purpose, step), so
-results are identical for any worker count or batch size.  The batch
-engine vectorizes the same draw discipline as the scalar path in
-``strategy.step``; a test pins the two to each other bit for bit.
+results are identical for any batch size.  One row-wise batch engine,
+``_simulate_batch``, runs every rule kind, table rules included: it gives
+``run_trials`` its counts, ``run_trajectory_audit`` its tallies and
+``trajectory_records`` the episode records that the CLI dumps.  The scalar
+path, ``simulate_trajectory`` stepping ``strategy.step``, is kept as the
+oracle only: tests pin the batch engine to it per trial, bit for bit.
 """
 
 from __future__ import annotations
@@ -36,14 +39,24 @@ from .strategy import MAX_POSTERIOR, StrategyRule, select_query, step
 
 _U = np.uint64
 _WILSON_Z99 = 2.5758293035489004  # two-sided 99% normal quantile
+_RECORD_STEPS = 1_000_000  # trial-steps per batch of trajectory records
+
+
+def _mix_into(x: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """SplitMix64 finalizer of every word of ``x``, in place (``tmp`` is scratch)."""
+    np.right_shift(x, _U(30), out=tmp)
+    x ^= tmp
+    x *= _U(_MIX_A)
+    np.right_shift(x, _U(27), out=tmp)
+    x ^= tmp
+    x *= _U(_MIX_B)
+    np.right_shift(x, _U(31), out=tmp)
+    x ^= tmp
+    return x
 
 
 def _mix_np(x: np.ndarray) -> np.ndarray:
-    x = x ^ (x >> _U(30))
-    x = x * _U(_MIX_A)
-    x = x ^ (x >> _U(27))
-    x = x * _U(_MIX_B)
-    return x ^ (x >> _U(31))
+    return _mix_into(x.copy(), np.empty_like(x))
 
 
 def _word(w: int) -> np.uint64:
@@ -100,80 +113,251 @@ def merge_stats(parts: Sequence[SimulationStats]) -> SimulationStats:
     )
 
 
-def _batch_queries(rule: StrategyRule, d: np.ndarray, tie_draw: np.ndarray) -> np.ndarray:
-    m = d - d.min(axis=0)
-    zeros = m == 0
-    if rule.kind == "max-posterior":
-        if rule.tie_policy == "lowest-index":
-            return zeros.argmax(axis=0)
-        nz = zeros.sum(axis=0).astype(np.uint64)
-        rank = (tie_draw % nz).astype(np.int64)
-        csum = np.cumsum(zeros, axis=0)
-        return ((csum == rank + 1) & zeros).argmax(axis=0)
-    if rule.kind == "fixed":
-        return np.full(d.shape[1], rule.fixed_query - 1, dtype=np.int64)
-    if rule.kind == "round-robin":
-        return (m.sum(axis=0) % 3).astype(np.int64)
-    raise ValueError(f"batch engine has no vectorized path for rule kind {rule.kind!r}")
+def _tie_ranks() -> np.ndarray:
+    """Flat lookup, index 6 * pattern + r: the 0-based message of rank r % k
+    among the k messages whose bits are set in ``pattern``.
+
+    With r = h % 6 this is the scalar path's ``sorted(leaders)[h % k]``
+    exactly, because k in {1, 2, 3} divides 6, so h % k == (h % 6) % k.
+    """
+    ranks = np.zeros((8, 6), dtype=np.uint8)
+    for pattern in range(1, 8):
+        members = [i for i in range(3) if pattern >> i & 1]
+        ranks[pattern] = [members[r % len(members)] for r in range(6)]
+    return ranks.ravel()
+
+
+_TIE_RANKS = _tie_ranks()
+
+
+def _mod6(h: np.ndarray) -> np.ndarray:
+    """h % 6 of uint64 words, as uint8.  numpy divides by a scalar far faster
+    than it takes a remainder, so the remainder h - 6 * (h // 6) is formed
+    from the quotient; it is below 6, so uint8 wraparound arithmetic gives it
+    exactly."""
+    r = h.astype(np.uint8)
+    r -= (h // _U(6)).astype(np.uint8) * np.uint8(6)
+    return r
+
+
+def _fewest_pattern(d: np.ndarray) -> np.ndarray:
+    """Per trial, bit i set when message i + 1 has the fewest votes."""
+    lo = np.minimum(np.minimum(d[0], d[1]), d[2])
+    pattern = (d[0] == lo).view(np.uint8)
+    pattern |= (d[1] == lo).view(np.uint8) << 1
+    pattern |= (d[2] == lo).view(np.uint8) << 2
+    return pattern
+
+
+def _pick_fewest(d: np.ndarray, tie: np.ndarray | None) -> np.ndarray:
+    """0-based fewest-votes message of rank h % k per trial (the lowest one
+    when ``tie`` is None), as ``strategy.step`` and the decoder choose."""
+    index = _fewest_pattern(d) * 6
+    if tie is not None:
+        index += _mod6(tie)
+    return np.take(_TIE_RANKS, index.astype(np.intp))
+
+
+class _TableQueries:
+    """A table rule compiled for the batch engine.
+
+    States are looked up by a sorted key of the normalised vote triple.  Per
+    state the query is drawn as ``strategy.step`` draws it: a rank lookup
+    ``sorted(choices)[h % k]`` when the weights are equal, otherwise the first
+    choice whose cumulative weight acc satisfies h < acc * 2**64, i.e.
+    h <= ceil(acc * 2**64) - 1, computed exactly from the weights.  A missing
+    state, weights that do not sum to 1 or a query outside 1..3 raise
+    ValueError only when a trial visits the state.
+    """
+
+    def __init__(self, table: dict, n: int):
+        entries = sorted(
+            ((state, w) for s, w in table.items() if (state := _table_state(s, n)) is not None),
+            key=lambda e: e[0],
+        )
+        self.radix = 2 + max((max(s) for s, _ in entries), default=0)
+        if self.radix**3 >= 1 << 63:
+            raise ValueError("table strategy states are too large for the batch engine")
+        size = len(entries)
+        # sorted keys, then a sentinel above every key, so a lookup always lands
+        keys = [(s[0] * self.radix + s[1]) * self.radix + s[2] for s, _ in entries]
+        self.keys = np.array(keys + [self.radix**3], dtype=np.int64)
+        self.ranks = np.zeros((size, 6), dtype=np.uint8)
+        self.cut = np.zeros((size, 2), dtype=np.uint64)
+        self.pick = np.zeros((size, 3), dtype=np.uint8)
+        self.by_cut = np.zeros(size, dtype=bool)
+        self.faults: dict[int, str] = {}
+        for i, (state, weights) in enumerate(entries):
+            choices = sorted(weights)
+            if sum(weights.values()) != 1:
+                self.faults[i] = f"table weights for state {state} do not sum to 1"
+            elif not set(choices) <= {1, 2, 3}:
+                bad = next(c for c in choices if c not in (1, 2, 3))
+                self.faults[i] = f"message index must be 1..3, got {bad}"
+            elif all(weights[c] == weights[choices[0]] for c in choices):
+                self.ranks[i] = [choices[r % len(choices)] - 1 for r in range(6)]
+            else:
+                self.by_cut[i] = True
+                self.cut[i], self.pick[i] = _cuts(weights, choices)
+        self.faulty = np.zeros(size, dtype=bool)
+        self.faulty[list(self.faults)] = True
+
+    def queries(self, d: np.ndarray, tie: np.ndarray) -> np.ndarray:
+        m = d - np.minimum(np.minimum(d[0], d[1]), d[2])
+        c = np.minimum(m, self.radix - 1).astype(np.int64)
+        key = (c[0] * self.radix + c[1]) * self.radix + c[2]
+        pos = np.searchsorted(self.keys, key)
+        found = self.keys[pos] == key
+        if not found.all():
+            state = tuple(m[:, np.argmin(found)].tolist())
+            raise ValueError(f"table strategy has no entry for reachable state {state}")
+        faulty = self.faulty[pos]
+        if faulty.any():
+            raise ValueError(self.faults[int(pos[np.argmax(faulty)])])
+        q = np.take(self.ranks.ravel(), pos * 6 + _mod6(tie).astype(np.intp))
+        sel = np.flatnonzero(self.by_cut[pos])
+        if len(sel):
+            at, h = pos[sel], tie[sel]
+            cut, pick = self.cut[at], self.pick[at]
+            q[sel] = np.where(
+                h <= cut[:, 0], pick[:, 0], np.where(h <= cut[:, 1], pick[:, 1], pick[:, 2])
+            )
+        return q
+
+
+def _table_state(s, n: int) -> tuple[int, int, int] | None:
+    """Table key ``s`` as the normalised state it matches, or None when no
+    n-step episode can look it up: only states with entries up to n occur,
+    and dict lookup equality lets a key like (1.0, 0, 0) match (1, 0, 0)."""
+    try:
+        ints = tuple(int(v) for v in s)
+    except (TypeError, ValueError):
+        return None
+    if len(ints) == 3 and ints == tuple(s) and min(ints) == 0 and max(ints) <= n:
+        return ints
+    return None
+
+
+def _cuts(weights: dict, choices: list[int]) -> tuple[list[int], list[int]]:
+    """Cut points and 0-based picks for unequal weights: the query is pick[j]
+    for the first j with h <= cut[j], else pick[2].  A choice no draw can
+    take is skipped; one that every draw reaching it takes ends the list."""
+    acc = Fraction(0)
+    cuts: list[tuple[int, int]] = []
+    last = choices[-1]
+    for c in choices[:-1]:
+        acc += weights[c]
+        exact = Fraction(acc)
+        bound = -((-exact.numerator << 64) // exact.denominator)  # ceil(acc * 2**64)
+        if bound >= 1 << 64:
+            last = c
+            break
+        if bound > 0:
+            cuts.append((bound - 1, c))
+    cuts += [(0, last)] * (2 - len(cuts))
+    return [t for t, _ in cuts], [c - 1 for _, c in cuts] + [last - 1]
+
+
+def _batch_outputs(
+    n: int, ch: ChannelParams, rule: StrategyRule, seed: int, trials: int, size: int, **flags
+):
+    """``_simulate_batch`` outputs for trials [0, trials), at most ``size`` per
+    batch; a table rule is compiled once for all of them."""
+    if n < 0:
+        raise ValueError(f"horizon n must be non-negative, got {n}")
+    table = _TableQueries(rule.table, n) if rule.kind == "table" else None
+    for lo in range(0, trials, size):
+        yield _simulate_batch(n, ch, rule, table, seed, lo, min(lo + size, trials), **flags)
 
 
 def _simulate_batch(
     n: int,
     ch: ChannelParams,
     rule: StrategyRule,
+    table: _TableQueries | None,
     seed: int,
     trial_lo: int,
     trial_hi: int,
     audit: bool = False,
     return_arrays: bool = False,
 ) -> dict:
-    """Run trials [trial_lo, trial_hi); returns error count and audit tallies."""
+    """Run trials [trial_lo, trial_hi) of any rule kind (``table`` is the
+    compiled table of a table rule); returns the error count, the audit
+    tallies, and with ``return_arrays`` the per-trial arrays, per-step
+    queries, outputs and vote history included.
+
+    Votes are three int32 rows, one per message.  Each draw is the scalar
+    path's ``counter_hash(seed, trial, tag, step)``, vectorised over trials.
+    """
     count = trial_hi - trial_lo
     trials = np.arange(trial_lo, trial_hi, dtype=np.uint64)
     base = _mix_np(_U(mix64(seed)) ^ (trials * _U(_PHI64)))
-    base_noise = _mix_np(base ^ _word(TAG_NOISE))
-    base_tie = _mix_np(base ^ _word(TAG_TIE))
-    base_true = _mix_np(base ^ _word(TAG_TRUE))
-    base_decode = _mix_np(base ^ _word(TAG_DECODE))
-    true = (_mix_np(base_true ^ _word(0)) % _U(3)).astype(np.int64)
-    thresh = _U(math.floor(ch.p * 2.0**53))
-    d = np.zeros((3, count), dtype=np.int64)
-    zero_outputs = np.zeros(count, dtype=np.int64)
+    scratch, h = np.empty_like(base), np.empty_like(base)
+    streams = {
+        tag: _mix_into(base ^ _word(tag), scratch)
+        for tag in (TAG_NOISE, TAG_TIE, TAG_TRUE, TAG_DECODE)
+    }
+
+    def draw(tag: int, step: int, out: np.ndarray) -> np.ndarray:
+        np.bitwise_xor(streams[tag], _word(step), out=out)
+        return _mix_into(out, scratch)
+
+    true = (draw(TAG_TRUE, 0, h) % _U(3)).astype(np.uint8)
+    # the scalar flip (h >> 11) < floor(p * 2**53), as one comparison of h
+    flip_below = _U(math.floor(ch.p * 2.0**53) << 11)
+    tie = np.empty_like(base) if table is not None or rule.equivariant else None
+    d = np.zeros((3, count), dtype=np.int32)
+    ones = np.zeros(count, dtype=np.int32)  # outputs y = 1 so far
+    if return_arrays:
+        queries = np.empty((n, count), dtype=np.uint8)
+        ys = np.empty((n, count), dtype=np.uint8)
+        history = np.empty((n, 3, count), dtype=np.int32)
     chain_violations = 0
     spread_violations = 0
     for k in range(n):
-        query = _batch_queries(rule, d, _mix_np(base_tie ^ _word(k)))
-        x = query != true
-        flip = (_mix_np(base_noise ^ _word(k)) >> _U(11)) < thresh
-        y = x ^ flip
-        onehot = np.arange(3, dtype=np.int64)[:, None] == query[None, :]
-        d += np.where(y[None, :], onehot, ~onehot).astype(np.int64)
-        zero_outputs += ~y
+        if tie is not None:
+            draw(TAG_TIE, k, tie)
+        if table is not None:
+            q = table.queries(d, tie)
+        elif rule.kind == "max-posterior":
+            q = _pick_fewest(d, tie)
+        elif rule.kind == "fixed":
+            q = np.full(count, rule.fixed_query - 1, dtype=np.uint8)
+        else:  # round-robin on the vote total, which is 2k - ones after k steps
+            q = ((2 * k - ones) % 3).astype(np.uint8)
+        flip = draw(TAG_NOISE, k, h) < flip_below
+        y = (q != true) ^ flip
+        # y = 1 puts one vote on the query, y = 0 one on each other message
+        for i in range(3):
+            d[i] += (q == i) == y
+        ones += y
+        if return_arrays:
+            queries[k] = q + 1
+            ys[k] = y
+            history[k] = d
         if audit:
-            ds = np.sort(d, axis=0)
-            chain_violations += int((ds[2] > ds[1] + 1).sum())
-            spread_violations += int((3 * ds[1] < d.sum(axis=0) - 1).sum())
-    m = d - d.min(axis=0)
-    zeros = m == 0
-    nz = zeros.sum(axis=0).astype(np.uint64)
-    rank = (_mix_np(base_decode ^ _word(n)) % nz).astype(np.int64)
-    csum = np.cumsum(zeros, axis=0)
-    decoded = ((csum == rank + 1) & zeros).argmax(axis=0)
+            lo = np.minimum(np.minimum(d[0], d[1]), d[2])
+            hi = np.maximum(np.maximum(d[0], d[1]), d[2])
+            total = 2 * (k + 1) - ones
+            mid = total - lo - hi
+            chain_violations += int(np.count_nonzero(hi > mid + 1))
+            spread_violations += int(np.count_nonzero(3 * mid < total - 1))
+    decoded = _pick_fewest(d, draw(TAG_DECODE, n, h))
     errors = decoded != true
-    out = {"trials": count, "errors": int(errors.sum())}
+    zero_outputs = n - ones
+    out = {"trials": count, "errors": int(np.count_nonzero(errors))}
     if return_arrays:
-        out["true"] = true + 1
-        out["decoded"] = decoded + 1
-        out["votes"] = d
-        out["zero_outputs"] = zero_outputs
+        out.update(
+            true=true + 1, decoded=decoded + 1, votes=d, zero_outputs=zero_outputs,
+            queries=queries, ys=ys, history=history,
+        )
     if audit:
-        total = d.sum(axis=0)
         e = d[true, np.arange(count)]
         out["chain_violations"] = chain_violations
         out["spread_violations"] = spread_violations
-        out["vote_identity_violations"] = int((total != n + zero_outputs).sum())
+        out["vote_identity_violations"] = int(np.count_nonzero(d.sum(axis=0) != n + zero_outputs))
         bad_path = errors & (3 * e + 1 < n + zero_outputs)
-        out["error_path_violations"] = int(bad_path.sum())
+        out["error_path_violations"] = int(np.count_nonzero(bad_path))
     return out
 
 
@@ -184,14 +368,16 @@ def run_trials(
     trials: int,
     seed: int,
     workers: int = 1,
-    batch: int = 250_000,
+    batch: int = 1 << 16,
 ) -> SimulationStats:
     """Estimate the error probability from ``trials`` simulated episodes.
 
-    Trials are sharded by index across ``workers`` contiguous ranges, run
-    one after another in this process (no parallelism), and processed in
-    bounded batches; neither choice can affect the result.
-    The true message is drawn uniformly per trial from the seed stream.
+    Every rule kind runs on the batch engine, in bounded batches of one loop
+    over trials [0, trials) in this process.  ``workers`` must be positive
+    but changes nothing: there is no parallelism, and every draw is a pure
+    function of (seed, trial), so neither it nor the batch size can affect
+    the result.  The true message is drawn uniformly per trial from the seed
+    stream.
     """
     ch.require_float("run_trials")
     if trials < 1:
@@ -199,23 +385,8 @@ def run_trials(
     if workers < 1:
         raise ValueError("workers must be positive")
     t0 = time.perf_counter()
-    bounds_list = [trials * w // workers for w in range(workers + 1)]
-    parts = []
-    for lo, hi in zip(bounds_list, bounds_list[1:]):
-        errors = 0
-        cur = lo
-        while cur < hi:
-            top = min(cur + batch, hi)
-            if rule.kind == "table":
-                for trial in range(cur, top):
-                    rec = simulate_trajectory(n, ch, rule, seed, trial)
-                    errors += rec.error
-            else:
-                errors += _simulate_batch(n, ch, rule, seed, cur, top)["errors"]
-            cur = top
-        parts.append(SimulationStats(hi - lo, errors, seed, 0.0))
-    merged = merge_stats(parts)
-    return SimulationStats(merged.trials, merged.errors, seed, time.perf_counter() - t0)
+    errors = sum(out["errors"] for out in _batch_outputs(n, ch, rule, seed, trials, batch))
+    return SimulationStats(trials, errors, seed, time.perf_counter() - t0)
 
 
 def run_trajectory_audit(
@@ -224,7 +395,7 @@ def run_trajectory_audit(
     trials: int,
     seed: int,
     rule: StrategyRule = MAX_POSTERIOR,
-    batch: int = 100_000,
+    batch: int = 1 << 16,
 ) -> dict:
     """Vectorized invariant sweep over many trajectories.
 
@@ -242,13 +413,9 @@ def run_trajectory_audit(
         "vote_identity_violations": 0,
         "error_path_violations": 0,
     }
-    cur = 0
-    while cur < trials:
-        top = min(cur + batch, trials)
-        out = _simulate_batch(n, ch, rule, seed, cur, top, audit=True)
+    for out in _batch_outputs(n, ch, rule, seed, trials, batch, audit=True):
         for key in tallies:
-            tallies[key] += out.get(key, 0)
-        cur = top
+            tallies[key] += out[key]
     tallies["violations"] = sum(
         tallies[k] for k in tallies if k.endswith("_violations")
     )
@@ -327,6 +494,41 @@ def simulate_trajectory(
         decoded=decoded,
         rule_kind=rule.kind,
     )
+
+
+def trajectory_records(
+    n: int, ch: ChannelParams, rule: StrategyRule, seed: int, count: int
+) -> list[TrajectoryRecord]:
+    """Records of trials [0, count) from the batch engine; record t equals
+    ``simulate_trajectory(n, ch, rule, seed, t)``."""
+    ch.require_float("trajectory_records")
+    records = []
+    size = max(1, _RECORD_STEPS // max(n, 1))
+    for out in _batch_outputs(n, ch, rule, seed, count, size, return_arrays=True):
+        columns = zip(
+            out["true"].tolist(),
+            out["queries"].T.tolist(),
+            out["ys"].T.tolist(),
+            out["history"].transpose(2, 0, 1).tolist(),
+            out["votes"].T.tolist(),
+            out["zero_outputs"].tolist(),
+            out["decoded"].tolist(),
+        )
+        records += [
+            TrajectoryRecord(
+                n=n,
+                true=true,
+                queries=tuple(qs),
+                ys=tuple(ys),
+                vote_history=tuple(map(tuple, hist)),
+                votes=tuple(votes),
+                zero_outputs=zeros,
+                decoded=decoded,
+                rule_kind=rule.kind,
+            )
+            for true, qs, ys, hist, votes, zeros, decoded in columns
+        ]
+    return records
 
 
 @dataclass(frozen=True)

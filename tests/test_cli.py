@@ -305,6 +305,75 @@ def test_verify_theorem2_detail_rows(capsys):
     assert rows and all(r["verdict"] == "member" for r in rows)
 
 
+# sha256 of the dump file of "simulate --p 0.2 --n 20 --trials 300 --seed 5
+# --dump-count 300", recorded while dumps still came from the scalar path
+DUMP_SHA256 = {
+    "max-posterior": "ab426e509655dca58f61d86ec33e5b348c8a1042f42e482493691bcfd2d38ba5",
+    "table:two-sevenths.json": "0ea5c16931485cc8bb300ad2a7e5bfe447202f1701effcffb33bc02333ef3461",
+}
+
+
+@pytest.mark.parametrize("strategy", sorted(DUMP_SHA256))
+def test_trajectory_dump_is_pinned(tmp_path, monkeypatch, capsys, strategy):
+    monkeypatch.chdir(tmp_path)
+    _write_table(tmp_path / "two-sevenths.json", 20, _two_sevenths)
+    code, _, _ = run_cli(
+        capsys, "simulate", "--p", "0.2", "--n", "20", "--trials", "300", "--seed", "5",
+        "--strategy", strategy, "--dump-trajectories", "dump.jsonl", "--dump-count", "300",
+    )
+    assert code == 0
+    digest = hashlib.sha256((tmp_path / "dump.jsonl").read_bytes()).hexdigest()
+    assert digest == DUMP_SHA256[strategy]
+
+
+@pytest.mark.parametrize(
+    "argv, env",
+    [
+        (("--n", "-1"), None),
+        (("--n", "4", "--dump-trajectories", "dump.jsonl", "--dump-count", "-5"), None),
+        (("--n", "4"), "abc"),
+    ],
+    ids=["negative-horizon", "negative-dump-count", "non-integer-FBLAB_WORKERS"],
+)
+def test_simulate_bad_input_is_invalid_input(tmp_path, monkeypatch, capsys, argv, env):
+    monkeypatch.chdir(tmp_path)
+    if env is not None:
+        monkeypatch.setenv("FBLAB_WORKERS", env)
+    code, out, err = run_cli(capsys, "simulate", "--p", "0.1", "--trials", "10", *argv)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "invalid-input"
+    assert not (tmp_path / "dump.jsonl").exists()
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda lead: None if lead == (1, 2, 3) else {"query": 1},  # no entry for (0, 0, 0)
+        lambda lead: {"distribution": {"1": [1, 2]}},
+    ],
+    ids=["missing-state", "weights-not-summing-to-1"],
+)
+def test_simulate_table_fault_is_invalid_input(tmp_path, capsys, entry):
+    path = tmp_path / "table.json"
+    states = [s for s in itertools.product(range(5), repeat=3) if min(s) == 0]
+    entries = [(s, entry(leaders(s))) for s in states]
+    path.write_text(json.dumps([{"state": list(s), **e} for s, e in entries if e is not None]))
+    code, _, err = run_cli(
+        capsys, "simulate", "--p", "0.1", "--n", "4", "--trials", "10",
+        "--strategy", f"table:{path}",
+    )
+    assert code == 2
+    assert json.loads(err)["error"] == "invalid-input"
+
+
+def test_simulate_worker_count_is_not_a_shard_count(capsys):
+    code, out, _ = run_cli(
+        capsys, "simulate", "--p", "0.1", "--n", "4", "--trials", "10", "--workers", "100000000"
+    )
+    assert code == 0
+    assert json.loads(out)["config"]["workers"] == 100_000_000
+
+
 def test_workers_default_from_environment(monkeypatch, capsys):
     monkeypatch.setenv("FBLAB_WORKERS", "3")
     code, out, _ = run_cli(

@@ -1,26 +1,56 @@
+import itertools
 import math
+import re
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
+from fblab.belief import leaders
 from fblab.channel import make_channel
 from fblab.exact_dp import forward_error_prob
 from fblab.montecarlo import (
     SimulationStats,
     TrajectoryRecord,
-    _simulate_batch,
     check_trajectory_invariants,
     estimate_exponent,
     merge_stats,
     run_trajectory_audit,
     run_trials,
     simulate_trajectory,
+    trajectory_records,
 )
 from fblab.strategy import MAX_POSTERIOR, StrategyRule
 
 CHF = make_channel("0.1", "float")
 CH10 = make_channel("1/10")
+
+
+def table_rule(n, weights):
+    """Table rule over every normalised state with entries up to n; the
+    weights of state s are ``weights(leaders(s))``."""
+    states = (s for s in itertools.product(range(n + 1), repeat=3) if min(s) == 0)
+    return StrategyRule(kind="table", table={s: weights(leaders(s)) for s in states})
+
+
+def two_sevenths(lead):
+    return {lead[0]: Fraction(5, 7), lead[0] % 3 + 1: Fraction(2, 7)}
+
+
+# every rule kind and every way a table rule draws its query: one choice,
+# equal weights over two and over three queries, and unequal weights
+ORACLE_RULES = {
+    "max-posterior": MAX_POSTERIOR,
+    "lowest-index": StrategyRule(tie_policy="lowest-index"),
+    "fixed:2": StrategyRule(kind="fixed", fixed_query=2),
+    "round-robin": StrategyRule(kind="round-robin"),
+    "table-single": table_rule(10, lambda lead: {lead[-1]: Fraction(1)}),
+    "table-equal-2": table_rule(10, lambda lead: {1: Fraction(1, 2), 3: Fraction(1, 2)}),
+    "table-equal-3": table_rule(10, lambda lead: {j: Fraction(1, 3) for j in (1, 2, 3)}),
+    "table-5/7-2/7": table_rule(10, two_sevenths),
+    "table-1/2-1/3-1/6": table_rule(
+        10, lambda lead: {1: Fraction(1, 2), 2: Fraction(1, 3), 3: Fraction(1, 6)}
+    ),
+}
 
 
 class TestDeterminism:
@@ -42,14 +72,14 @@ class TestDeterminism:
         assert (a.trials, a.errors) == (b.trials, b.errors)
 
     def test_scalar_and_batch_engines_agree_per_trial(self):
-        ch = make_channel("0.4", "float")
-        out = _simulate_batch(8, ch, MAX_POSTERIOR, 999, 0, 400, return_arrays=True)
-        for trial in range(400):
-            rec = simulate_trajectory(8, ch, MAX_POSTERIOR, 999, trial)
-            assert rec.true == out["true"][trial]
-            assert rec.decoded == out["decoded"][trial]
-            assert rec.votes == tuple(out["votes"][:, trial])
-            assert rec.zero_outputs == out["zero_outputs"][trial]
+        # a record holds the true and decoded messages, the final votes, the
+        # zero outputs, and the per-step queries, outputs and vote history
+        for p in ("0.1", "0.4", "0.5"):
+            ch = make_channel(p, "float")
+            for name, rule in ORACLE_RULES.items():
+                batch = trajectory_records(10, ch, rule, 999, 100)
+                for trial, rec in enumerate(batch):
+                    assert rec == simulate_trajectory(10, ch, rule, 999, trial), (p, name, trial)
 
     def test_rejects_exact_channel(self):
         with pytest.raises(ValueError):
@@ -165,7 +195,7 @@ class TestExponentFit:
         assert abs(fit.slope - exact_fit.slope) <= 3 * fit.slope_stderr
 
 
-def test_table_rule_uses_scalar_path():
+def test_table_rule_runs_on_batch_engine():
     table = {}
     for a in range(0, 7):
         for b in range(0, 7):
@@ -176,3 +206,96 @@ def test_table_rule_uses_scalar_path():
     rule = StrategyRule(kind="table", table=table)
     stats = run_trials(4, CHF, rule, trials=200, seed=3)
     assert stats.trials == 200
+    assert stats.errors == run_trials(4, CHF, StrategyRule(kind="fixed", fixed_query=1), 200, 3).errors
+
+
+class TestTableFaults:
+    """A table fault raises only when a trial visits the faulty state.
+
+    Always querying message 1 adds a vote to message 1 or one to each of
+    messages 2 and 3, so only states (a, 0, 0) and (0, b, b) occur.
+    """
+
+    @staticmethod
+    def query_one(n):
+        table = {(a, 0, 0): {1: Fraction(1)} for a in range(n + 1)}
+        table.update({(0, b, b): {1: Fraction(1)} for b in range(1, n + 1)})
+        return table
+
+    def test_unvisited_faults_are_ignored(self):
+        table = self.query_one(6)
+        table[(0, 1, 2)] = {1: Fraction(1, 2)}  # does not sum to 1, never visited
+        rule = StrategyRule(kind="table", table=table)
+        fixed = StrategyRule(kind="fixed", fixed_query=1)
+        assert run_trials(6, CHF, rule, 500, 8).errors == run_trials(6, CHF, fixed, 500, 8).errors
+
+    @pytest.mark.parametrize(
+        "fault, message",
+        [
+            ("missing", "no entry for reachable state (0, 0, 0)"),
+            ("sum", "weights for state (0, 0, 0) do not sum to 1"),
+        ],
+    )
+    def test_visited_fault_raises_like_scalar_path(self, fault, message):
+        table = self.query_one(6)
+        if fault == "missing":
+            del table[(0, 0, 0)]
+        else:
+            table[(0, 0, 0)] = {1: Fraction(1, 2), 2: Fraction(1, 3)}
+        rule = StrategyRule(kind="table", table=table)
+        with pytest.raises(ValueError, match=re.escape(message)) as batch:
+            run_trials(6, CHF, rule, 500, 8)
+        with pytest.raises(ValueError) as scalar:
+            simulate_trajectory(6, CHF, rule, 8, 0)
+        assert str(batch.value) == str(scalar.value)
+
+
+def test_negative_horizon_is_rejected():
+    with pytest.raises(ValueError, match="non-negative"):
+        run_trials(-1, CHF, MAX_POSTERIOR, trials=10, seed=0)
+
+
+# error counts of run_trials(12, p = 0.3, 20,000 trials), recorded before the
+# batch engine became row-wise and took over table rules; a moved count means
+# a draw is taken in a different order
+PINNED_ERRORS = {
+    (7, "max-posterior"): 3450,
+    (7, "lowest-index"): 3430,
+    (7, "fixed:2"): 7724,
+    (7, "round-robin"): 4233,
+    (7, "table-5/7-2/7"): 3554,
+    (20220301, "max-posterior"): 3383,
+    (20220301, "lowest-index"): 3369,
+    (20220301, "fixed:2"): 7778,
+    (20220301, "round-robin"): 4126,
+    (20220301, "table-5/7-2/7"): 3573,
+}
+
+
+@pytest.mark.parametrize("seed, name", sorted(PINNED_ERRORS))
+def test_error_counts_are_pinned(seed, name):
+    rule = table_rule(12, two_sevenths) if name.startswith("table") else ORACLE_RULES[name]
+    stats = run_trials(12, make_channel("0.3", "float"), rule, trials=20_000, seed=seed)
+    assert stats.errors == PINNED_ERRORS[seed, name]
+
+
+@pytest.mark.parametrize("name", ["fixed:2", "round-robin"])
+def test_audit_tallies_match_scalar_recount(name):
+    ch = make_channel("0.2", "float")
+    n, trials, seed = 15, 1000, 11
+    audit = run_trajectory_audit(n, ch, trials, seed, rule=ORACLE_RULES[name])
+    expected = dict.fromkeys(
+        ("errors", "chain_violations", "spread_violations", "vote_identity_violations",
+         "error_path_violations"), 0)
+    for trial in range(trials):
+        rec = simulate_trajectory(n, ch, ORACLE_RULES[name], seed, trial)
+        for votes in rec.vote_history:
+            lo, mid, hi = sorted(votes)
+            expected["chain_violations"] += hi > mid + 1
+            expected["spread_violations"] += 3 * mid < sum(votes) - 1
+        m = rec.zero_outputs
+        expected["vote_identity_violations"] += sum(rec.votes) != n + m
+        expected["errors"] += rec.error
+        expected["error_path_violations"] += rec.error and 3 * rec.e + 1 < n + m
+    assert {k: audit[k] for k in expected} == expected
+    assert expected["chain_violations"] > 0 and expected["spread_violations"] > 0
