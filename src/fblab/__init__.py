@@ -62,7 +62,6 @@ from .montecarlo import (
     TrajectoryRecord,
     check_trajectory_invariants,
     estimate_exponent,
-    merge_stats,
     run_trajectory_audit,
     run_trials,
     simulate_trajectory,

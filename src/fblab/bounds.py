@@ -46,11 +46,17 @@ class ErrorExponents:
 def error_exponents(ch: ChannelParams) -> ErrorExponents:
     """(f_fb, e2, e3); strict ordering e2 > f_fb > e3 away from p = 1/2."""
     p, q = float(ch.p), float(ch.q)
+    if p == 0.0:
+        raise ArithmeticError("p underflows to 0.0 as a double, and the exponents use doubles")
     f_fb = -math.log(p ** (1 / 3) * q ** (2 / 3) + p ** (2 / 3) * q ** (1 / 3))
     e2 = 0.5 * math.log(1.0 / (4.0 * p * q))
     e3 = e2 * 2.0 / 3.0
     if not ch.degenerate and not e2 > f_fb > e3:
-        raise AssertionError(f"exponent ordering violated at p={p}: {e2}, {f_fb}, {e3}")
+        # in doubles 4pq rounds to 1 a few ulps below p = 1/2, and 1/(4pq) overflows for subnormal p
+        raise ArithmeticError(
+            f"exponent ordering e2 > f_fb > e3 fails in double precision at p={p}: "
+            f"{e2}, {f_fb}, {e3}"
+        )
     return ErrorExponents(f_fb=f_fb, e2=e2, e3=e3)
 
 

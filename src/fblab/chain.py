@@ -172,18 +172,15 @@ def verify_reference_transitions(ch: ChannelParams) -> dict:
     return {"all_match": all_match, "groups": groups}
 
 
-def reach_prob(
-    n: int,
-    ch: ChannelParams,
-    mode: str = "rational",
-    depth_bound: int | None = None,
-) -> Number:
+def reach_prob(n: int, ch: ChannelParams, depth_bound: int | None = None) -> Number:
     """Probability of sitting at the all-zero state at time n, from time 0.
 
     Needs a tentacle depth of at least ceil(n/2): a path that dives deeper
-    cannot climb back within the horizon, so truncation is exact.  Rational
-    mode propagates integer masses over D**t, D the least common
-    denominator of the table's transition probabilities.
+    cannot climb back within the horizon, so truncation is exact.  The
+    channel decides the arithmetic: an exact channel propagates integer
+    masses over D**t, D the least common denominator of the table's
+    transition probabilities, and returns a Fraction; a float channel
+    propagates log-probabilities and returns a float.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -192,12 +189,9 @@ def reach_prob(
         depth_bound = max(2, n)
     if depth_bound < needed:
         raise ValueError(f"depth bound {depth_bound} < required {needed} for n={n}")
-    exact = mode == "rational"
-    if exact:
-        ch.require_exact("rational-mode reach probability")
     table = derive_transitions(ch, depth_bound)
     rows = table.entries
-    if exact:
+    if ch.exact:
         scale = math.lcm(*(tr.prob.denominator for row in rows.values() for tr in row))
         edges = {
             s: [(tr.target, tr.prob.numerator * (scale // tr.prob.denominator), 1) for tr in row]
@@ -205,11 +199,13 @@ def reach_prob(
         }
         start = 1
     else:
-        edges = {s: [(tr.target, math.log(tr.prob), 0.0) for tr in row] for s, row in rows.items()}
+        edges = {
+            s: [(tr.target, exact_dp.log_of(tr.prob), 0.0) for tr in row] for s, row in rows.items()
+        }
         start = 0.0
-    layers = exact_dp.propagate({MAIN_STATE: start}, edges.__getitem__, mode)
+    layers = exact_dp.propagate({MAIN_STATE: start}, edges.__getitem__, ch.exact)
     dist = next(itertools.islice(layers, n, None))
-    if exact:
+    if ch.exact:
         return Fraction(dist.get(MAIN_STATE, 0), scale**n)
     return math.exp(dist.get(MAIN_STATE, -math.inf))
 
@@ -240,10 +236,24 @@ class PathComposition:
         return comb(self.m, self.n2 if self.n2 else self.k2)
 
 
-def _block_probs(ch: ChannelParams) -> tuple[Number, Number]:
+def _restricted_series(n: int, ch: ChannelParams, loops: bool):
+    """Compositions of n into 2-blocks and 3-blocks, and their restricted series.
+
+    The 2-blocks are hub-to-hub blocks, or generic 2-loops with ``loops``;
+    the series is sum weight * (pq)**(2-blocks) * (pq**2)**n3 over them.
+    """
+    if n < 2:
+        raise ValueError("series need n >= 2")
     two = ch.p * ch.q
     three = ch.p * ch.q * ch.q
-    return two, three
+    comps = []
+    for k in range(n // 2 + 1):
+        n3, rem = divmod(n - 2 * k, 3)
+        if not rem:
+            n2, k2 = (0, k) if loops else (k, 0)
+            comps.append(PathComposition(n2=n2, n3=n3, k2=k2, m=k + n3))
+    value = sum((c.weight * two ** (c.n2 + c.k2)) * three**c.n3 for c in comps)
+    return value, comps
 
 
 def series_basic(n: int, ch: ChannelParams, variant: str = "restricted"):
@@ -254,27 +264,15 @@ def series_basic(n: int, ch: ChannelParams, variant: str = "restricted"):
     closed-form: the analytic stand-in (1/n) (pq^2)^(n/3) (1+z^(1/3))^(n(1+a0)/3)
     with a0 the optimal 2-block density.
     """
-    if n < 2:
-        raise ValueError("series need n >= 2")
-    two, three = _block_probs(ch)
-    comps = []
-    for n2 in range(0, n // 2 + 1):
-        rem = n - 2 * n2
-        if rem % 3:
-            continue
-        n3 = rem // 3
-        comps.append(PathComposition(n2=n2, n3=n3, k2=0, m=n2 + n3))
+    value, comps = _restricted_series(n, ch, loops=False)
     if variant == "restricted":
-        value = sum(
-            (comb(c.m, c.n2) * two**c.n2) * three**c.n3 for c in comps
-        )
         return value, comps
     if variant == "closed-form":
         p, q, z = float(ch.p), float(ch.q), float(ch.z)
         a0 = bounds.optimal_loop_density(ch.p).root
         log_v = (
             -math.log(n)
-            + (n / 3.0) * math.log(p * q * q)
+            + (n / 3.0) * exact_dp.log_of(p * q * q)
             + (n * (1.0 + a0) / 3.0) * math.log1p(z ** (1.0 / 3.0))
         )
         return math.exp(log_v), comps
@@ -302,28 +300,16 @@ def series_with_loops(n: int, ch: ChannelParams, variant: str = "restricted"):
 
     Returns (value, compositions, flag, reach_prob(n, ch)).
     """
-    if n < 2:
-        raise ValueError("series need n >= 2")
+    value, comps = _restricted_series(n, ch, loops=True)
     if variant not in ("restricted", "closed-form"):
         raise ValueError(f"unknown variant {variant!r}")
-    two, three = _block_probs(ch)
-    comps = []
-    for k2 in range(0, n // 2 + 1):
-        rem = n - 2 * k2
-        if rem % 3:
-            continue
-        n3 = rem // 3
-        comps.append(PathComposition(n2=0, n3=n3, k2=k2, m=k2 + n3))
-    reach = reach_prob(n, ch, mode="rational" if ch.exact else "log-float")
+    reach = reach_prob(n, ch)
     if variant == "restricted":
-        value = sum(
-            (comb(c.m, c.k2) * two**c.k2) * three**c.n3 for c in comps
-        )
         return value, comps, None, reach
     p, q, z = float(ch.p), float(ch.q), float(ch.z)
     log_v = (
         math.log(0.5)
-        + (n / 3.0) * math.log(p * q * q)
+        + (n / 3.0) * exact_dp.log_of(p * q * q)
         + n * math.log1p(z ** (1.0 / 3.0))
     )
     value = math.exp(log_v)

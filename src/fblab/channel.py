@@ -1,10 +1,12 @@
 """Binary symmetric channel parameters and reproducible noise sampling.
 
-Probabilities come in two modes: exact (``fractions.Fraction``) for the
-dynamic programs and closed-form identities, and float for log-domain and
-Monte Carlo work.  Noise is generated by a counter-based generator: every
-bit is a pure function of (seed, trial, purpose tag, step), so replays and
-worker sharding can never change a result.
+Probabilities come in two modes: exact (``fractions.Fraction``) and
+float.  The mode is the one arithmetic choice: the dynamic programs and
+closed forms run in rational arithmetic on an exact channel and in
+log-float arithmetic on a float one; Monte Carlo needs a float channel.
+Noise is generated by a counter-based generator: every bit is a pure
+function of (seed, trial, purpose tag, step), so neither a replay nor the
+batch size can change a result.
 """
 
 from __future__ import annotations
@@ -40,6 +42,11 @@ class ChannelParams:
     exact: bool
     degenerate: bool  # p == 1/2 exactly; z == 1, posteriors frozen
 
+    @property
+    def arithmetic(self) -> str:
+        """The dynamic programs' arithmetic, as results label it."""
+        return "rational" if self.exact else "log-float"
+
     def require_exact(self, what: str) -> None:
         if not self.exact:
             raise ValueError(f"{what} requires a rational-mode channel")
@@ -55,7 +62,8 @@ def make_channel(literal: str | Fraction | float, mode: str = "rational") -> Cha
     """Build a channel from a probability literal ("a/b" or decimal).
 
     ``mode`` selects exact rational or float arithmetic.  p must lie in
-    (0, 1/2]; p = 1/2 is accepted and flagged degenerate.
+    (0, 1/2], and in float mode its double must not be 0.0; p = 1/2 is
+    accepted and flagged degenerate.
     """
     if mode not in ("rational", "float"):
         raise ValueError(f"unknown channel mode {mode!r}")
@@ -72,6 +80,8 @@ def make_channel(literal: str | Fraction | float, mode: str = "rational") -> Cha
         z: Number = frac / (1 - frac)
     else:
         p = float(frac)
+        if p == 0.0:
+            raise ValueError(f"p = {literal!r} is 0.0 as a double; rational mode takes it exactly")
         q = 1.0 - p
         z = p / q
     return ChannelParams(p=p, q=q, z=z, exact=(mode == "rational"), degenerate=degenerate)

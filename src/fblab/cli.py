@@ -75,14 +75,13 @@ def cmd_bounds(args) -> int:
 def cmd_exact(args) -> int:
     ch = make_channel(args.p, args.mode)
     rule = _parse_strategy(args.strategy)
-    dp_mode = "rational" if args.mode == "rational" else "log-float"
-    pe = exact_dp.forward_error_prob(args.n, ch, rule, mode=dp_mode)
+    pe = exact_dp.forward_error_prob(args.n, ch, rule)
     result = {
         "config": _config(args),
         "p": ch.p,
         "n": args.n,
         "strategy": args.strategy,
-        "mode": dp_mode,
+        "mode": ch.arithmetic,
         "p_e": pe,
         "exponent": (-exact_dp.log_of(pe) / args.n) if args.n else None,
     }
@@ -92,15 +91,14 @@ def cmd_exact(args) -> int:
 
 def cmd_bellman(args) -> int:
     ch = make_channel(args.p, args.mode)
-    dp_mode = "rational" if args.mode == "rational" else "log-float"
-    pe, table = exact_dp.bellman_optimum(args.n, ch, mode=dp_mode, state_cap=args.state_cap)
+    pe, table = exact_dp.bellman_optimum(args.n, ch, state_cap=args.state_cap)
     unique, two_way, three_way = table.tie_counts()
     result = {
         "config": _config(args),
         "p": ch.p,
         "n": args.n,
         "strategy": "optimal",
-        "mode": dp_mode,
+        "mode": ch.arithmetic,
         "p_e": pe,
         "exponent": (-exact_dp.log_of(pe) / args.n) if args.n else None,
         "argmax_summary": {
@@ -117,8 +115,7 @@ def cmd_bellman(args) -> int:
 
 def cmd_verify_theorem2(args) -> int:
     ch = make_channel(args.p, args.mode)
-    dp_mode = "rational" if args.mode == "rational" else "log-float"
-    report = exact_dp.optimal_query_report(args.n, ch, mode=dp_mode, detail=args.detail)
+    report = exact_dp.optimal_query_report(args.n, ch, detail=args.detail)
     _emit(serialize.dumps({"config": _config(args), "report": report}), args.out)
     return EXIT_OK if report["overall"]["all_member"] else EXIT_CHECK_FAILED
 
@@ -148,7 +145,7 @@ def cmd_paths(args) -> int:
     if args.series == "basic":
         value, comps = chain.series_basic(args.n, ch, args.variant)
         exceeds = None
-        reach = chain.reach_prob(args.n, ch, mode="rational" if ch.exact else "log-float")
+        reach = chain.reach_prob(args.n, ch)
     else:
         value, comps, exceeds, reach = chain.series_with_loops(args.n, ch, args.variant)
     result = {
@@ -205,9 +202,8 @@ def cmd_simplex(args) -> int:
 
 def cmd_sweep(args) -> int:
     ch = make_channel(args.p, args.mode)
-    dp_mode = "rational" if args.mode == "rational" else "log-float"
     rule = "optimal" if args.strategy == "optimal" else _parse_strategy(args.strategy)
-    rows = exact_dp.error_curve(ch, rule, args.n_max, mode=dp_mode)
+    rows = exact_dp.error_curve(ch, rule, args.n_max)
     csv_rows = [[n, float(ch.p), float(pe), exp] for n, pe, exp in rows]
     _emit(serialize.csv_text(serialize.SWEEP_HEADER, csv_rows), args.out)
     if args.out:
@@ -222,11 +218,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(sp, n_flag=True, mode_default="rational"):
+    def common(sp, n_flag=True):
         sp.add_argument("--p", required=True, help='crossover probability, "a/b" or decimal')
         if n_flag:
             sp.add_argument("--n", type=int, required=True, help="horizon (channel uses)")
-        sp.add_argument("--mode", choices=["rational", "float"], default=mode_default)
+        sp.add_argument("--mode", choices=["rational", "float"], default="rational")
         sp.add_argument("--out", default=None, help="output path (default: stdout)")
 
     sp = sub.add_parser("bounds", help="closed-form exponents and bounds")

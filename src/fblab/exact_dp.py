@@ -1,5 +1,10 @@
 """Exact forward error probability and belief-state backward induction.
 
+The channel decides the arithmetic: an exact channel
+(``make_channel(p, "rational")``) runs every program here in rational
+arithmetic, a float channel (``make_channel(p, "float")``) in log-float
+arithmetic; ``ChannelParams.arithmetic`` names it.
+
 The forward pass computes the terminal-error probability of a fixed
 strategy by propagating the metric-state distribution conditioned on the
 true message (equivariant rules need one pass; others are averaged over
@@ -12,9 +17,10 @@ strategies under the bayes transition law.  The value function is
 permutation symmetric, so it is tabulated on sorted states, one numpy
 array per layer.  It runs on the unnormalised error mass
 E_t(s) = Z(s) * (1 - V_t(s)), Z(s) = sum_i z**s_i, a min-recursion of
-positive terms: in rational mode on Python integers (E scaled by powers of
-the numerator and denominator of p), in log-float mode on doubles with a
-relative error of a few machine epsilons per layer.  See bellman_optimum.
+positive terms: for an exact channel on Python integers (E scaled by
+powers of the numerator and denominator of p), for a float channel on
+doubles with a relative error of a few machine epsilons per layer.  See
+bellman_optimum.
 """
 
 from __future__ import annotations
@@ -33,8 +39,6 @@ from .belief import MetricState, QuerySet, apply_outcome, leaders
 from .channel import ChannelParams, Number
 from .strategy import StrategyRule, select_query, weight_denominator
 
-ARITHMETIC_MODES = ("rational", "log-float")
-
 # Most states one dynamic program may touch: lattice states over all layers
 # of backward induction, states summed over layers of a forward pass.
 STATE_CAP = 2_000_000
@@ -42,13 +46,6 @@ STATE_CAP = 2_000_000
 
 class ResourceCapError(RuntimeError):
     """Raised when a dynamic program would exceed its configured state cap."""
-
-
-def _check_mode(ch: ChannelParams, mode: str) -> None:
-    if mode not in ARITHMETIC_MODES:
-        raise ValueError(f"arithmetic mode must be one of {ARITHMETIC_MODES}, got {mode!r}")
-    if mode == "rational":
-        ch.require_exact("rational-mode dynamic programming")
 
 
 def logaddexp(a: float, b: float) -> float:
@@ -81,26 +78,25 @@ def log_of(value: Number) -> float:
 def propagate(
     dist: dict[MetricState, Number],
     edges: Callable[[MetricState], Sequence[tuple[MetricState, Number, Number]]],
-    mode: str,
+    exact: bool,
 ) -> Iterator[dict[MetricState, Number]]:
     """Yield ``dist``, then the distribution after each further step.
 
-    ``edges(s)`` lists the moves out of state s as (target, f1, f2): in
-    rational mode masses are exact (callers pass integers scaled to one
+    ``edges(s)`` lists the moves out of state s as (target, f1, f2): with
+    ``exact`` masses are exact (callers pass integers scaled to one
     common denominator per layer) and the move multiplies its source mass
-    by f1 * f2; in log-float mode masses are natural logs, f1 + f2 is the
+    by f1 * f2; otherwise masses are natural logs, f1 + f2 is the
     move's log-probability and masses meeting at a target combine by
     logaddexp.  A state without moves loses its mass.  Raises ResourceCapError once the layers after
     ``dist`` hold more than STATE_CAP states in total.
     """
-    rational = mode == "rational"
     touched = 0
     while True:
         yield dist
         nxt: dict[MetricState, Number] = {}
         for s, pr in dist.items():
             for target, f1, f2 in edges(s):
-                if rational:
+                if exact:
                     nxt[target] = nxt.get(target, 0) + pr * f1 * f2
                 else:
                     nxt[target] = logaddexp(nxt.get(target, -math.inf), pr + f1 + f2)
@@ -110,14 +106,10 @@ def propagate(
         dist = nxt
 
 
-def conditional_decode_error(s: MetricState, true: int, exact: bool = True) -> Number:
-    """Error of uniform-tie max-posterior decoding given the true message."""
+def conditional_decode_error(s: MetricState, true: int) -> float:
+    """Error of uniform-tie max-posterior decoding given the true message, as a double."""
     lead = leaders(s)
-    if true not in lead:
-        return Fraction(1) if exact else 1.0
-    if exact:
-        return 1 - Fraction(1, len(lead))
-    return 1.0 - 1.0 / len(lead)
+    return 1.0 - 1.0 / len(lead) if true in lead else 1.0
 
 
 def _error_sixths(s: MetricState, true: int) -> int:
@@ -131,7 +123,7 @@ def _error_sixths(s: MetricState, true: int) -> int:
 Layer = tuple[dict[MetricState, Number], int]
 
 
-def _forward_layers(ch: ChannelParams, rule: StrategyRule, mode: str, true: int) -> Iterator[Layer]:
+def _forward_layers(ch: ChannelParams, rule: StrategyRule, true: int) -> Iterator[Layer]:
     """(distribution, denominator) given the true message after 0, 1, 2, ... uses.
 
     Rational masses are integers over one denominator per layer, (L*c)**t
@@ -140,7 +132,7 @@ def _forward_layers(ch: ChannelParams, rule: StrategyRule, mode: str, true: int)
     when the answer agrees with the truth and w*L times a when it does not.
     Log-float masses are natural logs and the denominator stays 1.
     """
-    if mode == "rational":
+    if ch.exact:
         scale = weight_denominator(rule)
         a, c = ch.p.numerator, ch.p.denominator
         fp, fq, start, step = a, c - a, 1, scale * c
@@ -164,64 +156,58 @@ def _forward_layers(ch: ChannelParams, rule: StrategyRule, mode: str, true: int)
         return tuple(out)
 
     dens = itertools.accumulate(itertools.repeat(step), operator.mul, initial=1)
-    return zip(propagate({(0, 0, 0): start}, edges, mode), dens)
+    return zip(propagate({(0, 0, 0): start}, edges, ch.exact), dens)
 
 
-def _forward_layer(n: int, ch: ChannelParams, rule: StrategyRule, mode: str, true: int) -> Layer:
+def _forward_layer(n: int, ch: ChannelParams, rule: StrategyRule, true: int) -> Layer:
     if n < 0:
         raise ValueError("horizon must be nonnegative")
-    return next(itertools.islice(_forward_layers(ch, rule, mode, true), n, None))
+    return next(itertools.islice(_forward_layers(ch, rule, true), n, None))
 
 
 def forward_distribution(
-    n: int,
-    ch: ChannelParams,
-    rule: StrategyRule,
-    mode: str = "rational",
-    true: int = 1,
+    n: int, ch: ChannelParams, rule: StrategyRule, true: int = 1
 ) -> dict[MetricState, Number]:
     """State distribution after n uses given the true message.
 
-    Rational mode returns exact probabilities; log-float mode returns
+    An exact channel gives exact probabilities; a float channel gives
     natural-log probabilities.
     """
-    _check_mode(ch, mode)
-    dist, den = _forward_layer(n, ch, rule, mode, true)
-    if mode == "rational":
+    dist, den = _forward_layer(n, ch, rule, true)
+    if ch.exact:
         return {s: Fraction(mass, den) for s, mass in dist.items()}
     return dist
 
 
-def _terminal_error(dist: dict[MetricState, Number], true: int, mode: str) -> Number:
-    """Rational: the integer sum of mass * 6 * error; log-float: the error probability."""
-    if mode == "rational":
+def _terminal_error(dist: dict[MetricState, Number], true: int, exact: bool) -> Number:
+    """Exact: the integer sum of mass * 6 * error; log-float: the error probability."""
+    if exact:
         return sum(pr * _error_sixths(s, true) for s, pr in dist.items())
     acc = -math.inf
     for s, logp in dist.items():
-        err = conditional_decode_error(s, true, exact=False)
+        err = conditional_decode_error(s, true)
         if err > 0.0:
             acc = logaddexp(acc, logp + math.log(err))
     return math.exp(acc)
 
 
-def _mean_error(layers: Iterable[Layer], mode: str) -> Number:
+def _mean_error(layers: Iterable[Layer], exact: bool) -> Number:
     """Terminal error from the layers given true message 1, 2, ... (one or all three).
 
-    Rational mode builds one Fraction from the integer parts.
+    Exact layers give one Fraction built from the integer parts.
     """
-    parts, dens = zip(*((_terminal_error(d, t, mode), den) for t, (d, den) in enumerate(layers, 1)))
-    if mode == "rational":
+    parts, dens = zip(
+        *((_terminal_error(d, t, exact), den) for t, (d, den) in enumerate(layers, 1))
+    )
+    if exact:
         return Fraction(sum(parts), 6 * len(parts) * dens[0])
     return parts[0] if len(parts) == 1 else sum(parts) / 3
 
 
-def forward_error_prob(
-    n: int, ch: ChannelParams, rule: StrategyRule, mode: str = "rational"
-) -> Number:
+def forward_error_prob(n: int, ch: ChannelParams, rule: StrategyRule) -> Number:
     """Terminal decoding-error probability of ``rule`` at horizon n."""
-    _check_mode(ch, mode)
     trues = (1,) if rule.equivariant else (1, 2, 3)
-    return _mean_error((_forward_layer(n, ch, rule, mode, t) for t in trues), mode)
+    return _mean_error((_forward_layer(n, ch, rule, t) for t in trues), ch.exact)
 
 
 def sorted_lattice(kmax: int) -> list[MetricState]:
@@ -319,10 +305,11 @@ class ValueTable:
     lattice order.  ``masses[t][i]`` is the scaled error mass of state i:
     the error probability under optimal play from it is
     masses[t][i] / (step**t * norms[i]), where ``norms[i]`` is the state's
-    likelihood sum Z(s) under the same scale.  Rational mode stores Python
-    integers with step = c for p = a/c; log-float mode stores doubles with
-    step = 1.  ``ties[t][j, i]`` says that query j+1 attains the minimum
-    mass (t >= 1; ``ties[0]`` is None).
+    likelihood sum Z(s) under the same scale.  ``exact`` follows the
+    channel: an exact table stores Python integers with step = c for
+    p = a/c, a float one stores doubles with step = 1.  ``ties[t][j, i]``
+    says that query j+1 attains the minimum mass (t >= 1; ``ties[0]`` is
+    None).
 
     ``values[(t, s)]`` (V_t(s), the probability of a correct decision as a
     Fraction or float) and ``argmax[(t, s)]`` (the frozenset of optimal
@@ -330,7 +317,7 @@ class ValueTable:
     """
 
     horizon: int
-    mode: str
+    exact: bool
     tie_tolerance: float
     masses: list[np.ndarray] = field(repr=False)
     ties: list[np.ndarray | None] = field(repr=False)
@@ -342,7 +329,7 @@ class ValueTable:
     def probability(self, t: int, i: int, mass) -> Number:
         """A mass at state index i of layer t, in probability units."""
         den = self.step**t * self.norms[i]
-        if self.mode == "rational":
+        if self.exact:
             return Fraction(mass, den)
         return float(mass / den)
 
@@ -381,15 +368,12 @@ class ValueTable:
 
 
 def bellman_optimum(
-    n: int,
-    ch: ChannelParams,
-    mode: str = "rational",
-    probability_mode: str = "bayes",
-    state_cap: int = STATE_CAP,
+    n: int, ch: ChannelParams, state_cap: int = STATE_CAP
 ) -> tuple[Number, ValueTable]:
     """Minimum achievable error over all metric-state strategies.
 
-    Backward induction on the error mass over the sorted-state lattice.
+    Backward induction, under the bayes transition law, on the error mass
+    over the sorted-state lattice.
     For a sorted state s (minimum 0) let Z(s) = sum_i z**s_i; the error
     mass E_t(s) = Z(s) * (1 - V_t(s)) with t uses left obeys
 
@@ -400,10 +384,10 @@ def bellman_optimum(
     p when that outcome raises the vote minimum and q otherwise.  Every
     term is positive, so nothing cancels; P_e*(t) = E_t(0,0,0) / 3.
 
-    Rational mode writes p = a/c, b = c - a and runs on the integers
+    An exact channel writes p = a/c, b = c - a and runs on the integers
     J_t = c**t * b**n * E_t: J_0(s) = a**s_2 b**(n-s_2) + a**s_3 b**(n-s_3)
     and the weights are a and b, so there is no Fraction and no gcd, and
-    optimal-query ties are exact integer equalities.  Log-float mode runs
+    optimal-query ties are exact integer equalities.  A float channel runs
     the same loop on doubles with weights (p, q); each layer adds at most a
     few roundings to positive terms, so the relative error of P_e* stays
     within about 4n * 2**-53 of the value for the given double p (measured
@@ -416,15 +400,9 @@ def bellman_optimum(
     Returns (optimal error at horizon n, full value table); the table also
     yields every shorter horizon via ``optimal_error(t)``.
     """
-    _check_mode(ch, mode)
-    if probability_mode != "bayes":
-        raise ValueError(
-            "backward induction needs the bayes transition law; the paper-mode "
-            "probabilities are not a coherent chain"
-        )
     if n < 0:
         raise ValueError("horizon must be nonnegative")
-    exact = mode == "rational"
+    exact = ch.exact
     total_states = sum(_lattice_size(k) for k in range(n + 1))
     if total_states > state_cap:
         raise ResourceCapError(
@@ -446,7 +424,7 @@ def bellman_optimum(
     start = powers[s2] + powers[s3]
     table = ValueTable(
         horizon=n,
-        mode=mode,
+        exact=exact,
         tie_tolerance=0.0 if exact else FLOAT_TIE_TOL,
         masses=[start],
         ties=[None],
@@ -463,22 +441,20 @@ def bellman_optimum(
     return table.optimal_error(), table
 
 
-def optimal_query_report(
-    n: int, ch: ChannelParams, mode: str = "rational", detail: bool = False
-) -> dict:
+def optimal_query_report(n: int, ch: ChannelParams, detail: bool = False) -> dict:
     """Check, state by state, that some fewest-votes query is Bellman-optimal.
 
     For every reachable (remaining time t, state): the verdict is "member"
     when the argmax query set meets the fewest-votes set; the deficit is
     the value lost by the best fewest-votes query.  Strict multi-step
     dominance is counted but not asserted.  Membership and strictness
-    compare the kernel's per-query error masses (integers in rational
-    mode); a deficit is converted to a probability only when nonzero.
+    compare the kernel's per-query error masses (integers for an exact
+    channel); a deficit is converted to a probability only when nonzero.
     ``detail`` adds one verdict row per (t, state).
     """
-    pe_star, table = bellman_optimum(n, ch, mode=mode)
-    exact = mode == "rational"
-    zero: Number = Fraction(0) if exact else 0.0
+    pe_star, table = bellman_optimum(n, ch)
+    log_of(pe_star)  # raises if a float P_e* underflowed: never report it as 0
+    zero: Number = Fraction(0) if ch.exact else 0.0
     layers = reachable_layers(n)
     per_horizon = []
     per_state = []
@@ -536,7 +512,7 @@ def optimal_query_report(
     report: dict = {
         "horizon": n,
         "p": ch.p,
-        "mode": mode,
+        "mode": ch.arithmetic,
         "optimal_error": pe_star,
         "per_horizon": per_horizon,
         "overall": {
@@ -555,7 +531,6 @@ def error_curve(
     ch: ChannelParams,
     rule: StrategyRule | str,
     n_max: int,
-    mode: str = "rational",
 ) -> list[tuple[int, Number, float]]:
     """Rows (n, P_e, -ln(P_e)/n) for n = 1..n_max, one frontier pass.
 
@@ -565,12 +540,11 @@ def error_curve(
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     if rule == "optimal":
-        _, table = bellman_optimum(n_max, ch, mode=mode)
+        _, table = bellman_optimum(n_max, ch)
         pes = (table.optimal_error(n) for n in range(1, n_max + 1))
     else:
         assert isinstance(rule, StrategyRule)
-        _check_mode(ch, mode)
         trues = (1,) if rule.equivariant else (1, 2, 3)
-        layers = zip(*(_forward_layers(ch, rule, mode, t) for t in trues))
-        pes = (_mean_error(layer, mode) for layer in itertools.islice(layers, 1, n_max + 1))
+        layers = zip(*(_forward_layers(ch, rule, t) for t in trues))
+        pes = (_mean_error(layer, ch.exact) for layer in itertools.islice(layers, 1, n_max + 1))
     return [(n, pe, -log_of(pe) / n) for n, pe in enumerate(pes, 1)]

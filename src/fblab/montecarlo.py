@@ -76,7 +76,7 @@ def noise_bits(ch: ChannelParams, seed: int, trial: int, count: int) -> np.ndarr
 
 @dataclass(frozen=True)
 class SimulationStats:
-    """Counts plus a score-type interval; shard merges add counts exactly."""
+    """Counts plus a score-type interval."""
 
     trials: int
     errors: int
@@ -96,21 +96,6 @@ class SimulationStats:
         center = (ph + z2 / (2 * nt)) / denom
         half = (_WILSON_Z99 / denom) * math.sqrt(ph * (1 - ph) / nt + z2 / (4 * nt * nt))
         return max(0.0, center - half), min(1.0, center + half)
-
-
-def merge_stats(parts: Sequence[SimulationStats]) -> SimulationStats:
-    """Exact fold of shard results: integer counts add, order irrelevant."""
-    if not parts:
-        raise ValueError("nothing to merge")
-    seed = parts[0].seed
-    if any(p.seed != seed for p in parts):
-        raise ValueError("refusing to merge stats from different seeds")
-    return SimulationStats(
-        trials=sum(p.trials for p in parts),
-        errors=sum(p.errors for p in parts),
-        seed=seed,
-        elapsed_s=sum(p.elapsed_s for p in parts),
-    )
 
 
 def _tie_ranks() -> np.ndarray:

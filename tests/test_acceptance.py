@@ -41,7 +41,7 @@ def test_upper_bound_dominates_strategy_error():
     witnesses = []
     for pl in P_GRID:
         ch = make_channel(pl)
-        rows = error_curve(ch, MAX_POSTERIOR, 60, mode="rational")
+        rows = error_curve(ch, MAX_POSTERIOR, 60)
         for n, pe, _ in rows:
             if not (error_upper_bound_exact(n, ch) >= pe):
                 witnesses.append((pl, n))
@@ -89,7 +89,7 @@ def test_half_constant_lower_bound_on_optimal_error():
 
 def test_exponent_convergence_of_strategy_error():
     ch = make_channel("1/10", "float")
-    rows = error_curve(ch, MAX_POSTERIOR, 120, mode="log-float")
+    rows = error_curve(ch, MAX_POSTERIOR, 120)
     f_fb = error_exponents(ch).f_fb
     e120 = rows[-1][2]
     ok = abs(e120 - 0.445215) <= 0.02
@@ -282,7 +282,7 @@ def test_optimal_query_rule_instrumentation(tmp_path):
         ok_member &= report["overall"]["all_member"]
         t1 = [ph for ph in report["per_horizon"] if ph["t"] == 1][0]
         ok_deficit &= t1["max_deficit"] == 0
-        rows = error_curve(ch, MAX_POSTERIOR, 12, mode="rational")
+        rows = error_curve(ch, MAX_POSTERIOR, 12)
         _, table = bellman_optimum(12, ch)
         for n, pe, _ in rows:
             ok_order &= table.optimal_error(n) <= pe

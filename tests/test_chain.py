@@ -100,12 +100,12 @@ class TestReachProbability:
         chf = make_channel("0.1", "float")
         for n in (2, 5, 9):
             exact = float(reach_prob(n, CH10))
-            approx = reach_prob(n, chf, mode="log-float")
+            approx = reach_prob(n, chf)
             assert abs(approx - exact) <= 1e-12 * exact
 
     def test_exponent_approaches_limit(self):
         chf = make_channel("0.1", "float")
-        r = reach_prob(300, chf, mode="log-float", depth_bound=151)
+        r = reach_prob(300, chf, depth_bound=151)
         f_fb = error_exponents(chf).f_fb
         assert abs(-math.log(r) / 300 - f_fb) <= 0.03
 

@@ -1,9 +1,13 @@
+import contextlib
 import hashlib
+import io
 import itertools
 import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fblab import exact_dp
 from fblab.belief import leaders
@@ -80,13 +84,30 @@ def test_bellman_resource_cap_exit_code(capsys):
     assert json.loads(err)["error"] == "resource-cap"
 
 
-def test_float_underflow_is_a_failed_check(capsys):
-    # valid input whose float P_e lies below the smallest double
-    code, _, err = run_cli(capsys, "exact", "--p", "0.001", "--n", "400", "--mode", "float")
+@pytest.mark.parametrize(
+    "argv, detail",
+    [
+        # valid input whose float P_e lies below the smallest double
+        (("exact", "--p", "0.001", "--n", "400", "--mode", "float"), "underflow"),
+        # 1/(4pq) overflows for a subnormal p; 4pq rounds to 1 a few ulps below 1/2
+        (("bounds", "--p", "1e-320", "--mode", "float"), "double precision"),
+        (("bounds", "--p", "0.49999999999999994", "--n", "5"), "double precision"),
+        # exact p whose double is 0.0: the exponents and closed forms run on doubles
+        (("bounds", "--p", "1e-400", "--n", "3"), "underflow"),
+        (("paths", "--p", "1e-400", "--n", "3", "--variant", "closed-form"), "underflow"),
+        # the float chain's transition probability p/3 underflows
+        (("paths", "--p", "5e-324", "--n", "3", "--mode", "float"), "underflow"),
+        (("verify-theorem2", "--p", "5e-324", "--n", "4", "--mode", "float"), "underflow"),
+    ],
+    ids=["exact-p-e", "bounds-subnormal-p", "bounds-below-half", "bounds-zero-double",
+         "paths-closed-form", "paths-reach", "verify-theorem2-p-e"],
+)
+def test_float_underflow_is_a_failed_check(capsys, argv, detail):
+    code, _, err = run_cli(capsys, *argv)
     assert code == 3
     diag = json.loads(err)
     assert diag["error"] == "check-failed"
-    assert "underflow" in diag["detail"]
+    assert detail in diag["detail"]
 
 
 def test_float_simplex_underflow_is_a_failed_check(capsys):
@@ -429,13 +450,57 @@ def test_simplex_horizon_below_three_is_invalid_input(capsys, n):
     assert json.loads(err)["error"] == "invalid-input"
 
 
-def test_invalid_probability_exit_code(capsys):
-    code, _, err = run_cli(capsys, "bounds", "--p", "0.6")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("bounds", "--p", "0.6"),
+        # a float-mode literal whose double is 0.0
+        ("exact", "--p", "1e-400", "--n", "3", "--mode", "float"),
+        ("verify-theorem2", "--p", "1e-400", "--n", "3", "--mode", "float"),
+    ],
+    ids=["above-half", "exact-zero-double", "verify-theorem2-zero-double"],
+)
+def test_invalid_probability_exit_code(capsys, argv):
+    code, _, err = run_cli(capsys, *argv)
     assert code == 2
-    assert json.loads(err)["error"] == "invalid-input"
+    diag = json.loads(err)
+    assert diag["error"] == "invalid-input"
+    assert argv[2] in diag["detail"]
 
 
 def test_unknown_flag_exits_with_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         dispatch(["exact", "--p", "1/10", "--n", "1", "--bogus"])
     assert exc.value.code == 2
+
+
+# p literals at the numeric edges: a few ulps below 1/2, subnormal doubles,
+# 1/10**k written both ways (its double is 0.0 past k = 323), and random a/c
+_EDGE_P = st.one_of(
+    st.integers(1, 8).map(lambda k: repr(0.5 - k * 2.0**-54)),
+    st.integers(1, 2**52 - 1).map(lambda m: repr(math.ldexp(m, -1074))),
+    st.integers(1, 400).flatmap(lambda k: st.sampled_from([f"1e-{k}", "1/1" + "0" * k])),
+    st.integers(2, 10**6).flatmap(lambda c: st.integers(1, c).map(lambda a: f"{a}/{c}")),
+)
+_HORIZON_FLAG = {
+    "bounds": "--n", "exact": "--n", "bellman": "--n", "verify-theorem2": "--n",
+    "simplex": "--n", "paths": "--n", "sweep": "--n-max", "octopus": "--depth",
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    cmd=st.sampled_from(sorted(_HORIZON_FLAG)),
+    p=_EDGE_P,
+    n=st.integers(0, 4),
+    mode=st.sampled_from(["rational", "float"]),
+    series=st.sampled_from(["basic", "loops"]),
+    variant=st.sampled_from(["restricted", "closed-form"]),
+)
+def test_numeric_edges_exit_with_a_contract_code(cmd, p, n, mode, series, variant):
+    argv = [cmd, "--p", p, _HORIZON_FLAG[cmd], str(n), "--mode", mode]
+    if cmd == "paths":
+        argv += ["--series", series, "--variant", variant]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = dispatch(argv)
+    assert code in (0, 2, 3, 4)

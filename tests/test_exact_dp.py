@@ -162,13 +162,9 @@ class TestForward:
     def test_log_float_matches_rational(self):
         chf = make_channel("0.1", "float")
         exact = forward_error_prob(25, CH10, MAX_POSTERIOR)
-        log_fl = forward_error_prob(25, chf, MAX_POSTERIOR, mode="log-float")
+        log_fl = forward_error_prob(25, chf, MAX_POSTERIOR)
         exact_f = float(exact)
         assert abs(math.log(log_fl) - math.log(exact_f)) <= 1e-10
-
-    def test_rational_mode_rejects_float_channel(self):
-        with pytest.raises(ValueError):
-            forward_error_prob(3, make_channel("0.1", "float"), MAX_POSTERIOR, mode="rational")
 
 
 # weight 5/7 on the lowest leader and 2/7 on the next message: L = 7
@@ -269,7 +265,7 @@ class TestBellman:
 
     def test_float_mode_agrees(self):
         pe_r, _ = bellman_optimum(12, CH10)
-        pe_f, table = bellman_optimum(12, make_channel("0.1", "float"), mode="log-float")
+        pe_f, table = bellman_optimum(12, make_channel("0.1", "float"))
         assert abs(float(pe_r) - pe_f) <= 1e-12
         assert table.tie_tolerance == 1e-12
 
@@ -287,7 +283,7 @@ class TestBellman:
     @pytest.mark.parametrize("n", [48, 120])
     def test_float_relative_error(self, n):
         _, exact = bellman_optimum(n, CH10)
-        _, fl = bellman_optimum(n, CH10F, mode="log-float")
+        _, fl = bellman_optimum(n, CH10F)
         for t in range(n + 1):
             assert _rel_err(fl.optimal_error(t), exact.optimal_error(t)) <= 1e-12
         if n == 48:
@@ -296,10 +292,6 @@ class TestBellman:
     def test_resource_cap(self):
         with pytest.raises(ResourceCapError):
             bellman_optimum(30, CH10, state_cap=10)
-
-    def test_rejects_non_bayes_law(self):
-        with pytest.raises(ValueError):
-            bellman_optimum(2, CH10, probability_mode="paper")
 
 
 class TestReachability:
@@ -386,9 +378,7 @@ class TestErrorCurve:
         for n, pe, _ in rows:
             assert pe == bellman_optimum(n, CH10)[0]
 
-    @pytest.mark.parametrize(
-        "ch, mode", [(CH10, "rational"), (CH10F, "log-float")], ids=["rational", "log-float"]
-    )
+    @pytest.mark.parametrize("ch", [CH10, CH10F], ids=["rational", "log-float"])
     @pytest.mark.parametrize(
         "rule",
         [
@@ -399,10 +389,10 @@ class TestErrorCurve:
         ],
         ids=["uniform-ties", "lowest-index-ties", "round-robin", "fixed-2"],
     )
-    def test_matches_single_shot_forward(self, ch, mode, rule):
-        rows = error_curve(ch, rule, 8, mode)
+    def test_matches_single_shot_forward(self, ch, rule):
+        rows = error_curve(ch, rule, 8)
         assert [pe for _, pe, _ in rows] == [
-            forward_error_prob(n, ch, rule, mode) for n in range(1, 9)
+            forward_error_prob(n, ch, rule) for n in range(1, 9)
         ]
 
 
@@ -410,7 +400,7 @@ class TestErrorCurve:
 @given(p=_rational_p(), n=st.integers(0, 15))
 def test_float_kernel_tracks_rational_kernel(p, n):
     _, exact = bellman_optimum(n, make_channel(p))
-    _, fl = bellman_optimum(n, make_channel(p, "float"), mode="log-float")
+    _, fl = bellman_optimum(n, make_channel(p, "float"))
     curve = [exact.optimal_error(t) for t in range(n + 1)]
     assert all(b <= a for a, b in zip(curve, curve[1:]))
     for t, pe in enumerate(curve):

@@ -13,7 +13,6 @@ from fblab.montecarlo import (
     TrajectoryRecord,
     check_trajectory_invariants,
     estimate_exponent,
-    merge_stats,
     run_trajectory_audit,
     run_trials,
     simulate_trajectory,
@@ -84,19 +83,6 @@ class TestDeterminism:
     def test_rejects_exact_channel(self):
         with pytest.raises(ValueError):
             run_trials(5, CH10, MAX_POSTERIOR, trials=10, seed=0)
-
-
-class TestMerge:
-    def test_counts_add_in_any_order(self):
-        parts = [SimulationStats(100, 3, 7, 0.1), SimulationStats(50, 1, 7, 0.2),
-                 SimulationStats(25, 0, 7, 0.0)]
-        m1 = merge_stats(parts)
-        m2 = merge_stats(parts[::-1])
-        assert (m1.trials, m1.errors) == (m2.trials, m2.errors) == (175, 4)
-
-    def test_refuses_mixed_seeds(self):
-        with pytest.raises(ValueError):
-            merge_stats([SimulationStats(1, 0, 1, 0.0), SimulationStats(1, 0, 2, 0.0)])
 
 
 class TestAgreementWithExactProgram:
