@@ -280,12 +280,11 @@ def series_basic(n: int, ch: ChannelParams, variant: str = "restricted"):
 
 
 def closed_form_loop_bound_exact(n: int, ch: ChannelParams) -> CubicExt:
-    """(1/2) (pq^2)^(n/3) (1+z^(1/3))^n as an exact cubic-field element."""
-    ch.require_exact("exact closed form")
-    z = Fraction(ch.z)
-    c = CubicExt.root(z)
-    qc = c * Fraction(ch.q)  # (p q^2)^(1/3)
-    return (qc**n) * ((CubicExt.of(1, z) + c) ** n) * Fraction(1, 2)
+    """(1/2) (pq^2)^(n/3) (1+z^(1/3))^n as an exact cubic-field element.
+
+    (pq^2)^(1/3) = q z^(1/3), so this is ``bounds.error_lower_bound_exact``.
+    """
+    return bounds.error_lower_bound_exact(n, ch)
 
 
 def series_with_loops(n: int, ch: ChannelParams, variant: str = "restricted"):

@@ -10,7 +10,6 @@ configuration goes to stdout when such a file is written.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -163,12 +162,6 @@ def cmd_paths(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    if args.workers is None:
-        env = os.environ.get("FBLAB_WORKERS", "1")
-        try:
-            args.workers = int(env)
-        except ValueError:
-            raise ValueError(f"FBLAB_WORKERS must be an integer, got {env!r}") from None
     if args.dump_count < 0:
         raise ValueError(f"--dump-count must be non-negative, got {args.dump_count}")
     ch = make_channel(args.p, "float")
@@ -269,9 +262,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--workers",
         type=int,
-        default=None,
-        help="worker count (default: FBLAB_WORKERS, else 1); checked and echoed, but "
-        "every trial runs in one batch loop in one process: no parallelism, same result",
+        default=1,
+        help="worker count; checked and echoed, but every trial runs in one batch loop "
+        "in one process: no parallelism, same result",
     )
     sp.add_argument("--strategy", default="max-posterior")
     sp.add_argument("--dump-trajectories", default=None, help="JSON-lines path for episode records")

@@ -68,10 +68,7 @@ def log_of(value: Number) -> float:
         f = Fraction(value)
         return math.log(f.numerator) - math.log(f.denominator)
     if value == 0.0:
-        raise FloatingPointError(
-            "float probability underflowed to 0.0, below the smallest double; "
-            "rational mode gives the exact value"
-        )
+        raise FloatingPointError("float probability underflowed to 0.0, below the smallest double")
     return math.log(value)
 
 
@@ -106,18 +103,19 @@ def propagate(
         dist = nxt
 
 
-def conditional_decode_error(s: MetricState, true: int) -> float:
-    """Error of uniform-tie max-posterior decoding given the true message, as a double."""
-    lead = leaders(s)
-    return 1.0 - 1.0 / len(lead) if true in lead else 1.0
-
-
 def _error_sixths(s: MetricState, true: int) -> int:
-    """6 * conditional_decode_error(s, true), an integer: 0, 3, 4 or 6.
+    """6 * the error of uniform-tie max-posterior decoding given the true message.
 
-    ``s`` is normalised, so its leaders are the messages with 0 votes.
+    An integer: 0, 3, 4 or 6.  ``s`` is normalised, so its leaders are the
+    messages with 0 votes.
     """
     return 6 - 6 // s.count(0) if s[true - 1] == 0 else 6
+
+
+# Log of that error by its sixths: 1 - 1/k when the truth is one of k = 2 or
+# 3 tied leaders, 1 when it is not a leader.  The double of 1 - 1/3 is one
+# ulp above that of 4/6, so the constants are built from 1 - 1/k.
+_LOG_ERROR = {3: math.log(1.0 - 1.0 / 2), 4: math.log(1.0 - 1.0 / 3), 6: math.log(1.0)}
 
 
 Layer = tuple[dict[MetricState, Number], int]
@@ -185,9 +183,9 @@ def _terminal_error(dist: dict[MetricState, Number], true: int, exact: bool) -> 
         return sum(pr * _error_sixths(s, true) for s, pr in dist.items())
     acc = -math.inf
     for s, logp in dist.items():
-        err = conditional_decode_error(s, true)
-        if err > 0.0:
-            acc = logaddexp(acc, logp + math.log(err))
+        sixths = _error_sixths(s, true)
+        if sixths:
+            acc = logaddexp(acc, logp + _LOG_ERROR[sixths])
     return math.exp(acc)
 
 

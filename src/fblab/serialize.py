@@ -1,10 +1,14 @@
 """JSON/CSV emission helpers shared by the reports and the CLI.
 
+``json`` walks each result itself: dicts, lists, tuples and scalars are
+its own, and the ``default`` hook converts the three types fblab adds.
 Exact rationals serialize as {"num": ..., "den": ...} decimal digit
-strings of arbitrary length; floats use the shortest round-trip decimal.
-JSON key order is construction order, so re-reading and re-serializing a
-file is byte-identical.  CSV uses RFC-4180 CRLF line endings and fixed
-header strings.
+strings of arbitrary length, dataclasses as their fields in declaration
+order, and sets as sorted lists; floats use the shortest round-trip
+decimal.  Mapping keys must be str or int.  JSON key order is
+construction order, so re-reading and re-serializing a file is
+byte-identical.  CSV uses RFC-4180 CRLF line endings and fixed header
+strings.
 """
 
 from __future__ import annotations
@@ -16,39 +20,24 @@ import json
 from fractions import Fraction
 
 
-def encode(value):
-    """Recursively convert a result object into JSON-ready primitives."""
+def _default(value):
+    """Convert one value ``json`` does not know; ``json`` then walks the result."""
     if isinstance(value, Fraction):
         return {"num": str(value.numerator), "den": str(value.denominator)}
-    if isinstance(value, bool) or value is None or isinstance(value, (int, float, str)):
-        return value
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return {f.name: encode(getattr(value, f.name)) for f in dataclasses.fields(value)}
-    if isinstance(value, dict):
-        return {_key(k): encode(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple, frozenset, set)):
-        items = sorted(value) if isinstance(value, (set, frozenset)) else value
-        return [encode(v) for v in items]
+        return {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
+    if isinstance(value, (set, frozenset)):
+        return sorted(value)
     raise TypeError(f"cannot encode {type(value).__name__} for JSON output")
 
 
-def _key(k) -> str:
-    if isinstance(k, str):
-        return k
-    if isinstance(k, (int, float)):
-        return str(k)
-    if isinstance(k, tuple):
-        return ",".join(str(x) for x in k)
-    raise TypeError(f"cannot encode mapping key {k!r}")
-
-
 def dumps(obj) -> str:
-    return json.dumps(encode(obj), indent=2, ensure_ascii=False) + "\n"
+    return json.dumps(obj, indent=2, ensure_ascii=False, default=_default) + "\n"
 
 
 def dumps_line(obj) -> str:
     """Compact single-line JSON, for JSON-lines dumps."""
-    return json.dumps(encode(obj), separators=(",", ":"), ensure_ascii=False) + "\n"
+    return json.dumps(obj, separators=(",", ":"), ensure_ascii=False, default=_default) + "\n"
 
 
 SWEEP_HEADER = ["n", "p", "pe", "exponent"]

@@ -110,6 +110,15 @@ def test_float_underflow_is_a_failed_check(capsys, argv, detail):
     assert detail in diag["detail"]
 
 
+def test_closed_form_underflow_does_not_point_to_rational_mode(capsys):
+    # the closed forms run on doubles for an exact channel too: rational mode is what ran
+    code, _, err = run_cli(capsys, "paths", "--p", "1e-400", "--n", "3", "--variant", "closed-form")
+    assert code == 3
+    detail = json.loads(err)["detail"]
+    assert "underflow" in detail
+    assert "rational" not in detail
+
+
 def test_float_simplex_underflow_is_a_failed_check(capsys):
     # valid p whose tie-event probability lies below the smallest double
     code, _, err = run_cli(capsys, "simplex", "--p", "1e-300", "--n", "30", "--mode", "float")
@@ -348,18 +357,15 @@ def test_trajectory_dump_is_pinned(tmp_path, monkeypatch, capsys, strategy):
 
 
 @pytest.mark.parametrize(
-    "argv, env",
+    "argv",
     [
-        (("--n", "-1"), None),
-        (("--n", "4", "--dump-trajectories", "dump.jsonl", "--dump-count", "-5"), None),
-        (("--n", "4"), "abc"),
+        ("--n", "-1"),
+        ("--n", "4", "--dump-trajectories", "dump.jsonl", "--dump-count", "-5"),
     ],
-    ids=["negative-horizon", "negative-dump-count", "non-integer-FBLAB_WORKERS"],
+    ids=["negative-horizon", "negative-dump-count"],
 )
-def test_simulate_bad_input_is_invalid_input(tmp_path, monkeypatch, capsys, argv, env):
+def test_simulate_bad_input_is_invalid_input(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
-    if env is not None:
-        monkeypatch.setenv("FBLAB_WORKERS", env)
     code, out, err = run_cli(capsys, "simulate", "--p", "0.1", "--trials", "10", *argv)
     assert code == 2 and out == ""
     assert json.loads(err)["error"] == "invalid-input"
@@ -393,15 +399,6 @@ def test_simulate_worker_count_is_not_a_shard_count(capsys):
     )
     assert code == 0
     assert json.loads(out)["config"]["workers"] == 100_000_000
-
-
-def test_workers_default_from_environment(monkeypatch, capsys):
-    monkeypatch.setenv("FBLAB_WORKERS", "3")
-    code, out, _ = run_cli(
-        capsys, "simulate", "--p", "0.1", "--n", "4", "--trials", "900", "--seed", "2"
-    )
-    assert code == 0
-    assert json.loads(out)["config"]["workers"] == 3
 
 
 def test_octopus_verify_mismatch_exits_nonzero(monkeypatch, capsys):
