@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
+import numpy as np
+
 from . import bounds, exact_dp
 from .belief import MetricState, QuerySet, apply_outcome
 from .channel import ChannelParams, Number
@@ -180,7 +182,9 @@ def reach_prob(n: int, ch: ChannelParams, depth_bound: int | None = None) -> Num
     channel decides the arithmetic: an exact channel propagates integer
     masses over D**t, D the least common denominator of the table's
     transition probabilities, and returns a Fraction; a float channel
-    propagates log-probabilities and returns a float.
+    propagates log-probabilities and returns a float.  The table is indexed
+    once into a ``exact_dp.MoveGraph`` and stepped by ``exact_dp.propagate``,
+    the forward programs' kernel.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -189,25 +193,25 @@ def reach_prob(n: int, ch: ChannelParams, depth_bound: int | None = None) -> Num
         depth_bound = max(2, n)
     if depth_bound < needed:
         raise ValueError(f"depth bound {depth_bound} < required {needed} for n={n}")
-    table = derive_transitions(ch, depth_bound)
-    rows = table.entries
+    rows = derive_transitions(ch, depth_bound).entries
     if ch.exact:
         scale = math.lcm(*(tr.prob.denominator for row in rows.values() for tr in row))
-        edges = {
-            s: [(tr.target, tr.prob.numerator * (scale // tr.prob.denominator), 1) for tr in row]
-            for s, row in rows.items()
-        }
-        start = 1
+
+        def weigh(prob: Fraction) -> int:
+            return prob.numerator * (scale // prob.denominator)
+
+        one, dtype = 1, object
     else:
-        edges = {
-            s: [(tr.target, exact_dp.log_of(tr.prob), 0.0) for tr in row] for s, row in rows.items()
-        }
-        start = 0.0
-    layers = exact_dp.propagate({MAIN_STATE: start}, edges.__getitem__, ch.exact)
-    dist = next(itertools.islice(layers, n, None))
+        weigh, one, dtype = exact_dp.log_of, 0.0, float  # one: the log of 1
+    graph = exact_dp.MoveGraph(lambda s: [(tr.target, weigh(tr.prob), 0) for tr in rows[s]], dtype)
+    graph.expand(graph.ids(rows))
+    start, f2 = np.full(1, one, dtype), np.full((1, 1), one, dtype)
+    layers = exact_dp.propagate(graph, MAIN_STATE, start, f2)
+    ids, mass = next(itertools.islice(layers, n, None))
+    at_hub = mass[ids == graph.number[MAIN_STATE], 0].tolist()
     if ch.exact:
-        return Fraction(dist.get(MAIN_STATE, 0), scale**n)
-    return math.exp(dist.get(MAIN_STATE, -math.inf))
+        return Fraction(at_hub[0] if at_hub else 0, scale**n)
+    return math.exp(at_hub[0] if at_hub else -math.inf)
 
 
 def enumerate_two_loops(s: ChainState, table: TransitionTable) -> list[tuple[ChainState, Number]]:

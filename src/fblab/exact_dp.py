@@ -7,10 +7,15 @@ arithmetic; ``ChannelParams.arithmetic`` names it.
 
 The forward pass computes the terminal-error probability of a fixed
 strategy by propagating the metric-state distribution conditioned on the
-true message (equivariant rules need one pass; others are averaged over
-the three conditionings), in exact integer numerators over one denominator
-per layer or in log-domain floats.  Its layer kernel, ``propagate``, also
-steps the chain module's return probability.
+true message (equivariant rules need one conditioning; others are averaged
+over the three), in exact integer numerators over one denominator per
+layer or in log-domain floats.  The moves depend on the rule only, so the
+three conditionings share one graph and one pass, with one mass column
+each.  Its layer kernel, ``propagate``, steps an indexed frontier: the
+moves sit in numpy tables (``MoveGraph``), each layer lists its states in
+order of first arrival, and log-float masses meeting at a state combine by
+``np.logaddexp.at`` in that order, bit for bit as a scalar loop would.
+The same kernel steps the chain module's return probability.
 
 The backward pass computes the minimum error over all metric-state
 strategies under the bayes transition law.  The value function is
@@ -25,7 +30,6 @@ bellman_optimum.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
@@ -72,95 +76,198 @@ def log_of(value: Number) -> float:
     return math.log(value)
 
 
-def propagate(
-    dist: dict[MetricState, Number],
-    edges: Callable[[MetricState], Sequence[tuple[MetricState, Number, Number]]],
-    exact: bool,
-) -> Iterator[dict[MetricState, Number]]:
-    """Yield ``dist``, then the distribution after each further step.
+# Most moves out of one state: three queries, two answers each.
+MOVES = 6
 
-    ``edges(s)`` lists the moves out of state s as (target, f1, f2): with
-    ``exact`` masses are exact (callers pass integers scaled to one
-    common denominator per layer) and the move multiplies its source mass
-    by f1 * f2; otherwise masses are natural logs, f1 + f2 is the
-    move's log-probability and masses meeting at a target combine by
-    logaddexp.  A state without moves loses its mass.  Raises ResourceCapError once the layers after
-    ``dist`` hold more than STATE_CAP states in total.
+
+class MoveGraph:
+    """States numbered in order of discovery, and their moves in numpy arrays.
+
+    ``moves(s)`` lists the moves out of state s as (target, f1, code), at
+    most MOVES of them.  Row i of ``target`` (state numbers), ``factor``
+    (f1, of ``dtype``: object for integers) and ``code`` holds the moves of
+    state i in that order, ``count[i]`` of them; ``count[i]`` is -1 until
+    ``expand`` has called ``moves`` for state i.  ``votes[i]`` is state i.
+    A move's code picks its row of the f2 table that ``propagate`` steps
+    with.
     """
+
+    def __init__(
+        self,
+        moves: Callable[[MetricState], Sequence[tuple[MetricState, Number, int]]],
+        dtype: type,
+    ) -> None:
+        self._moves = moves
+        self.number: dict[MetricState, int] = {}
+        self.states: list[MetricState] = []
+        self.votes = np.empty((0, 3), dtype=np.intp)
+        self.count = np.empty(0, dtype=np.int8)
+        self.target = np.empty((0, MOVES), dtype=np.intp)
+        self.factor = np.empty((0, MOVES), dtype=dtype)
+        self.code = np.empty((0, MOVES), dtype=np.int8)
+
+    def ids(self, states: Iterable[MetricState]) -> np.ndarray:
+        """State numbers of ``states``, numbering the new ones."""
+        first_new = len(self.states)
+        out = []
+        for s in states:
+            i = self.number.get(s)
+            if i is None:
+                i = self.number[s] = len(self.states)
+                self.states.append(s)
+            out.append(i)
+        size = len(self.states)
+        if size > self.count.size:  # grow every table to at least double
+            extra = max(size, 2 * self.count.size) - self.count.size
+            self.votes = _grow(self.votes, extra, 0)
+            self.count = _grow(self.count, extra, -1)
+            self.target, self.factor, self.code = (
+                _grow(a, extra, 0) for a in (self.target, self.factor, self.code)
+            )
+        if size > first_new:
+            self.votes[first_new:size] = self.states[first_new:]
+        return np.array(out, dtype=np.intp)
+
+    def expand(self, ids: np.ndarray) -> None:
+        """Tabulate the moves of every state in ``ids`` that has none yet."""
+        new = ids[self.count[ids] < 0]
+        if not new.size:
+            return
+        rows = [self._moves(self.states[i]) for i in new.tolist()]
+        count = np.array([len(row) for row in rows])
+        moves = [move for row in rows for move in row]
+        target = self.ids(t for t, _, _ in moves)  # may grow the tables
+        row, col = np.nonzero(np.arange(MOVES) < count[:, None])
+        cells = (new[row], col)
+        self.target[cells] = target
+        self.factor[cells] = [f for _, f, _ in moves]
+        self.code[cells] = [c for _, _, c in moves]
+        self.count[new] = count
+
+
+def _grow(a: np.ndarray, extra: int, fill: int) -> np.ndarray:
+    """``a`` with ``extra`` more rows of ``fill``."""
+    return np.concatenate([a, np.full((extra, *a.shape[1:]), fill, a.dtype)])
+
+
+def propagate(
+    graph: MoveGraph, start: MetricState, mass: np.ndarray, f2: np.ndarray
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield (state numbers, masses) of the start layer, then of each further step.
+
+    Masses have one column per conditioning: ``mass`` is the start state's
+    row, and a move with factor f1 and code c scales column k of its
+    source's row by f1 * f2[c, k] when ``f2`` holds (object) integers and
+    adds f1 + f2[c, k] to it when ``f2`` holds log-floats.  A layer lists
+    its states in order of first arrival: sources in their layer's order,
+    each source's moves in ``graph`` order.  Masses meeting at a target add
+    in that order, exactly for integers and by ``np.logaddexp.at`` for
+    log-floats, which applies updates in array order and matches
+    ``logaddexp`` bit for bit, so every double equals that of a scalar loop.
+    A state without moves loses its mass.  Raises ResourceCapError once the
+    layers after the start hold more than STATE_CAP states in total.
+    """
+    exact = f2.dtype == object
+    ids, mass = graph.ids([start]), mass[None, :]
     touched = 0
     while True:
-        yield dist
-        nxt: dict[MetricState, Number] = {}
-        for s, pr in dist.items():
-            for target, f1, f2 in edges(s):
-                if exact:
-                    nxt[target] = nxt.get(target, 0) + pr * f1 * f2
-                else:
-                    nxt[target] = logaddexp(nxt.get(target, -math.inf), pr + f1 + f2)
-        touched += len(nxt)
+        yield ids, mass
+        graph.expand(ids)
+        count = graph.count[ids]
+        live = np.arange(MOVES) < count[:, None]
+        target = graph.target[ids][live]
+        step = mass[np.repeat(np.arange(ids.size), count)]
+        combine = np.multiply if exact else np.add  # (mass . f1) . f2, in place
+        combine(step, graph.factor[ids][live][:, None], out=step)
+        combine(step, f2[graph.code[ids][live]], out=step)
+        # the targets in order of first arrival, and each move's row among them
+        arrival = np.arange(target.size)
+        slot = np.full(len(graph.states), target.size)
+        np.minimum.at(slot, target, arrival)
+        ids = target[slot[target] == arrival]
+        touched += ids.size
         if touched > STATE_CAP:
             raise ResourceCapError(f"forward pass touches {touched} states, cap is {STATE_CAP}")
-        dist = nxt
+        slot[ids] = np.arange(ids.size)
+        shape = (ids.size, mass.shape[1])
+        mass = np.zeros(shape, dtype=object) if exact else np.full(shape, -math.inf)
+        (np.add if exact else np.logaddexp).at(mass, slot[target], step)
 
 
-def _error_sixths(s: MetricState, true: int) -> int:
-    """6 * the error of uniform-tie max-posterior decoding given the true message.
+def _error_sixths(votes: np.ndarray, trues: Sequence[int]) -> np.ndarray:
+    """6 * the error of uniform-tie max-posterior decoding, per state and true message.
 
-    An integer: 0, 3, 4 or 6.  ``s`` is normalised, so its leaders are the
-    messages with 0 votes.
+    Integers 0, 3, 4 or 6 of shape (states, trues).  States are normalised,
+    so their leaders are the messages with 0 votes.
     """
-    return 6 - 6 // s.count(0) if s[true - 1] == 0 else 6
+    lead = votes == 0
+    ties = lead.sum(axis=1, keepdims=True)
+    return np.where(lead[:, np.asarray(trues) - 1], 6 - 6 // ties, 6)
 
 
 # Log of that error by its sixths: 1 - 1/k when the truth is one of k = 2 or
 # 3 tied leaders, 1 when it is not a leader.  The double of 1 - 1/3 is one
 # ulp above that of 4/6, so the constants are built from 1 - 1/k.
-_LOG_ERROR = {3: math.log(1.0 - 1.0 / 2), 4: math.log(1.0 - 1.0 / 3), 6: math.log(1.0)}
+_LOG_ERROR = np.full(7, math.nan)
+_LOG_ERROR[[3, 4, 6]] = math.log(1.0 - 1.0 / 2), math.log(1.0 - 1.0 / 3), math.log(1.0)
+
+# (state votes, masses with one column per true message, denominator)
+Layer = tuple[np.ndarray, np.ndarray, int]
 
 
-Layer = tuple[dict[MetricState, Number], int]
+def _forward_layers(ch: ChannelParams, rule: StrategyRule, trues: Sequence[int]) -> Iterator[Layer]:
+    """Layers after 0, 1, 2, ... uses, one mass column per true message in ``trues``.
 
-
-def _forward_layers(ch: ChannelParams, rule: StrategyRule, true: int) -> Iterator[Layer]:
-    """(distribution, denominator) given the true message after 0, 1, 2, ... uses.
-
-    Rational masses are integers over one denominator per layer, (L*c)**t
-    after t uses, for p = a/c and L the least common denominator of the
-    rule's query weights: querying j with weight w moves w*L times b = c - a
-    when the answer agrees with the truth and w*L times a when it does not.
-    Log-float masses are natural logs and the denominator stays 1.
+    The moves and the order of first arrival depend on the rule only, so
+    every conditioning steps on one graph; a move's code is the set of
+    true messages its answer agrees with (bit t-1 for message t), and f2 is
+    the channel factor for agreement or not.  Rational masses are integers
+    over one denominator per layer, (L*c)**t after t uses, for p = a/c and L
+    the least common denominator of the rule's query weights: querying j
+    with weight w moves w*L times b = c - a when the answer agrees with the
+    truth and w*L times a when it does not.  Log-float masses are natural
+    logs (a zero weight moves -inf) and the denominator stays 1.
     """
     if ch.exact:
         scale = weight_denominator(rule)
         a, c = ch.p.numerator, ch.p.denominator
-        fp, fq, start, step = a, c - a, 1, scale * c
+        fp, fq, start, step, dtype = a, c - a, 1, scale * c, object
 
         def factor(w: Fraction) -> int:
             return w.numerator * (scale // w.denominator)
 
     else:
-        # cached so that the memoised edges share one factor object per weight
-        factor = functools.cache(lambda x: math.log(float(x)))
-        fp, fq, start, step = factor(ch.p), factor(ch.q), 0.0, 1
 
-    @functools.cache
-    def edges(s: MetricState) -> tuple[tuple[MetricState, Number, Number], ...]:
+        def factor(w: Number) -> float:
+            return math.log(float(w)) if w else -math.inf
+
+        fp, fq, start, step, dtype = factor(ch.p), factor(ch.q), 0.0, 1, float
+
+    def moves(s: MetricState) -> list[tuple[MetricState, Number, int]]:
         out = []
         for j, w in select_query(rule, s, ch).items():
             q_obj = QuerySet.singleton(j)
-            x = 0 if true == j else 1
+            f1 = factor(w)
             for y in (0, 1):
-                out.append((apply_outcome(s, q_obj, y), factor(w), fq if y == x else fp))
-        return tuple(out)
+                agree = 1 << (j - 1) if y == 0 else 7 ^ (1 << (j - 1))
+                out.append((apply_outcome(s, q_obj, y), f1, agree))
+        return out
 
+    f2 = np.array([[fq if code >> (t - 1) & 1 else fp for t in trues] for code in range(8)], dtype)
+    graph = MoveGraph(moves, dtype)
+    layers = propagate(graph, (0, 0, 0), np.full(len(trues), start, dtype), f2)
     dens = itertools.accumulate(itertools.repeat(step), operator.mul, initial=1)
-    return zip(propagate({(0, 0, 0): start}, edges, ch.exact), dens)
+    return ((graph.votes[ids], mass, den) for (ids, mass), den in zip(layers, dens))
 
 
-def _forward_layer(n: int, ch: ChannelParams, rule: StrategyRule, true: int) -> Layer:
+def _forward_layer(n: int, ch: ChannelParams, rule: StrategyRule, trues: Sequence[int]) -> Layer:
     if n < 0:
         raise ValueError("horizon must be nonnegative")
-    return next(itertools.islice(_forward_layers(ch, rule, true), n, None))
+    return next(itertools.islice(_forward_layers(ch, rule, trues), n, None))
+
+
+def _conditionings(rule: StrategyRule) -> tuple[int, ...]:
+    return (1,) if rule.equivariant else (1, 2, 3)
 
 
 def forward_distribution(
@@ -169,43 +276,38 @@ def forward_distribution(
     """State distribution after n uses given the true message.
 
     An exact channel gives exact probabilities; a float channel gives
-    natural-log probabilities.
+    natural-log probabilities.  Keys are in order of first arrival.
     """
-    dist, den = _forward_layer(n, ch, rule, true)
+    votes, mass, den = _forward_layer(n, ch, rule, (true,))
+    dist = zip(map(tuple, votes.tolist()), mass[:, 0].tolist())
     if ch.exact:
-        return {s: Fraction(mass, den) for s, mass in dist.items()}
-    return dist
+        return {s: Fraction(m, den) for s, m in dist}
+    return dict(dist)
 
 
-def _terminal_error(dist: dict[MetricState, Number], true: int, exact: bool) -> Number:
-    """Exact: the integer sum of mass * 6 * error; log-float: the error probability."""
-    if exact:
-        return sum(pr * _error_sixths(s, true) for s, pr in dist.items())
-    acc = -math.inf
-    for s, logp in dist.items():
-        sixths = _error_sixths(s, true)
-        if sixths:
-            acc = logaddexp(acc, logp + _LOG_ERROR[sixths])
-    return math.exp(acc)
+def _mean_error(layer: Layer, trues: Sequence[int], exact: bool) -> Number:
+    """Terminal error of a layer given true message ``trues`` (one or all three).
 
-
-def _mean_error(layers: Iterable[Layer], exact: bool) -> Number:
-    """Terminal error from the layers given true message 1, 2, ... (one or all three).
-
-    Exact layers give one Fraction built from the integer parts.
+    Exact: one Fraction from the integer sum of mass * 6 * error.
+    Log-float: per conditioning, the error states' masses folded in layer
+    order by ``np.logaddexp.accumulate``, which folds sequentially.
     """
-    parts, dens = zip(
-        *((_terminal_error(d, t, exact), den) for t, (d, den) in enumerate(layers, 1))
-    )
+    votes, mass, den = layer
+    sixths = _error_sixths(votes, trues)
     if exact:
-        return Fraction(sum(parts), 6 * len(parts) * dens[0])
+        return Fraction((mass * sixths.astype(object)).sum(), 6 * len(trues) * den)
+    parts = []
+    for k in range(len(trues)):
+        err = sixths[:, k] > 0
+        terms = mass[err, k] + _LOG_ERROR[sixths[err, k]]
+        parts.append(math.exp(np.logaddexp.accumulate(terms)[-1]) if terms.size else 0.0)
     return parts[0] if len(parts) == 1 else sum(parts) / 3
 
 
 def forward_error_prob(n: int, ch: ChannelParams, rule: StrategyRule) -> Number:
     """Terminal decoding-error probability of ``rule`` at horizon n."""
-    trues = (1,) if rule.equivariant else (1, 2, 3)
-    return _mean_error((_forward_layer(n, ch, rule, t) for t in trues), ch.exact)
+    trues = _conditionings(rule)
+    return _mean_error(_forward_layer(n, ch, rule, trues), trues, ch.exact)
 
 
 def sorted_lattice(kmax: int) -> list[MetricState]:
@@ -542,7 +644,7 @@ def error_curve(
         pes = (table.optimal_error(n) for n in range(1, n_max + 1))
     else:
         assert isinstance(rule, StrategyRule)
-        trues = (1,) if rule.equivariant else (1, 2, 3)
-        layers = zip(*(_forward_layers(ch, rule, t) for t in trues))
-        pes = (_mean_error(layer, ch.exact) for layer in itertools.islice(layers, 1, n_max + 1))
+        trues = _conditionings(rule)
+        layers = itertools.islice(_forward_layers(ch, rule, trues), 1, n_max + 1)
+        pes = (_mean_error(layer, trues, ch.exact) for layer in layers)
     return [(n, pe, -log_of(pe) / n) for n, pe in enumerate(pes, 1)]

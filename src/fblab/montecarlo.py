@@ -12,7 +12,6 @@ oracle only: tests pin the batch engine to it per trial, bit for bit.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -81,7 +80,6 @@ class SimulationStats:
     trials: int
     errors: int
     seed: int
-    elapsed_s: float
     ci_method: str = "wilson-99"
 
     @property
@@ -369,9 +367,8 @@ def run_trials(
         raise ValueError("need at least one trial")
     if workers < 1:
         raise ValueError("workers must be positive")
-    t0 = time.perf_counter()
     errors = sum(out["errors"] for out in _batch_outputs(n, ch, rule, seed, trials, batch))
-    return SimulationStats(trials, errors, seed, time.perf_counter() - t0)
+    return SimulationStats(trials, errors, seed)
 
 
 def run_trajectory_audit(

@@ -2,6 +2,7 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +16,7 @@ from fblab.exact_dp import (
     error_curve,
     forward_distribution,
     forward_error_prob,
+    logaddexp,
     optimal_query_report,
     reachable_layers,
     sorted_lattice,
@@ -198,6 +200,110 @@ def test_integer_forward_matches_fraction_propagation(pl, rule):
     want = [_reference_error([ref[t][n] for t in trues]) for n in range(13)]
     assert [pe for _, pe, _ in error_curve(ch, rule, 12)] == want[1:]
     assert [forward_error_prob(n, ch, rule) for n in (0, 7, 12)] == [want[0], want[7], want[12]]
+
+
+# reference oracle: the scalar log-float loop that the indexed frontier replaced,
+# one logaddexp per move; layer k of the result is the log-distribution after k
+# uses, its keys in order of first arrival
+def _reference_log_forward(n, ch, rule, true):
+    def factor(x):
+        return math.log(float(x)) if x else -math.inf
+
+    layers = [{(0, 0, 0): 0.0}]
+    for _ in range(n):
+        nxt = {}
+        for s, pr in layers[-1].items():
+            for j, w in select_query(rule, s, ch).items():
+                x = 0 if true == j else 1
+                for y in (0, 1):
+                    t = apply_outcome(s, QuerySet.singleton(j), y)
+                    f2 = factor(ch.q if y == x else ch.p)
+                    nxt[t] = logaddexp(nxt.get(t, -math.inf), pr + factor(w) + f2)
+        layers.append(nxt)
+    return layers
+
+
+# log of the error by its sixths, as the scalar loop built it
+_LOG_ERROR = {3: math.log(1.0 - 1.0 / 2), 4: math.log(1.0 - 1.0 / 3), 6: math.log(1.0)}
+
+
+def _reference_log_error(dists):
+    """The scalar fold: per true message, error states in layer order from -inf."""
+    parts = []
+    for true, dist in enumerate(dists, 1):
+        acc = -math.inf
+        for s, logp in dist.items():
+            lead = leaders(s)
+            sixths = 6 - 6 // len(lead) if true in lead else 6
+            if sixths:
+                acc = logaddexp(acc, logp + _LOG_ERROR[sixths])
+        parts.append(math.exp(acc))
+    return parts[0] if len(parts) == 1 else sum(parts) / 3
+
+
+@pytest.mark.parametrize("p", ["1e-5", "0.05", "0.3", "0.49", "0.5"])
+@pytest.mark.parametrize("rule", FORWARD_RULES, ids=FORWARD_RULE_IDS)
+def test_log_float_forward_matches_scalar_loop_bit_for_bit(p, rule):
+    ch = make_channel(p, "float")
+    ref = {t: _reference_log_forward(12, ch, rule, t) for t in (1, 2, 3)}
+    for t, layers in ref.items():
+        for n in (1, 6, 12):
+            assert list(forward_distribution(n, ch, rule, true=t).items()) == list(layers[n].items())
+    trues = (1,) if rule.equivariant else (1, 2, 3)
+    want = [_reference_log_error([ref[t][n] for t in trues]) for n in range(1, 13)]
+    assert [pe for _, pe, _ in error_curve(ch, rule, 12)] == want
+
+
+@pytest.mark.parametrize("p", ["1e-5", "0.05", "0.3", "0.49"])
+def test_float_reach_prob_matches_scalar_loop_bit_for_bit(p):
+    ch = make_channel(p, "float")
+    for n in (0, 1, 2, 3, 7, 16, 30):
+        table = derive_transitions(ch, max(2, n))
+        dist = {(0, 0, 0): 0.0}
+        for _ in range(n):
+            nxt = {}
+            for s, pr in dist.items():
+                for tr in table.entries[s]:
+                    nxt[tr.target] = logaddexp(nxt.get(tr.target, -math.inf), pr + math.log(tr.prob))
+            dist = nxt
+        assert reach_prob(n, ch) == math.exp(dist.get((0, 0, 0), -math.inf))
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+def test_numpy_logaddexp_matches_scalar_helper_bit_for_bit():
+    # the float pins of the forward programs rest on this property of numpy's build
+    rng = np.random.default_rng(20220301)
+    a = rng.uniform(-700.0, 0.0, 20_000)
+    b = np.concatenate([rng.uniform(-700.0, 0.0, 10_000), a[10_000:] + rng.normal(0.0, 2.0, 10_000)])
+    inf = np.array([-math.inf, -math.inf, -3.5, 0.0, -math.inf])
+    a = np.concatenate([a, a[:1_000], inf])
+    b = np.concatenate([b, a[:1_000], [-math.inf, -2.0, -math.inf, -math.inf, 0.0]])
+    want = [logaddexp(x, y) for x, y in zip(a.tolist(), b.tolist())]
+    assert np.array_equal(_bits(np.logaddexp(a, b)), _bits(want))
+    assert np.array_equal(_bits(np.logaddexp(b, a)), _bits(want))
+
+
+def test_numpy_logaddexp_at_folds_repeated_indices_in_order():
+    rng = np.random.default_rng(7)
+    index = rng.integers(0, 40, 5_000)
+    values = rng.uniform(-60.0, 0.0, (5_000, 3))
+    values[rng.random(5_000) < 0.05] = -math.inf
+    want = np.full((40, 3), -math.inf)
+    for i, row in zip(index.tolist(), values.tolist()):
+        want[i] = [logaddexp(acc, v) for acc, v in zip(want[i].tolist(), row)]
+    got = np.full((40, 3), -math.inf)
+    np.logaddexp.at(got, index, values)
+    assert np.array_equal(_bits(got), _bits(want))
+    flat = np.full(40, -math.inf)
+    np.logaddexp.at(flat, index, values[:, 0])
+    assert np.array_equal(_bits(flat), _bits(want[:, 0]))
+    acc = -math.inf
+    for v in values[:, 1].tolist():
+        acc = logaddexp(acc, v)
+    assert _bits(np.logaddexp.accumulate(values[:, 1])[-1]) == _bits(acc)
 
 
 @pytest.mark.parametrize("pl", ["1/20", "1/6", "1/3", "1/2"])

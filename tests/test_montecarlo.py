@@ -150,7 +150,7 @@ class TestExponentFit:
     def test_synthetic_regression_identity(self):
         # exact powers of two so estimates are exact dyadics
         grid = [
-            (n, SimulationStats(trials=2**20, errors=2 ** (20 - n), seed=0, elapsed_s=0.0))
+            (n, SimulationStats(trials=2**20, errors=2 ** (20 - n), seed=0))
             for n in (5, 8, 11)
         ]
         fit = estimate_exponent(grid)
@@ -158,8 +158,8 @@ class TestExponentFit:
         assert fit.points_used == 3
 
     def test_needs_three_informative_points(self):
-        good = SimulationStats(1000, 10, 0, 0.0)
-        zero = SimulationStats(1000, 0, 0, 0.0)
+        good = SimulationStats(1000, 10, 0)
+        zero = SimulationStats(1000, 0, 0)
         with pytest.raises(ValueError, match="3 grid points"):
             estimate_exponent([(10, good), (20, good), (30, zero)])
 
@@ -174,7 +174,7 @@ class TestExponentFit:
         grid = [(n, run_trials(n, ch, MAX_POSTERIOR, trials=trials, seed=5150)) for n in ns]
         fit = estimate_exponent(grid)
         exact_grid = [
-            (n, SimulationStats(trials, round(trials * float(forward_error_prob(n, chr_, MAX_POSTERIOR))), 0, 0.0))
+            (n, SimulationStats(trials, round(trials * float(forward_error_prob(n, chr_, MAX_POSTERIOR))), 0))
             for n in ns
         ]
         exact_fit = estimate_exponent(exact_grid)
