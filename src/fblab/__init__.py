@@ -11,7 +11,6 @@ closed-form bounds and exponents, and reproducible Monte Carlo.
 from .belief import (
     MetricState,
     QueryOutcome,
-    QuerySet,
     apply_outcome,
     decode_error,
     leaders,

@@ -1,9 +1,10 @@
 """Vote-count metric states, posteriors, and one-step query analysis.
 
 A metric state is the triple of negative-vote counts above the running
-minimum; it is a sufficient statistic for the decoder.  Posteriors follow
-pi_i proportional to z**m_i with z = p/q.  Three outcome-probability modes
-coexist:
+minimum; it is a sufficient statistic for the decoder.  A query is a
+message index j in {1, 2, 3}, the question "is the true message theta_j?".
+Posteriors follow pi_i proportional to z**m_i with z = p/q.  Three
+outcome-probability modes coexist:
 
 * ``bayes``       -- mix over the queried message's own posterior; this is
                      the coherent transition law (fixed-message posteriors
@@ -24,41 +25,6 @@ from fractions import Fraction
 from .channel import ChannelParams, Number
 
 MetricState = tuple[int, int, int]
-
-
-@dataclass(frozen=True)
-class QuerySet:
-    """Canonical yes/no question: "is the true message theta_index?".
-
-    A two-element query is statistically identical to the complementary
-    singleton with the answer inverted, so it canonicalizes to
-    (complement index, inverted=True).
-    """
-
-    index: int  # 1, 2 or 3
-    inverted: bool = False
-
-    @staticmethod
-    def singleton(index: int) -> "QuerySet":
-        if index not in (1, 2, 3):
-            raise ValueError(f"message index must be 1..3, got {index}")
-        return QuerySet(index)
-
-    @staticmethod
-    def from_members(members) -> "QuerySet":
-        mem = frozenset(members)
-        if not mem or not mem <= {1, 2, 3} or len(mem) == 3:
-            raise ValueError(f"query must be a nonempty proper subset of {{1,2,3}}: {set(members)}")
-        if len(mem) == 1:
-            return QuerySet(next(iter(mem)))
-        (missing,) = {1, 2, 3} - mem
-        return QuerySet(missing, inverted=True)
-
-    @property
-    def members(self) -> frozenset[int]:
-        if self.inverted:
-            return frozenset({1, 2, 3} - {self.index})
-        return frozenset({self.index})
 
 
 def normalize(votes: tuple[int, int, int]) -> MetricState:
@@ -95,16 +61,20 @@ def decode_error(s: MetricState, ch: ChannelParams) -> Number:
     return 1 - max(posteriors(s, ch))
 
 
-def apply_outcome(s: MetricState, q: QuerySet, y: int) -> MetricState:
-    """Advance the state one channel use: y=1 votes against the queried side,
-    y=0 votes against each non-queried message; then renormalize."""
+def check_query(j: int) -> None:
+    if j not in (1, 2, 3):
+        raise ValueError(f"message index must be 1..3, got {j}")
+
+
+def apply_outcome(s: MetricState, j: int, y: int) -> MetricState:
+    """Advance the state one channel use of query j: y=1 votes against
+    message j, y=0 votes against each other message; then renormalize."""
     check_state(s)
+    check_query(j)
     if y not in (0, 1):
         raise ValueError(f"channel output must be 0 or 1, got {y}")
-    j = q.index
-    y_eff = y ^ int(q.inverted)
     votes = list(s)
-    if y_eff == 1:
+    if y == 1:
         votes[j - 1] += 1
     else:
         for i in range(3):
@@ -115,27 +85,25 @@ def apply_outcome(s: MetricState, q: QuerySet, y: int) -> MetricState:
 
 def outcome_distribution(
     s: MetricState,
-    q: QuerySet,
+    j: int,
     ch: ChannelParams,
     mode: str = "bayes",
     true: int | None = None,
 ) -> dict[int, Number]:
-    """Distribution of the channel output y for one query.
+    """Distribution of the channel output y for query j.
 
-    bayes:        P(y=1) = pi_Q p + (1 - pi_Q) q with pi_Q the queried side's
-                  posterior mass.
-    conditional:  requires ``true``; P(y=0) = q iff the true message is on
-                  the queried side.
+    bayes:        P(y=1) = pi_j p + (1 - pi_j) q with pi_j the queried
+                  message's posterior.
+    conditional:  requires ``true``; P(y=0) = q iff the true message is j.
     paper:        requires a unique leader; the outcome favorable to the
                   leader has probability p + (q - p) * pi_leader.
     """
     check_state(s)
+    check_query(j)
     p, qq = ch.p, ch.q
-    j = q.index
     if mode == "bayes":
-        pi = posteriors(s, ch)
-        pi_q = pi[j - 1]  # canonical singleton side
-        p1 = pi_q * p + (1 - pi_q) * qq
+        pi_j = posteriors(s, ch)[j - 1]
+        p1 = pi_j * p + (1 - pi_j) * qq
         dist = {0: 1 - p1, 1: p1}
     elif mode == "conditional":
         if true not in (1, 2, 3):
@@ -155,8 +123,6 @@ def outcome_distribution(
         dist = {y_fav: fav, 1 - y_fav: 1 - fav}
     else:
         raise ValueError(f"unknown outcome mode {mode!r}")
-    if q.inverted:
-        dist = {0: dist[1], 1: dist[0]}
     return {0: dist[0], 1: dist[1]}
 
 
@@ -181,25 +147,25 @@ class QueryOutcome:
     expected_leader_posterior: Number
 
 
-def query_outcome(s: MetricState, q: QuerySet, ch: ChannelParams, mode: str = "paper") -> QueryOutcome:
-    """One-step outcome record for query ``q``; see QueryOutcome."""
+def query_outcome(s: MetricState, j: int, ch: ChannelParams, mode: str = "paper") -> QueryOutcome:
+    """One-step outcome record for query j; see QueryOutcome."""
     i0, u, v = _leader_and_others(s)
     z = ch.z
-    ratios = {j: z ** (s[j - 1] - s[i0 - 1]) for j in (u, v)}
-    probs = outcome_distribution(s, q, ch, mode=mode)
+    ratios = {k: z ** (s[k - 1] - s[i0 - 1]) for k in (u, v)}
+    probs = outcome_distribution(s, j, ch, mode=mode)
     deltas: dict[int, dict[int, int]] = {}
     nexts: dict[int, MetricState] = {}
     b_after: dict[int, Number] = {}
     for y in (0, 1):
-        ns = apply_outcome(s, q, y)
+        ns = apply_outcome(s, j, y)
         nexts[y] = ns
         deltas[y] = {
-            j: (ns[j - 1] - ns[i0 - 1]) - (s[j - 1] - s[i0 - 1]) for j in (1, 2, 3)
+            k: (ns[k - 1] - ns[i0 - 1]) - (s[k - 1] - s[i0 - 1]) for k in (1, 2, 3)
         }
-        b_after[y] = sum(ratios[j] * z ** deltas[y][j] for j in (u, v))
+        b_after[y] = sum(ratios[k] * z ** deltas[y][k] for k in (u, v))
     expected = sum(probs[y] / (1 + b_after[y]) for y in (0, 1))
     return QueryOutcome(
-        query=q.index,
+        query=j,
         leader=i0,
         prior_ratios=ratios,
         b_before=sum(ratios.values()),
@@ -232,10 +198,9 @@ def one_step_values(s: MetricState, ch: ChannelParams, mode: str = "paper") -> t
     i0, u, v = _leader_and_others(s)
     out = []
     for j in (i0, u, v):
-        q = QuerySet.singleton(j)
-        dist = outcome_distribution(s, q, ch, mode=mode)
+        dist = outcome_distribution(s, j, ch, mode=mode)
         val = sum(
-            dist[y] * posteriors(apply_outcome(s, q, y), ch)[i0 - 1] for y in (0, 1)
+            dist[y] * posteriors(apply_outcome(s, j, y), ch)[i0 - 1] for y in (0, 1)
         )
         out.append(val)
     return tuple(out)  # type: ignore[return-value]

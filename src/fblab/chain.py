@@ -18,7 +18,7 @@ from math import comb
 import numpy as np
 
 from . import bounds, exact_dp
-from .belief import MetricState, QuerySet, apply_outcome
+from .belief import MetricState, apply_outcome
 from .channel import ChannelParams, Number
 from .cubicfield import CubicExt
 from .strategy import MAX_POSTERIOR, select_query
@@ -68,30 +68,21 @@ class TransitionTable:
         return sorted(self.entries, key=lambda s: (depth(s), s))
 
 
-def _raw_transitions(s: ChainState, ch: ChannelParams) -> list[tuple[ChainState, Fraction, str]]:
-    out: dict[ChainState, list[tuple[Fraction, str]]] = {}
-    for j, w in select_query(MAX_POSTERIOR, s, ch).items():
-        q_obj = QuerySet.singleton(j)
+def _raw_transitions(s: ChainState, ch: ChannelParams) -> list[tuple[ChainState, Number, str]]:
+    """One (target, probability, label) row per move (query j, answer y) out of ``s``.
+
+    A move adds e_j or 1 - e_j to the votes, and no two of these differ by a
+    constant vector, so no two moves reach the same normalised target.
+    """
+    rows = []
+    for j, w in select_query(MAX_POSTERIOR, s).items():
         for y in (0, 1):
             x = 0 if j == 1 else 1  # transmitter's bit when message 1 is true
-            sym = "q" if y == x else "p"
-            target = apply_outcome(s, q_obj, y)
-            out.setdefault(target, []).append((w, sym))
-    rows = []
-    for target, pieces in out.items():
-        label = " + ".join(
-            sym if w == 1 else f"{sym}/{w.denominator}" for w, sym in pieces
-        )
-        rows.append((target, pieces, label))
+            sym, factor = ("q", ch.q) if y == x else ("p", ch.p)
+            prob = w * factor if ch.exact else float(w) * factor
+            label = sym if w == 1 else f"{sym}/{w.denominator}"
+            rows.append((apply_outcome(s, j, y), prob, label))
     return sorted(rows, key=lambda r: r[0])
-
-
-def _numeric(pieces, ch: ChannelParams) -> Number:
-    total: Number = Fraction(0) if ch.exact else 0.0
-    for w, sym in pieces:
-        factor = ch.q if sym == "q" else ch.p
-        total = total + (w * factor if ch.exact else float(w) * factor)
-    return total
 
 
 def derive_transitions(ch: ChannelParams, depth_bound: int) -> TransitionTable:
@@ -106,11 +97,11 @@ def derive_transitions(ch: ChannelParams, depth_bound: int) -> TransitionTable:
         nxt = []
         for s in frontier:
             kept = []
-            for target, pieces, label in _raw_transitions(s, ch):
+            for target, prob, label in _raw_transitions(s, ch):
                 if depth(target) > depth_bound:
                     boundary.add(s)
                     continue
-                kept.append(Transition(target, _numeric(pieces, ch), label))
+                kept.append(Transition(target, prob, label))
                 if target not in seen:
                     seen.add(target)
                     nxt.append(target)

@@ -39,7 +39,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .belief import MetricState, QuerySet, apply_outcome, leaders
+from .belief import MetricState, apply_outcome, leaders
 from .channel import ChannelParams, Number
 from .strategy import StrategyRule, select_query, weight_denominator
 
@@ -245,12 +245,11 @@ def _forward_layers(ch: ChannelParams, rule: StrategyRule, trues: Sequence[int])
 
     def moves(s: MetricState) -> list[tuple[MetricState, Number, int]]:
         out = []
-        for j, w in select_query(rule, s, ch).items():
-            q_obj = QuerySet.singleton(j)
+        for j, w in select_query(rule, s).items():
             f1 = factor(w)
             for y in (0, 1):
                 agree = 1 << (j - 1) if y == 0 else 7 ^ (1 << (j - 1))
-                out.append((apply_outcome(s, q_obj, y), f1, agree))
+                out.append((apply_outcome(s, j, y), f1, agree))
         return out
 
     f2 = np.array([[fq if code >> (t - 1) & 1 else fp for t in trues] for code in range(8)], dtype)

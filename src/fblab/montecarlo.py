@@ -34,7 +34,7 @@ from .channel import (
     mix64,
     uniform_index,
 )
-from .strategy import MAX_POSTERIOR, StrategyRule, select_query, step
+from .strategy import MAX_POSTERIOR, StrategyRule, step
 
 _U = np.uint64
 _WILSON_Z99 = 2.5758293035489004  # two-sided 99% normal quantile
@@ -148,16 +148,13 @@ class _TableQueries:
     state the query is drawn as ``strategy.step`` draws it: a rank lookup
     ``sorted(choices)[h % k]`` when the weights are equal, otherwise the first
     choice whose cumulative weight acc satisfies h < acc * 2**64, i.e.
-    h <= ceil(acc * 2**64) - 1, computed exactly from the weights.  A missing
-    state, weights that do not sum to 1 or a query outside 1..3 raise
-    ValueError only when a trial visits the state.
+    h <= ceil(acc * 2**64) - 1, computed exactly from the weights.  Entries
+    were checked when the rule was built, and only states with entries up to
+    n can occur; a missing state raises ValueError when a trial visits it.
     """
 
     def __init__(self, table: dict, n: int):
-        entries = sorted(
-            ((state, w) for s, w in table.items() if (state := _table_state(s, n)) is not None),
-            key=lambda e: e[0],
-        )
+        entries = sorted((s, w) for s, w in table.items() if max(s) <= n)
         self.radix = 2 + max((max(s) for s, _ in entries), default=0)
         if self.radix**3 >= 1 << 63:
             raise ValueError("table strategy states are too large for the batch engine")
@@ -169,21 +166,13 @@ class _TableQueries:
         self.cut = np.zeros((size, 2), dtype=np.uint64)
         self.pick = np.zeros((size, 3), dtype=np.uint8)
         self.by_cut = np.zeros(size, dtype=bool)
-        self.faults: dict[int, str] = {}
-        for i, (state, weights) in enumerate(entries):
+        for i, (_, weights) in enumerate(entries):
             choices = sorted(weights)
-            if sum(weights.values()) != 1:
-                self.faults[i] = f"table weights for state {state} do not sum to 1"
-            elif not set(choices) <= {1, 2, 3}:
-                bad = next(c for c in choices if c not in (1, 2, 3))
-                self.faults[i] = f"message index must be 1..3, got {bad}"
-            elif all(weights[c] == weights[choices[0]] for c in choices):
+            if all(weights[c] == weights[choices[0]] for c in choices):
                 self.ranks[i] = [choices[r % len(choices)] - 1 for r in range(6)]
             else:
                 self.by_cut[i] = True
                 self.cut[i], self.pick[i] = _cuts(weights, choices)
-        self.faulty = np.zeros(size, dtype=bool)
-        self.faulty[list(self.faults)] = True
 
     def queries(self, d: np.ndarray, tie: np.ndarray) -> np.ndarray:
         m = d - np.minimum(np.minimum(d[0], d[1]), d[2])
@@ -194,9 +183,6 @@ class _TableQueries:
         if not found.all():
             state = tuple(m[:, np.argmin(found)].tolist())
             raise ValueError(f"table strategy has no entry for reachable state {state}")
-        faulty = self.faulty[pos]
-        if faulty.any():
-            raise ValueError(self.faults[int(pos[np.argmax(faulty)])])
         q = np.take(self.ranks.ravel(), pos * 6 + _mod6(tie).astype(np.intp))
         sel = np.flatnonzero(self.by_cut[pos])
         if len(sel):
@@ -206,19 +192,6 @@ class _TableQueries:
                 h <= cut[:, 0], pick[:, 0], np.where(h <= cut[:, 1], pick[:, 1], pick[:, 2])
             )
         return q
-
-
-def _table_state(s, n: int) -> tuple[int, int, int] | None:
-    """Table key ``s`` as the normalised state it matches, or None when no
-    n-step episode can look it up: only states with entries up to n occur,
-    and dict lookup equality lets a key like (1.0, 0, 0) match (1, 0, 0)."""
-    try:
-        ints = tuple(int(v) for v in s)
-    except (TypeError, ValueError):
-        return None
-    if len(ints) == 3 and ints == tuple(s) and min(ints) == 0 and max(ints) <= n:
-        return ints
-    return None
 
 
 def _cuts(weights: dict, choices: list[int]) -> tuple[list[int], list[int]]:
@@ -450,9 +423,8 @@ def simulate_trajectory(
     queries, ys, history = [], [], []
     zero_outputs = 0
     for t in range(n):
-        q, y, s = step(rule, s, ch, true, sd, t)
-        j = q.index
-        if (y ^ int(q.inverted)) == 1:
+        j, y, s = step(rule, s, ch, true, sd, t)
+        if y == 1:
             d[j - 1] += 1
         else:
             for i in range(3):

@@ -1,4 +1,4 @@
-"""Query strategies: metric state -> distribution over canonical queries."""
+"""Query strategies: metric state -> weights on the message indices 1..3."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
-from .belief import MetricState, QuerySet, apply_outcome, check_state, leaders
+from .belief import MetricState, apply_outcome, check_state, leaders
 from .channel import TAG_NOISE, TAG_TIE, ChannelParams, Seed, bernoulli_bit, counter_hash, uniform_index
 
 QueryWeights = dict[int, Fraction]
@@ -22,6 +22,12 @@ class StrategyRule:
     ``tie_policy``); ``fixed`` always queries one message; ``round-robin``
     cycles with the vote total (kept a state function on purpose);
     ``table`` looks the state up in an explicit map.
+
+    A rule is checked once, here.  Every table key must be a normalised
+    state of three ints, and every value nonnegative weights on messages
+    1..3 that sum to exactly 1.  A state missing from the table fails only
+    when a program reaches it, since which states occur depends on the
+    horizon.
     """
 
     kind: str = "max-posterior"
@@ -36,8 +42,11 @@ class StrategyRule:
             raise ValueError(f"unknown tie policy {self.tie_policy!r}")
         if self.kind == "fixed" and self.fixed_query not in (1, 2, 3):
             raise ValueError("fixed strategy needs fixed_query in 1..3")
-        if self.kind == "table" and self.table is None:
-            raise ValueError("table strategy needs a table")
+        if self.kind == "table":
+            if self.table is None:
+                raise ValueError("table strategy needs a table")
+            for s, weights in self.table.items():
+                _check_entry(s, weights)
 
     @property
     def equivariant(self) -> bool:
@@ -46,15 +55,27 @@ class StrategyRule:
         return self.kind == "max-posterior" and self.tie_policy == "uniform-random"
 
 
+def _check_entry(s: MetricState, weights: QueryWeights) -> None:
+    if not (type(s) is tuple and len(s) == 3 and all(type(v) is int for v in s)):
+        raise ValueError(f"table state {s!r} is not three integers")
+    check_state(s)
+    if not set(weights) <= {1, 2, 3}:
+        raise ValueError(
+            f"table entry for state {s} queries {sorted(weights)}: message index must be 1..3"
+        )
+    if sum(weights.values()) != 1 or min(weights.values()) < 0:
+        raise ValueError(f"table weights for state {s} must be nonnegative and sum to 1")
+
+
 MAX_POSTERIOR = StrategyRule()
 
 
-def select_query(rule: StrategyRule, s: MetricState, ch: ChannelParams) -> QueryWeights:
-    """Distribution over canonical singleton queries for one state.
+def select_query(rule: StrategyRule, s: MetricState) -> QueryWeights:
+    """Weights on the message indices to query at state ``s``.
 
     The max-posterior rule depends only on the fewest-votes set, never on
-    posterior magnitudes (at p = 1/2 all posteriors tie, but the vote
-    ordering still defines the rule).
+    posterior magnitudes or the channel (at p = 1/2 all posteriors tie, but
+    the vote ordering still defines the rule).
     """
     check_state(s)
     if rule.kind == "max-posterior":
@@ -69,12 +90,9 @@ def select_query(rule: StrategyRule, s: MetricState, ch: ChannelParams) -> Query
         return {(sum(s) % 3) + 1: Fraction(1)}
     assert rule.table is not None
     try:
-        weights = rule.table[s]
+        return rule.table[s]
     except KeyError:
         raise ValueError(f"table strategy has no entry for reachable state {s}") from None
-    if sum(weights.values()) != 1:
-        raise ValueError(f"table weights for state {s} do not sum to 1")
-    return weights
 
 
 def weight_denominator(rule: StrategyRule) -> int:
@@ -94,10 +112,11 @@ def step(
     true: int,
     seed: Seed,
     t: int,
-) -> tuple[QuerySet, int, MetricState]:
-    """One simulated channel use; fully reproducible from (seed, trial, t)."""
+) -> tuple[int, int, MetricState]:
+    """One simulated channel use, as (query j, output y, next state); fully
+    reproducible from (seed, trial, t)."""
     ch.require_float("step")
-    weights = select_query(rule, s, ch)
+    weights = select_query(rule, s)
     choices = sorted(weights)
     if len(choices) == 1:
         j = choices[0]
@@ -114,19 +133,19 @@ def step(
                 if u < acc:
                     j = c
                     break
-    q = QuerySet.singleton(j)
     flip = bernoulli_bit(counter_hash(seed.value, seed.trial, TAG_NOISE, t), ch.p)
-    x = 0 if true in q.members else 1
+    x = 0 if true == j else 1
     y = x ^ flip
-    return q, y, apply_outcome(s, q, y)
+    return j, y, apply_outcome(s, j, y)
 
 
 def load_table(path: str | Path) -> StrategyRule:
     """Read a table rule from JSON: a list of {state: [i,j,l], query: k} or
     {state: ..., distribution: {"k": [num, den], ...}} entries.
 
-    A file that cannot be read or parsed, or a malformed entry, raises
-    ValueError naming the path.
+    A file that cannot be read or parsed, a malformed entry, a state listed
+    twice, or a table ``StrategyRule`` rejects raises ValueError naming the
+    path.
     """
     try:
         entries = json.loads(Path(path).read_text())
@@ -138,6 +157,8 @@ def load_table(path: str | Path) -> StrategyRule:
     for entry in entries:
         try:
             state = tuple(entry["state"])
+            if state in table:
+                raise ValueError(f"state {state} is listed twice")
             if "query" in entry:
                 table[state] = {int(entry["query"]): Fraction(1)}
             else:
@@ -148,4 +169,7 @@ def load_table(path: str | Path) -> StrategyRule:
             raise ValueError(
                 f"malformed entry {entry!r} in table strategy {path}: {exc!r}"
             ) from None
-    return StrategyRule(kind="table", table=table)
+    try:
+        return StrategyRule(kind="table", table=table)
+    except ValueError as exc:
+        raise ValueError(f"invalid table strategy {path}: {exc}") from None

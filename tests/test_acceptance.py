@@ -9,7 +9,7 @@ import random
 from fractions import Fraction
 
 from fblab import serialize
-from fblab.belief import QuerySet, apply_outcome, leaders, normalize, one_step_gap, one_step_values, outcome_distribution, posteriors
+from fblab.belief import apply_outcome, leaders, normalize, one_step_gap, one_step_values, outcome_distribution, posteriors
 from fblab.bounds import (
     error_exponents,
     error_lower_bound_exact,
@@ -148,11 +148,10 @@ def test_bayes_posterior_martingale_exact():
         for s in states:
             pis = posteriors(s, ch)
             for j in (1, 2, 3):
-                q = QuerySet.singleton(j)
-                dist = outcome_distribution(s, q, ch, "bayes")
+                dist = outcome_distribution(s, j, ch, "bayes")
                 for i in range(3):
                     lhs = sum(
-                        dist[y] * posteriors(apply_outcome(s, q, y), ch)[i] for y in (0, 1)
+                        dist[y] * posteriors(apply_outcome(s, j, y), ch)[i] for y in (0, 1)
                     )
                     if lhs != pis[i]:
                         failures += 1

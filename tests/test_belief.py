@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from fblab.belief import (
-    QuerySet,
     apply_outcome,
     decode_error,
     leaders,
@@ -67,23 +66,20 @@ class TestDecodeError:
 
 class TestQueryUpdates:
     def test_vote_rule(self):
-        q1 = QuerySet.singleton(1)
-        assert apply_outcome((0, 0, 0), q1, 0) == (0, 1, 1)
-        assert apply_outcome((0, 0, 0), q1, 1) == (1, 0, 0)
-        assert apply_outcome((0, 1, 1), q1, 1) == (0, 0, 0)  # (1,1,1) renormalized
+        assert apply_outcome((0, 0, 0), 1, 0) == (0, 1, 1)
+        assert apply_outcome((0, 0, 0), 1, 1) == (1, 0, 0)
+        assert apply_outcome((0, 1, 1), 1, 1) == (0, 0, 0)  # (1,1,1) renormalized
 
-    def test_two_element_query_canonicalizes(self):
-        q = QuerySet.from_members({2, 3})
-        assert q.index == 1 and q.inverted
-        assert q.members == frozenset({2, 3})
-        for s in random_states(20, 6, seed=5):
-            for y in (0, 1):
-                assert apply_outcome(s, q, y) == apply_outcome(s, QuerySet.singleton(1), 1 - y)
-
-    def test_bad_query_sets(self):
-        for bad in [set(), {1, 2, 3}, {0}, {4}]:
-            with pytest.raises(ValueError):
-                QuerySet.from_members(bad)
+    @pytest.mark.parametrize("j", [0, 4])
+    def test_bad_message_index(self, j):
+        # at j = 0 an unchecked outcome_distribution would read pi[-1]
+        with pytest.raises(ValueError, match="message index must be 1..3"):
+            apply_outcome((0, 1, 1), j, 0)
+        for mode in ("bayes", "conditional", "paper"):
+            with pytest.raises(ValueError, match="message index must be 1..3"):
+                outcome_distribution((0, 1, 1), j, CH10, mode, true=1)
+        with pytest.raises(ValueError, match="message index must be 1..3"):
+            query_outcome((0, 1, 1), j, CH10)
 
     def test_vote_conservation(self):
         # one channel use adds 1 vote (y=1) or 2 votes (y=0) before renormalizing
@@ -98,39 +94,38 @@ class TestQueryUpdates:
                             if i != j - 1:
                                 votes[i] += 1
                     assert sum(votes) == sum(s) + (1 if y == 1 else 2)
-                    assert apply_outcome(s, QuerySet.singleton(j), y) == normalize(tuple(votes))
+                    assert apply_outcome(s, j, y) == normalize(tuple(votes))
 
 
 class TestOutcomeDistribution:
     def test_bayes_leader_query(self):
-        dist = outcome_distribution((0, 1, 1), QuerySet.singleton(1), CH10, "bayes")
+        dist = outcome_distribution((0, 1, 1), 1, CH10, "bayes")
         assert dist[0] == Fraction(83, 110)
 
     def test_conditional(self):
-        dist = outcome_distribution((0, 0, 0), QuerySet.singleton(1), CH10, "conditional", true=2)
+        dist = outcome_distribution((0, 0, 0), 1, CH10, "conditional", true=2)
         assert dist[1] == Fraction(9, 10)
 
     def test_paper_off_leader_uses_leader_posterior(self):
         # querying message 2: the outcome that votes against it carries p + (q-p)pi_1
-        dist = outcome_distribution((0, 1, 1), QuerySet.singleton(2), CH10, "paper")
+        dist = outcome_distribution((0, 1, 1), 2, CH10, "paper")
         assert dist[1] == Fraction(83, 110)
 
     def test_paper_equals_bayes_on_leader(self):
         for s in [(0, 1, 1), (0, 2, 3), (1, 0, 4)]:
             lead = leaders(s)[0]
-            q = QuerySet.singleton(lead)
-            assert outcome_distribution(s, q, CH10, "paper") == outcome_distribution(s, q, CH10, "bayes")
+            assert outcome_distribution(s, lead, CH10, "paper") == outcome_distribution(s, lead, CH10, "bayes")
 
     def test_distributions_sum_to_one(self):
         for s in random_states(25, 10, seed=7):
             for j in (1, 2, 3):
                 for mode, kw in (("bayes", {}), ("conditional", {"true": 2})):
-                    dist = outcome_distribution(s, QuerySet.singleton(j), CH10, mode, **kw)
+                    dist = outcome_distribution(s, j, CH10, mode, **kw)
                     assert dist[0] + dist[1] == 1
 
     def test_paper_mode_rejects_tied_leader(self):
         with pytest.raises(ValueError, match="tie"):
-            outcome_distribution((0, 0, 1), QuerySet.singleton(1), CH10, "paper")
+            outcome_distribution((0, 0, 1), 1, CH10, "paper")
 
 
 class TestOneStepValues:
@@ -194,7 +189,7 @@ class TestOneStepGap:
 
 class TestQueryOutcome:
     def test_breakdown_at_single_gap_state(self):
-        out = query_outcome((0, 1, 1), QuerySet.singleton(2), CH10, "paper")
+        out = query_outcome((0, 1, 1), 2, CH10, "paper")
         assert out.leader == 1 and out.query == 2
         assert out.prior_ratios == {2: Fraction(1, 9), 3: Fraction(1, 9)}
         assert out.b_before == Fraction(2, 9)
@@ -211,7 +206,7 @@ class TestQueryOutcome:
                 continue
             i0 = leaders(s)[0]
             for j in (1, 2, 3):
-                out = query_outcome(s, QuerySet.singleton(j), CH10, "bayes")
+                out = query_outcome(s, j, CH10, "bayes")
                 for y in (0, 1):
                     others = [k for k in (1, 2, 3) if k != i0]
                     direct = sum(
@@ -222,11 +217,11 @@ class TestQueryOutcome:
 
     def test_expected_value_matches_one_step_values(self):
         vals = one_step_values((0, 1, 2), CH10, "paper")
-        outs = [query_outcome((0, 1, 2), QuerySet.singleton(j), CH10, "paper") for j in (1, 2, 3)]
+        outs = [query_outcome((0, 1, 2), j, CH10, "paper") for j in (1, 2, 3)]
         assert tuple(o.expected_leader_posterior for o in outs) == vals
 
     def test_probabilities_sum_to_one(self):
-        out = query_outcome((0, 2, 3), QuerySet.singleton(3), CH10, "paper")
+        out = query_outcome((0, 2, 3), 3, CH10, "paper")
         assert out.probs[0] + out.probs[1] == 1
 
 
@@ -237,17 +232,15 @@ class TestMartingale:
             for s in random_states(40, 15, seed=11):
                 pis = posteriors(s, ch)
                 for j in (1, 2, 3):
-                    q = QuerySet.singleton(j)
-                    dist = outcome_distribution(s, q, ch, "bayes")
+                    dist = outcome_distribution(s, j, ch, "bayes")
                     for i in range(3):
                         total = sum(
-                            dist[y] * posteriors(apply_outcome(s, q, y), ch)[i] for y in (0, 1)
+                            dist[y] * posteriors(apply_outcome(s, j, y), ch)[i] for y in (0, 1)
                         )
                         assert total == pis[i]
 
     def test_printed_law_is_not_a_martingale_off_leader(self):
         s = (0, 1, 1)
-        q = QuerySet.singleton(2)
-        dist = outcome_distribution(s, q, CH10, "paper")
-        total = sum(dist[y] * posteriors(apply_outcome(s, q, y), CH10)[0] for y in (0, 1))
+        dist = outcome_distribution(s, 2, CH10, "paper")
+        total = sum(dist[y] * posteriors(apply_outcome(s, 2, y), CH10)[0] for y in (0, 1))
         assert total != posteriors(s, CH10)[0]

@@ -69,6 +69,7 @@ def test_rows_are_stochastic_and_octopus_shaped():
     for s, rows in table.entries.items():
         hi, mid, _ = sorted(s, reverse=True)
         assert hi <= mid + 1  # nine tentacles, nothing else
+        assert len({tr.target for tr in rows}) == len(rows)  # no two moves meet
         if s not in table.boundary:
             assert sum(tr.prob for tr in rows) == 1
 

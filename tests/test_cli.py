@@ -412,6 +412,44 @@ def test_simulate_table_fault_is_invalid_input(tmp_path, capsys, entry):
     assert json.loads(err)["error"] == "invalid-input"
 
 
+def _bad_tables():
+    """Tables over the states with entries up to 4, each with one fault."""
+    states = [s for s in itertools.product(range(5), repeat=3) if min(s) == 0]
+    base = [{"state": list(s), "query": leaders(s)[0]} for s in states]
+    return {
+        "weights-2-and-minus-1": [
+            {"state": list(s), "distribution": {str(leaders(s)[0]): [2, 1],
+                                                str(leaders(s)[0] % 3 + 1): [-1, 1]}}
+            for s in states
+        ],
+        "query-4": [{"state": [0, 0, 0], "query": 4}] + base[1:],
+        "state-listed-twice": base + [{"state": [1.0, 0, 0], "query": 2}],
+        "unvisited-unnormalised-state": base + [{"state": [1, 1, 1], "query": 1}],
+    }
+
+
+@pytest.mark.parametrize("fault", sorted(_bad_tables()))
+def test_bad_table_is_rejected_by_every_command(tmp_path, capsys, fault):
+    # every fault but a missing state is found when the table is loaded, so
+    # the detail does not depend on the command, the arithmetic or the horizon
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(_bad_tables()[fault]))
+    strategy = ("--n", "4", "--strategy", f"table:{path}")
+    details = set()
+    for argv in (
+        ("exact", "--p", "1/10", *strategy),
+        ("exact", "--p", "0.1", "--mode", "float", *strategy),
+        ("simulate", "--p", "0.1", "--trials", "1000", *strategy),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "", argv
+        diag = json.loads(err)
+        assert diag["error"] == "invalid-input"
+        assert str(path) in diag["detail"]
+        details.add(diag["detail"])
+    assert len(details) == 1, details
+
+
 def test_simulate_worker_count_is_not_a_shard_count(capsys):
     code, out, _ = run_cli(
         capsys, "simulate", "--p", "0.1", "--n", "4", "--trials", "10", "--workers", "100000000"

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fblab.belief import QuerySet, apply_outcome, leaders, normalize, posteriors
+from fblab.belief import apply_outcome, leaders, normalize, posteriors
 from fblab.chain import derive_transitions, reach_prob
 from fblab.channel import make_channel
 from fblab.exact_dp import (
@@ -70,7 +70,7 @@ def _reference_bellman(n, ch):
     p, q = ch.p, ch.q
 
     def succ(s, j, y):
-        return tuple(sorted(apply_outcome(s, QuerySet.singleton(j), y)))
+        return tuple(sorted(apply_outcome(s, j, y)))
 
     values = {(0, s): max(posteriors(s, ch)) for s in sorted_lattice(n)}
     argmax = {}
@@ -95,10 +95,10 @@ def _reference_forward(n, ch, rule, true):
     for _ in range(n):
         nxt = {}
         for s, pr in layers[-1].items():
-            for j, w in select_query(rule, s, ch).items():
+            for j, w in select_query(rule, s).items():
                 x = 0 if true == j else 1
                 for y in (0, 1):
-                    t = apply_outcome(s, QuerySet.singleton(j), y)
+                    t = apply_outcome(s, j, y)
                     nxt[t] = nxt.get(t, 0) + pr * w * (ch.q if y == x else ch.p)
         layers.append(nxt)
     return layers
@@ -213,10 +213,10 @@ def _reference_log_forward(n, ch, rule, true):
     for _ in range(n):
         nxt = {}
         for s, pr in layers[-1].items():
-            for j, w in select_query(rule, s, ch).items():
+            for j, w in select_query(rule, s).items():
                 x = 0 if true == j else 1
                 for y in (0, 1):
-                    t = apply_outcome(s, QuerySet.singleton(j), y)
+                    t = apply_outcome(s, j, y)
                     f2 = factor(ch.q if y == x else ch.p)
                     nxt[t] = logaddexp(nxt.get(t, -math.inf), pr + factor(w) + f2)
         layers.append(nxt)

@@ -196,7 +196,8 @@ def test_table_rule_runs_on_batch_engine():
 
 
 class TestTableFaults:
-    """A table fault raises only when a trial visits the faulty state.
+    """A missing state raises only when a trial visits it; any other table
+    fault is rejected when the rule is built, visited or not.
 
     Always querying message 1 adds a vote to message 1 or one to each of
     messages 2 and 3, so only states (a, 0, 0) and (0, b, b) occur.
@@ -208,26 +209,18 @@ class TestTableFaults:
         table.update({(0, b, b): {1: Fraction(1)} for b in range(1, n + 1)})
         return table
 
-    def test_unvisited_faults_are_ignored(self):
+    def test_unvisited_fault_is_rejected_when_built(self):
         table = self.query_one(6)
         table[(0, 1, 2)] = {1: Fraction(1, 2)}  # does not sum to 1, never visited
-        rule = StrategyRule(kind="table", table=table)
-        fixed = StrategyRule(kind="fixed", fixed_query=1)
-        assert run_trials(6, CHF, rule, 500, 8).errors == run_trials(6, CHF, fixed, 500, 8).errors
+        with pytest.raises(ValueError, match=re.escape("state (0, 1, 2) must be nonnegative")):
+            StrategyRule(kind="table", table=table)
 
     @pytest.mark.parametrize(
-        "fault, message",
-        [
-            ("missing", "no entry for reachable state (0, 0, 0)"),
-            ("sum", "weights for state (0, 0, 0) do not sum to 1"),
-        ],
+        "fault, message", [("missing", "no entry for reachable state (0, 0, 0)")]
     )
     def test_visited_fault_raises_like_scalar_path(self, fault, message):
         table = self.query_one(6)
-        if fault == "missing":
-            del table[(0, 0, 0)]
-        else:
-            table[(0, 0, 0)] = {1: Fraction(1, 2), 2: Fraction(1, 3)}
+        del table[(0, 0, 0)]
         rule = StrategyRule(kind="table", table=table)
         with pytest.raises(ValueError, match=re.escape(message)) as batch:
             run_trials(6, CHF, rule, 500, 8)

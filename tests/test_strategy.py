@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -13,41 +14,38 @@ CHF = make_channel("0.1", "float")
 
 
 def test_three_way_tie_splits_evenly():
-    assert select_query(MAX_POSTERIOR, (0, 0, 0), CH10) == {
+    assert select_query(MAX_POSTERIOR, (0, 0, 0)) == {
         1: Fraction(1, 3), 2: Fraction(1, 3), 3: Fraction(1, 3)
     }
 
 
 def test_two_way_tie_splits_evenly():
-    assert select_query(MAX_POSTERIOR, (1, 0, 0), CH10) == {2: Fraction(1, 2), 3: Fraction(1, 2)}
+    assert select_query(MAX_POSTERIOR, (1, 0, 0)) == {2: Fraction(1, 2), 3: Fraction(1, 2)}
 
 
 def test_unique_leader_is_deterministic():
-    assert select_query(MAX_POSTERIOR, (0, 1, 2), CH10) == {1: Fraction(1)}
+    assert select_query(MAX_POSTERIOR, (0, 1, 2)) == {1: Fraction(1)}
 
 
 def test_lowest_index_tie_policy():
     rule = StrategyRule(tie_policy="lowest-index")
-    assert select_query(rule, (0, 0, 0), CH10) == {1: Fraction(1)}
-    assert select_query(rule, (1, 0, 0), CH10) == {2: Fraction(1)}
+    assert select_query(rule, (0, 0, 0)) == {1: Fraction(1)}
+    assert select_query(rule, (1, 0, 0)) == {2: Fraction(1)}
 
 
 def test_depends_only_on_fewest_votes_set():
-    # magnitudes and channel quality are irrelevant, only the argmin pattern
-    for ch in (CH10, make_channel("2/5"), make_channel("1/2")):
-        assert select_query(MAX_POSTERIOR, (0, 5, 9), ch) == {1: Fraction(1)}
-        assert select_query(MAX_POSTERIOR, (3, 0, 3), ch) == {2: Fraction(1)}
-        assert select_query(MAX_POSTERIOR, (0, 0, 7), ch) == {
-            1: Fraction(1, 2), 2: Fraction(1, 2)
-        }
+    # magnitudes are irrelevant, only the argmin pattern
+    assert select_query(MAX_POSTERIOR, (0, 5, 9)) == {1: Fraction(1)}
+    assert select_query(MAX_POSTERIOR, (3, 0, 3)) == {2: Fraction(1)}
+    assert select_query(MAX_POSTERIOR, (0, 0, 7)) == {1: Fraction(1, 2), 2: Fraction(1, 2)}
 
 
 def test_fixed_and_round_robin_rules():
     fixed = StrategyRule(kind="fixed", fixed_query=2)
-    assert select_query(fixed, (0, 4, 4), CH10) == {2: Fraction(1)}
+    assert select_query(fixed, (0, 4, 4)) == {2: Fraction(1)}
     rr = StrategyRule(kind="round-robin")
     for s in [(0, 0, 0), (0, 1, 1), (0, 1, 2)]:
-        dist = select_query(rr, s, CH10)
+        dist = select_query(rr, s)
         assert dist == {(sum(s) % 3) + 1: Fraction(1)}
 
 
@@ -58,10 +56,28 @@ def test_table_rule_and_missing_state(tmp_path):
         {"state": [0, 1, 1], "distribution": {"1": [1, 2], "2": [1, 2]}},
     ]))
     rule = load_table(path)
-    assert select_query(rule, (0, 0, 0), CH10) == {1: Fraction(1)}
-    assert select_query(rule, (0, 1, 1), CH10) == {1: Fraction(1, 2), 2: Fraction(1, 2)}
+    assert select_query(rule, (0, 0, 0)) == {1: Fraction(1)}
+    assert select_query(rule, (0, 1, 1)) == {1: Fraction(1, 2), 2: Fraction(1, 2)}
     with pytest.raises(ValueError, match=r"\(1, 0, 0\)"):
-        select_query(rule, (1, 0, 0), CH10)
+        select_query(rule, (1, 0, 0))
+
+
+@pytest.mark.parametrize(
+    "state, weights, message",
+    [
+        ((True, 0, 0), {1: Fraction(1)}, "not three integers"),
+        ((1.0, 0, 0), {1: Fraction(1)}, "not three integers"),
+        ((0, 0), {1: Fraction(1)}, "not three integers"),
+        ((1, 1, 1), {1: Fraction(1)}, "not a normalized metric state"),
+        ((0, 0, 0), {4: Fraction(1)}, "message index must be 1..3"),
+        ((0, 0, 0), {1: Fraction(2), 2: Fraction(-1)}, "nonnegative and sum to 1"),
+        ((0, 0, 0), {1: Fraction(1, 2)}, "nonnegative and sum to 1"),
+    ],
+)
+def test_table_rule_is_checked_when_built(state, weights, message):
+    table = {(0, 1, 1): {1: Fraction(1)}, state: weights}
+    with pytest.raises(ValueError, match=re.escape(message)):
+        StrategyRule(kind="table", table=table)
 
 
 def test_equivariance_flag():
