@@ -3,18 +3,19 @@
 A metric state is the triple of negative-vote counts above the running
 minimum; it is a sufficient statistic for the decoder.  A query is a
 message index j in {1, 2, 3}, the question "is the true message theta_j?".
-Posteriors follow pi_i proportional to z**m_i with z = p/q.  Three
+Posteriors follow pi_i proportional to z**m_i with z = p/q.  Two
 outcome-probability modes coexist:
 
-* ``bayes``       -- mix over the queried message's own posterior; this is
-                     the coherent transition law (fixed-message posteriors
-                     are martingales under it).
-* ``conditional`` -- condition on a known true message (used by the exact
-                     forward dynamic program and the simulator).
-* ``paper``       -- the printed one-step law that always mixes over the
-                     *leading* message's posterior, whichever message is
-                     queried.  It differs from bayes for queries off the
-                     leader; both are kept first-class on purpose.
+* ``bayes`` -- mix over the queried message's own posterior; this is the
+               coherent transition law (fixed-message posteriors are
+               martingales under it).
+* ``paper`` -- the printed one-step law that always mixes over the
+               *leading* message's posterior, whichever message is
+               queried.  It differs from bayes for queries off the
+               leader; both are kept first-class on purpose.
+
+Given the true message instead, the forward dynamic program and the
+simulator encode agreement with it themselves.
 """
 
 from __future__ import annotations
@@ -88,13 +89,11 @@ def outcome_distribution(
     j: int,
     ch: ChannelParams,
     mode: str = "bayes",
-    true: int | None = None,
 ) -> dict[int, Number]:
     """Distribution of the channel output y for query j.
 
     bayes:        P(y=1) = pi_j p + (1 - pi_j) q with pi_j the queried
                   message's posterior.
-    conditional:  requires ``true``; P(y=0) = q iff the true message is j.
     paper:        requires a unique leader; the outcome favorable to the
                   leader has probability p + (q - p) * pi_leader.
     """
@@ -104,11 +103,6 @@ def outcome_distribution(
     if mode == "bayes":
         pi_j = posteriors(s, ch)[j - 1]
         p1 = pi_j * p + (1 - pi_j) * qq
-        dist = {0: 1 - p1, 1: p1}
-    elif mode == "conditional":
-        if true not in (1, 2, 3):
-            raise ValueError("conditional mode needs the true message index")
-        p1 = p if true == j else qq
         dist = {0: 1 - p1, 1: p1}
     elif mode == "paper":
         lead = leaders(s)

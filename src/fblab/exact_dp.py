@@ -39,7 +39,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .belief import MetricState, apply_outcome, leaders
+from .belief import MetricState, apply_outcome
 from .channel import ChannelParams, Number
 from .strategy import StrategyRule, select_query, weight_denominator
 
@@ -361,16 +361,6 @@ def _successor_tables(kmax: int) -> tuple[np.ndarray, np.ndarray]:
     return succ, shift
 
 
-def reachable_layers(n: int) -> list[set[MetricState]]:
-    """Sorted states reachable from (0,0,0) in exactly k steps, k = 0..n."""
-    succ, _ = _successor_tables(n - 1)
-    lattice = sorted_lattice(n)
-    layers = [np.zeros(1, dtype=np.intp)]
-    for _ in range(n):
-        layers.append(np.unique(succ[:, :, layers[-1]]))
-    return [{lattice[i] for i in layer} for layer in layers]
-
-
 FLOAT_TIE_TOL = 1e-12
 
 
@@ -546,68 +536,67 @@ def optimal_query_report(n: int, ch: ChannelParams, detail: bool = False) -> dic
     For every reachable (remaining time t, state): the verdict is "member"
     when the argmax query set meets the fewest-votes set; the deficit is
     the value lost by the best fewest-votes query.  Strict multi-step
-    dominance is counted but not asserted.  Membership and strictness
-    compare the kernel's per-query error masses (integers for an exact
-    channel); a deficit is converted to a probability only when nonzero.
-    ``detail`` adds one verdict row per (t, state).
+    dominance is counted but not asserted.  Each layer is a lattice index
+    array, reached from (0,0,0) through the table's successors and ordered
+    by (a, b); reachability, membership, strictness and deficits are array
+    operations over it on the kernel's per-query error masses (integers
+    for an exact channel).  A deficit is converted to a probability only
+    when nonzero.  ``detail`` adds one verdict row per (t, state).
     """
     pe_star, table = bellman_optimum(n, ch)
     log_of(pe_star)  # raises if a float P_e* underflowed: never report it as 0
     zero: Number = Fraction(0) if ch.exact else 0.0
-    layers = reachable_layers(n)
+    layers = [np.zeros(1, dtype=np.intp)]  # layer k: states after k uses
+    for _ in range(n - 1):
+        layers.append(np.unique(table.successors[:, :, layers[-1]]))
+    coord_a, coord_b = _lattice_coords(n)
     per_horizon = []
     per_state = []
-    all_member = True
-    overall_deficit = zero
-    strict = tied = 0
+    strict = 0
     for t in range(1, n + 1):
-        states = sorted(layers[n - t])
-        masses = table.query_masses(t).T.tolist()
-        ties = table.ties[t].T.tolist()
-        max_deficit = zero
-        worst_state = None
-        members = 0
-        for s in states:
-            i = _lattice_index(s)
-            vals, opt = masses[i], ties[i]
-            best = min(vals)
-            lead = leaders(s)
-            lead_best = min(vals[j - 1] for j in lead)
-            deficit = table.probability(t, i, lead_best - best) if lead_best != best else zero
-            member = any(opt[j - 1] for j in lead)
-            members += member
-            if not member:
-                all_member = False
-            if deficit > max_deficit:
-                max_deficit = deficit
-                worst_state = s
-            others = [vals[j - 1] for j in (1, 2, 3) if j not in lead]
-            if member and others and all(v > best for v in others):
-                strict += 1
-            else:
-                tied += 1
-            if detail:
-                per_state.append(
-                    {
-                        "t": t,
-                        "state": s,
-                        "verdict": "member" if member else "outside",
-                        "deficit": deficit,
-                        "argmax": [j for j in (1, 2, 3) if opt[j - 1]],
-                        "fewest_votes": list(lead),
-                    }
-                )
-        if max_deficit > overall_deficit:
-            overall_deficit = max_deficit
+        idx = layers[n - t]
+        idx = idx[np.lexsort((coord_b[idx], coord_a[idx]))]
+        a, b = coord_a[idx], coord_b[idx]
+        vals, opt = table.query_masses(t)[:, idx], table.ties[t][:, idx]
+        best = table.masses[t][idx]
+        # normalised states (0, a, b): message 1 always has fewest votes
+        lead = np.stack([np.ones_like(a, dtype=bool), a == 0, b == 0])
+        loss = np.where(lead, vals, vals[0]).min(axis=0) - best
+        member = (opt & lead).any(axis=0)
+        others_lose = (lead | (vals > best)).all(axis=0)  # every other query is worse
+        strict += int((member & ~lead.all(axis=0) & others_lose).sum())
+        hit = np.flatnonzero(loss != 0).tolist()
+        lost = [table.probability(t, idx[k], loss[k]) for k in hit]
+        max_deficit, worst_state = max(lost, default=zero), None
+        if max_deficit > zero:  # the first state with the largest deficit
+            k = hit[lost.index(max_deficit)]
+            worst_state = (0, int(a[k]), int(b[k]))
         per_horizon.append(
             {
                 "t": t,
-                "states": len(states),
-                "members": members,
+                "states": idx.size,
+                "members": int(member.sum()),
                 "max_deficit": max_deficit,
                 "worst_state": worst_state,
             }
         )
+        if detail:
+            deficits = [zero] * idx.size
+            for k, d in zip(hit, lost):
+                deficits[k] = d
+            rows = zip(a.tolist(), b.tolist(), member.tolist(), deficits,
+                       opt.T.tolist(), lead.T.tolist())
+            per_state.extend(
+                {
+                    "t": t,
+                    "state": (0, sa, sb),
+                    "verdict": "member" if m else "outside",
+                    "deficit": d,
+                    "argmax": [j for j, o in zip((1, 2, 3), row) if o],
+                    "fewest_votes": [j for j, o in zip((1, 2, 3), fewest) if o],
+                }
+                for sa, sb, m, d, row, fewest in rows
+            )
     report: dict = {
         "horizon": n,
         "p": ch.p,
@@ -615,10 +604,10 @@ def optimal_query_report(n: int, ch: ChannelParams, detail: bool = False) -> dic
         "optimal_error": pe_star,
         "per_horizon": per_horizon,
         "overall": {
-            "all_member": all_member,
-            "max_deficit": overall_deficit,
+            "all_member": all(row["members"] == row["states"] for row in per_horizon),
+            "max_deficit": max((row["max_deficit"] for row in per_horizon), default=zero),
             "strict_states": strict,
-            "non_strict_states": tied,
+            "non_strict_states": sum(row["states"] for row in per_horizon) - strict,
         },
     }
     if detail:

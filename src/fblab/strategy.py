@@ -139,13 +139,21 @@ def step(
     return j, y, apply_outcome(s, j, y)
 
 
+def _json_int(v: object, what: str) -> int:
+    """``v`` if it is a JSON integer: neither a bool nor a float."""
+    if type(v) is not int:
+        raise ValueError(f"{what} {v!r} is not an integer")
+    return v
+
+
 def load_table(path: str | Path) -> StrategyRule:
     """Read a table rule from JSON: a list of {state: [i,j,l], query: k} or
     {state: ..., distribution: {"k": [num, den], ...}} entries.
 
-    A file that cannot be read or parsed, a malformed entry, a state listed
-    twice, or a table ``StrategyRule`` rejects raises ValueError naming the
-    path.
+    A query, numerator or denominator must be a JSON integer (not a bool or
+    a float) and a distribution key exactly "1", "2" or "3".  A file that
+    cannot be read or parsed, a malformed entry, a state listed twice, or a
+    table ``StrategyRule`` rejects raises ValueError naming the path.
     """
     try:
         entries = json.loads(Path(path).read_text())
@@ -160,12 +168,16 @@ def load_table(path: str | Path) -> StrategyRule:
             if state in table:
                 raise ValueError(f"state {state} is listed twice")
             if "query" in entry:
-                table[state] = {int(entry["query"]): Fraction(1)}
+                table[state] = {_json_int(entry["query"], "query"): Fraction(1)}
             else:
-                table[state] = {
-                    int(k): Fraction(v[0], v[1]) for k, v in entry["distribution"].items()
-                }
-        except (LookupError, TypeError, ValueError, ZeroDivisionError) as exc:
+                table[state] = {}
+                for k, (num, den) in entry["distribution"].items():
+                    if k not in ("1", "2", "3"):
+                        raise ValueError(f'distribution key {k!r} is not "1", "2" or "3"')
+                    table[state][int(k)] = Fraction(
+                        _json_int(num, "numerator"), _json_int(den, "denominator")
+                    )
+        except (AttributeError, LookupError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise ValueError(
                 f"malformed entry {entry!r} in table strategy {path}: {exc!r}"
             ) from None

@@ -75,9 +75,9 @@ class TestQueryUpdates:
         # at j = 0 an unchecked outcome_distribution would read pi[-1]
         with pytest.raises(ValueError, match="message index must be 1..3"):
             apply_outcome((0, 1, 1), j, 0)
-        for mode in ("bayes", "conditional", "paper"):
+        for mode in ("bayes", "paper"):
             with pytest.raises(ValueError, match="message index must be 1..3"):
-                outcome_distribution((0, 1, 1), j, CH10, mode, true=1)
+                outcome_distribution((0, 1, 1), j, CH10, mode)
         with pytest.raises(ValueError, match="message index must be 1..3"):
             query_outcome((0, 1, 1), j, CH10)
 
@@ -102,10 +102,6 @@ class TestOutcomeDistribution:
         dist = outcome_distribution((0, 1, 1), 1, CH10, "bayes")
         assert dist[0] == Fraction(83, 110)
 
-    def test_conditional(self):
-        dist = outcome_distribution((0, 0, 0), 1, CH10, "conditional", true=2)
-        assert dist[1] == Fraction(9, 10)
-
     def test_paper_off_leader_uses_leader_posterior(self):
         # querying message 2: the outcome that votes against it carries p + (q-p)pi_1
         dist = outcome_distribution((0, 1, 1), 2, CH10, "paper")
@@ -119,9 +115,8 @@ class TestOutcomeDistribution:
     def test_distributions_sum_to_one(self):
         for s in random_states(25, 10, seed=7):
             for j in (1, 2, 3):
-                for mode, kw in (("bayes", {}), ("conditional", {"true": 2})):
-                    dist = outcome_distribution(s, j, CH10, mode, **kw)
-                    assert dist[0] + dist[1] == 1
+                dist = outcome_distribution(s, j, CH10, "bayes")
+                assert dist[0] + dist[1] == 1
 
     def test_paper_mode_rejects_tied_leader(self):
         with pytest.raises(ValueError, match="tie"):

@@ -144,7 +144,10 @@ def test_forward_programs_respect_state_cap(capsys, monkeypatch, argv):
 
 
 # stdout digests of float jobs: a change in the order of any float operation of the
-# forward programs, the chain or the simplex block-sum shows here
+# forward programs, the chain or the simplex block-sum shows here, and so does one in
+# verify-theorem2's float deficits (76 states of the n = 12 job have a nonzero one) or
+# in its choice of the first state with the largest deficit (the n = 36 job has layers
+# where several states share it)
 FLOAT_OUTPUT_SHA256 = {
     "sweep --p 0.2 --n-max 30 --strategy round-robin --mode float":
         "9db80ec324dbf0d0485a00a75c63586cc100dd07e232b5fb753cc9eb64b6ab4c",
@@ -156,6 +159,10 @@ FLOAT_OUTPUT_SHA256 = {
         "4d976352c70715ca08f62c440a1559b5a37db521abdb4132ec495a92a0a8d1d0",
     "simplex --p 0.1 --n 60 --mode float":
         "c4d1c04a6dda17423dbfa59adce5793f81d7ffe48ce47703b29d4ff76c21f71e",
+    "verify-theorem2 --p 0.1 --n 12 --mode float --detail":
+        "d5097c7bff3a3a8480a8aee7204e599837a96f83a2103f5b0ec4d32ecabac51c",
+    "verify-theorem2 --p 0.2 --n 36 --mode float":
+        "abbb9ec865e563af627d4c39cf632a44d82256704a2646931a72377e7fd4dfba",
 }
 
 
@@ -182,8 +189,10 @@ def _two_sevenths(lead):
 
 
 # stdout digests of rational jobs that the benchmark goldens do not cover, recorded
-# before the forward pass moved to integer numerators; the table jobs read their
-# tables from the working directory so that the echoed configuration holds no path
+# before the forward pass moved to integer numerators (the verify-theorem2 jobs before
+# its report moved to lattice index arrays: at p = 1/2 every query ties); the table
+# jobs read their tables from the working directory so that the echoed configuration
+# holds no path
 RATIONAL_OUTPUT_SHA256 = {
     "exact --p 1/10 --n 240":
         "9afcb37c9b0be69236a2fd5c58b3d684fd88590535284f38e3fb3e678733bc3b",
@@ -195,6 +204,10 @@ RATIONAL_OUTPUT_SHA256 = {
         "ff116c6e6e877cfaba5f3a666f023afce81e0d6f40994e97dd4ee3bb82e82e76",
     "paths --p 1/3 --n 30 --series loops --variant closed-form":
         "a96961def8711dcab094e623afae2e8a55faa079e231174c25f2b473267903e4",
+    "verify-theorem2 --p 1/2 --n 6 --detail":
+        "6f4cdafbd26b557a3324f322dc7ee718a569d7941fe4534b70435afa0593e687",
+    "verify-theorem2 --p 3/10 --n 24":
+        "511eaece2e9988d08989b06f119de1e039be5d04ff926b7b5348bc09b5aecf08",
 }
 
 
@@ -423,6 +436,16 @@ def _bad_tables():
             for s in states
         ],
         "query-4": [{"state": [0, 0, 0], "query": 4}] + base[1:],
+        "query-float": [{"state": [0, 0, 0], "query": 1.7}] + base[1:],
+        "query-bool": [{"state": [0, 0, 0], "query": True}] + base[1:],
+        "distribution-key-01": [
+            {"state": [0, 0, 0], "distribution": {"1": [1, 2], "01": [1, 2], "2": [1, 2]}}
+        ] + base[1:],
+        "numerator-bool": [
+            {"state": [0, 0, 0], "distribution": {"1": [True, 2], "2": [1, 2]}}
+        ] + base[1:],
+        "denominator-bool": [{"state": [0, 0, 0], "distribution": {"1": [1, True]}}] + base[1:],
+        "distribution-not-an-object": [{"state": [0, 0, 0], "distribution": [1]}] + base[1:],
         "state-listed-twice": base + [{"state": [1.0, 0, 0], "query": 2}],
         "unvisited-unnormalised-state": base + [{"state": [1, 1, 1], "query": 1}],
     }
@@ -550,11 +573,14 @@ _HORIZON_FLAG = {
     mode=st.sampled_from(["rational", "float"]),
     series=st.sampled_from(["basic", "loops"]),
     variant=st.sampled_from(["restricted", "closed-form"]),
+    detail=st.booleans(),
 )
-def test_numeric_edges_exit_with_a_contract_code(cmd, p, n, mode, series, variant):
+def test_numeric_edges_exit_with_a_contract_code(cmd, p, n, mode, series, variant, detail):
     argv = [cmd, "--p", p, _HORIZON_FLAG[cmd], str(n), "--mode", mode]
     if cmd == "paths":
         argv += ["--series", series, "--variant", variant]
+    if cmd == "verify-theorem2" and detail:
+        argv.append("--detail")
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = dispatch(argv)
     assert code in (0, 2, 3, 4)

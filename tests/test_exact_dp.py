@@ -18,7 +18,6 @@ from fblab.exact_dp import (
     forward_error_prob,
     logaddexp,
     optimal_query_report,
-    reachable_layers,
     sorted_lattice,
 )
 from fblab.strategy import MAX_POSTERIOR, StrategyRule, select_query
@@ -402,7 +401,9 @@ class TestBellman:
 
 class TestReachability:
     def test_state_count_is_quadratic(self):
-        layers = reachable_layers(20)
+        # layer k holds the states reachable in k steps: the report's rows with t = 20 - k
+        rows = optimal_query_report(20, CH10, detail=True)["per_state"]
+        layers = [{row["state"] for row in rows if row["t"] == 20 - k} for k in range(20)]
         for k, layer in enumerate(layers):
             assert len(layer) <= (k + 1) * (k + 2) // 2
         assert layers[0] == {(0, 0, 0)}
@@ -427,6 +428,16 @@ class TestQueryRuleReport:
         assert rep["overall"]["all_member"]
         assert rep["overall"]["max_deficit"] == 0
         assert rep["overall"]["strict_states"] == 0
+
+
+@pytest.mark.parametrize("pl", ["1/10", "2/5", "49/100"])
+def test_every_fewest_votes_tie_break_is_optimal(pl):
+    # Theorem 2 in its strong form: uniform and lowest-index ties both attain P_e*
+    ch = make_channel(pl)
+    _, table = bellman_optimum(20, ch)
+    optimum = [(n, table.optimal_error(n)) for n in range(1, 21)]
+    for rule in (MAX_POSTERIOR, StrategyRule(tie_policy="lowest-index")):
+        assert [(n, pe) for n, pe, _ in error_curve(ch, rule, 20)] == optimum
 
 
 class TestLowerBoundLandscape:
