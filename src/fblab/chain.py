@@ -55,8 +55,7 @@ class TransitionTable:
     """Transitions among states up to a tentacle depth bound.
 
     States with an out-edge beyond the bound are boundary states; their
-    kept rows are partial and propagation treats the lost mass as gone
-    (it cannot return within the horizons the bound admits).
+    kept rows are partial.
     """
 
     depth_bound: int
@@ -165,42 +164,31 @@ def verify_reference_transitions(ch: ChannelParams) -> dict:
     return {"all_match": all_match, "groups": groups}
 
 
-def reach_prob(n: int, ch: ChannelParams, depth_bound: int | None = None) -> Number:
+def reach_prob(n: int, ch: ChannelParams) -> Number:
     """Probability of sitting at the all-zero state at time n, from time 0.
 
-    Needs a tentacle depth of at least ceil(n/2): a path that dives deeper
-    cannot climb back within the horizon, so truncation is exact.  The
-    channel decides the arithmetic: an exact channel propagates integer
-    masses over D**t, D the least common denominator of the table's
-    transition probabilities, and returns a Fraction; a float channel
-    propagates log-probabilities and returns a float.  The table is indexed
-    once into a ``exact_dp.MoveGraph`` and stepped by ``exact_dp.propagate``,
-    the forward programs' kernel.
+    An exact channel propagates integer masses over (6c)**t for p = a/c
+    (every move's probability is p or q times 1, 1/2 or 1/3) and returns a
+    Fraction; a float channel propagates log-probabilities and returns a
+    float.  The forward programs' kernel, ``exact_dp.propagate``, steps a
+    ``exact_dp.MoveGraph`` built from ``_raw_transitions`` as states are reached.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    needed = max(1, -(-n // 2))
-    if depth_bound is None:
-        depth_bound = max(2, n)
-    if depth_bound < needed:
-        raise ValueError(f"depth bound {depth_bound} < required {needed} for n={n}")
-    rows = derive_transitions(ch, depth_bound).entries
-    if ch.exact:
-        scale = math.lcm(*(tr.prob.denominator for row in rows.values() for tr in row))
+    exact = ch.exact
+    scale = 6 * ch.p.denominator if exact else 1
+    one, dtype = (1, object) if exact else (0.0, float)  # one: 1, or its log
 
-        def weigh(prob: Fraction) -> int:
-            return prob.numerator * (scale // prob.denominator)
+    def moves(s: ChainState) -> list[tuple[ChainState, Number, int]]:
+        return [(target, int(prob * scale) if exact else exact_dp.log_of(prob), 0)
+                for target, prob, _ in _raw_transitions(s, ch)]
 
-        one, dtype = 1, object
-    else:
-        weigh, one, dtype = exact_dp.log_of, 0.0, float  # one: the log of 1
-    graph = exact_dp.MoveGraph(lambda s: [(tr.target, weigh(tr.prob), 0) for tr in rows[s]], dtype)
-    graph.expand(graph.ids(rows))
+    graph = exact_dp.MoveGraph(moves, dtype)
     start, f2 = np.full(1, one, dtype), np.full((1, 1), one, dtype)
     layers = exact_dp.propagate(graph, MAIN_STATE, start, f2)
     ids, mass = next(itertools.islice(layers, n, None))
     at_hub = mass[ids == graph.number[MAIN_STATE], 0].tolist()
-    if ch.exact:
+    if exact:
         return Fraction(at_hub[0] if at_hub else 0, scale**n)
     return math.exp(at_hub[0] if at_hub else -math.inf)
 

@@ -19,21 +19,22 @@ The same kernel steps the chain module's return probability.
 
 The backward pass computes the minimum error over all metric-state
 strategies under the bayes transition law.  The value function is
-permutation symmetric, so it is tabulated on sorted states, one numpy
-array per layer.  It runs on the unnormalised error mass
-E_t(s) = Z(s) * (1 - V_t(s)), Z(s) = sum_i z**s_i, a min-recursion of
-positive terms: for an exact channel on Python integers (E scaled by
-powers of the numerator and denominator of p), for a float channel on
-doubles with a relative error of a few machine epsilons per layer.  See
-bellman_optimum.
+permutation symmetric, so it runs on sorted states, one numpy array per
+layer, and keeps only the layer before the one it computes.  It runs on
+the unnormalised error mass E_t(s) = Z(s) * (1 - V_t(s)),
+Z(s) = sum_i z**s_i, a min-recursion of positive terms: for an exact
+channel on Python integers (E scaled by powers of the numerator and
+denominator of p), for a float channel on doubles with a relative error of
+a few machine epsilons per layer.  See backward_layers.
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 import operator
-from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -322,10 +323,6 @@ def _lattice_size(kmax: int) -> int:
     return (kmax + 1) * (kmax + 2) // 2
 
 
-def _lattice_index(s: MetricState) -> int:
-    return s[2] * (s[2] + 1) // 2 + s[1]
-
-
 def _lattice_coords(kmax: int) -> tuple[np.ndarray, np.ndarray]:
     """Arrays of a and b over sorted_lattice(kmax), in lattice order."""
     b = np.repeat(np.arange(kmax + 1), np.arange(1, kmax + 2))
@@ -363,108 +360,57 @@ def _successor_tables(kmax: int) -> tuple[np.ndarray, np.ndarray]:
 
 FLOAT_TIE_TOL = 1e-12
 
-
-class _LayerView(Mapping):
-    """Read-only {(t, sorted state): item} view of per-layer arrays, t = first..horizon."""
-
-    def __init__(self, horizon: int, first: int, item: Callable[[int, int], object]) -> None:
-        self._horizon, self._first, self._item = horizon, first, item
-
-    def __getitem__(self, key):
-        t, s = key
-        if not (self._first <= t <= self._horizon and s[0] == 0
-                and 0 <= s[1] <= s[2] <= self._horizon - t):
-            raise KeyError(key)
-        return self._item(t, _lattice_index(s))
-
-    def __iter__(self):
-        for t in range(self._first, self._horizon + 1):
-            for s in sorted_lattice(self._horizon - t):
-                yield (t, s)
-
-    def __len__(self) -> int:
-        return sum(_lattice_size(self._horizon - t) for t in range(self._first, self._horizon + 1))
+# One backward layer: (query error masses (3, states), their minimum, tie mask)
+BackwardLayer = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 @dataclass(eq=False)
 class ValueTable:
-    """Backward-induction error masses and optimal query sets on sorted states.
+    """Scale and per-horizon results of backward induction up to ``horizon`` uses.
 
     Layer t (t = 0..horizon uses left) covers sorted_lattice(horizon - t) in
-    lattice order.  ``masses[t][i]`` is the scaled error mass of state i:
-    the error probability under optimal play from it is
-    masses[t][i] / (step**t * norms[i]), where ``norms[i]`` is the state's
-    likelihood sum Z(s) under the same scale.  ``exact`` follows the
-    channel: an exact table stores Python integers with step = c for
-    p = a/c, a float one stores doubles with step = 1.  ``ties[t][j, i]``
-    says that query j+1 attains the minimum mass (t >= 1; ``ties[0]`` is
-    None).
-
-    ``values[(t, s)]`` (V_t(s), the probability of a correct decision as a
-    Fraction or float) and ``argmax[(t, s)]`` (the frozenset of optimal
-    queries) are read-only views built on access.
+    lattice order.  A scaled error mass m at state i of layer t is the error
+    probability m / (step**t * norms[i]) (``probability``), where
+    ``norms[i]`` is the state's likelihood sum Z(s) under the same scale.
+    ``exact`` follows the channel: exact masses are Python integers with
+    step = c for p = a/c, float masses are doubles with step = 1.  The
+    table keeps no layer: ``origin[t]`` is the mass of (0,0,0) in layer t,
+    and ``ties[k]`` counts the (t >= 1, state) entries with k optimal
+    queries; ``backward_layers`` fills both as it runs.
     """
 
     horizon: int
     exact: bool
     tie_tolerance: float
-    masses: list[np.ndarray] = field(repr=False)
-    ties: list[np.ndarray | None] = field(repr=False)
     norms: np.ndarray = field(repr=False)
     step: Number
-    successors: np.ndarray = field(repr=False)
-    weights: np.ndarray = field(repr=False)
+    origin: list = field(repr=False)
+    ties: np.ndarray = field(repr=False)
 
     def probability(self, t: int, i: int, mass) -> Number:
         """A mass at state index i of layer t, in probability units."""
         den = self.step**t * self.norms[i]
-        if self.exact:
-            return Fraction(mass, den)
-        return float(mass / den)
+        return Fraction(mass, den) if self.exact else float(mass / den)
 
     def optimal_error(self, t: int | None = None) -> Number:
         """Minimum error probability at horizon t (defaults to the table's)."""
         t = self.horizon if t is None else t
-        return self.probability(t, 0, self.masses[t][0])
-
-    def query_masses(self, t: int) -> np.ndarray:
-        """Error mass of every query at every state of layer t >= 1, shape (3, states).
-
-        Needs only layer t - 1, so the kernel calls it while it builds the table.
-        """
-        size = _lattice_size(self.horizon - t)
-        succ, w, prev = self.successors[:, :, :size], self.weights[:, :, :size], self.masses[t - 1]
-        return w[:, 0] * prev[succ[:, 0]] + w[:, 1] * prev[succ[:, 1]]
+        return self.probability(t, 0, self.origin[t])
 
     def tie_counts(self) -> tuple[int, int, int]:
         """Number of (t >= 1, state) entries with 1, 2 and 3 optimal queries."""
-        counts = np.zeros(4, dtype=np.int64)
-        for ties in self.ties[1:]:
-            counts += np.bincount(ties.sum(axis=0), minlength=4)
-        return int(counts[1]), int(counts[2]), int(counts[3])
-
-    @property
-    def values(self) -> Mapping[tuple[int, MetricState], Number]:
-        return _LayerView(
-            self.horizon, 0, lambda t, i: 1 - self.probability(t, i, self.masses[t][i])
-        )
-
-    @property
-    def argmax(self) -> Mapping[tuple[int, MetricState], frozenset[int]]:
-        return _LayerView(
-            self.horizon, 1, lambda t, i: frozenset(j + 1 for j in range(3) if self.ties[t][j, i])
-        )
+        return int(self.ties[1]), int(self.ties[2]), int(self.ties[3])
 
 
-def bellman_optimum(
+def backward_layers(
     n: int, ch: ChannelParams, state_cap: int = STATE_CAP
-) -> tuple[Number, ValueTable]:
-    """Minimum achievable error over all metric-state strategies.
+) -> tuple[ValueTable, Iterator[BackwardLayer]]:
+    """Backward induction to horizon n as a stream of layers t = 1..n.
 
-    Backward induction, under the bayes transition law, on the error mass
-    over the sorted-state lattice.
-    For a sorted state s (minimum 0) let Z(s) = sum_i z**s_i; the error
-    mass E_t(s) = Z(s) * (1 - V_t(s)) with t uses left obeys
+    It runs under the bayes transition law on the error mass over the
+    sorted-state lattice.  For a sorted state s (minimum 0) let
+    Z(s) = sum_i z**s_i; the error mass E_t(s) = Z(s) * (1 - V_t(s)) with
+    t uses left obeys
 
         E_0(s) = z**s_2 + z**s_3                (Z(s) minus the leader's 1)
         E_t(s) = min_j  sum_y w_y * E_{t-1}(s'_y)
@@ -486,17 +432,19 @@ def bellman_optimum(
     below it.  Float ties are the queries within a relative FLOAT_TIE_TOL
     of the minimum mass.
 
-    Returns (optimal error at horizon n, full value table); the table also
-    yields every shorter horizon via ``optimal_error(t)``.
+    Returns the ValueTable, holding layer 0, and an iterator that computes
+    each further layer from the one before alone, records it in the table
+    and yields it as a BackwardLayer in lattice order.  Raises
+    ResourceCapError up front when the layers exceed ``state_cap`` states.
     """
     if n < 0:
         raise ValueError("horizon must be nonnegative")
-    exact = ch.exact
     total_states = sum(_lattice_size(k) for k in range(n + 1))
     if total_states > state_cap:
         raise ResourceCapError(
             f"backward induction needs {total_states} state evaluations, cap is {state_cap}"
         )
+    exact = ch.exact
     if exact:
         a, c = ch.p.numerator, ch.p.denominator
         b = c - a
@@ -505,28 +453,47 @@ def bellman_optimum(
     else:
         powers = ch.z ** np.arange(n + 1.0)
         w_shift, w_stay, step = ch.p, ch.q, 1.0
-    succ, shift = _successor_tables(n - 1)
-    weights = np.empty(shift.shape, dtype=powers.dtype)
-    weights[shift] = w_shift
-    weights[~shift] = w_stay
     s2, s3 = _lattice_coords(n)
     start = powers[s2] + powers[s3]
     table = ValueTable(
         horizon=n,
         exact=exact,
         tie_tolerance=0.0 if exact else FLOAT_TIE_TOL,
-        masses=[start],
-        ties=[None],
         norms=powers[0] + start,
         step=step,
-        successors=succ,
-        weights=weights,
+        origin=[start[0]],
+        ties=np.zeros(4, dtype=np.int64),
     )
-    for t in range(1, n + 1):
-        vals = table.query_masses(t)
-        best = np.minimum(np.minimum(vals[0], vals[1]), vals[2])
-        table.masses.append(best)
-        table.ties.append(vals == best if exact else vals <= best * (1 + FLOAT_TIE_TOL))
+    succ, shift = _successor_tables(n - 1)
+    weights = np.array([w_stay, w_shift], dtype=powers.dtype)[shift.astype(np.intp)]
+
+    def layers() -> Iterator[BackwardLayer]:
+        prev = start
+        for t in range(1, n + 1):
+            size = _lattice_size(n - t)
+            to, w = succ[:, :, :size], weights[:, :, :size]
+            vals = w[:, 0] * prev[to[:, 0]] + w[:, 1] * prev[to[:, 1]]
+            prev = np.minimum(np.minimum(vals[0], vals[1]), vals[2])
+            ties = vals == prev if exact else vals <= prev * (1 + FLOAT_TIE_TOL)
+            table.origin.append(prev[0])
+            table.ties += np.bincount(ties.sum(axis=0), minlength=4)
+            yield vals, prev, ties
+            del vals, ties  # the caller may drop its copies before the next layer
+
+    return table, layers()
+
+
+def bellman_optimum(
+    n: int, ch: ChannelParams, state_cap: int = STATE_CAP
+) -> tuple[Number, ValueTable]:
+    """Minimum achievable error over all metric-state strategies.
+
+    Drains ``backward_layers`` (which see), one layer at a time.  Returns
+    (optimal error at horizon n, value table); the table also yields every
+    shorter horizon via ``optimal_error(t)``.
+    """
+    table, layers = backward_layers(n, ch, state_cap)
+    collections.deque(layers, maxlen=0)  # drains it, dropping each layer as it comes
     return table.optimal_error(), table
 
 
@@ -536,29 +503,30 @@ def optimal_query_report(n: int, ch: ChannelParams, detail: bool = False) -> dic
     For every reachable (remaining time t, state): the verdict is "member"
     when the argmax query set meets the fewest-votes set; the deficit is
     the value lost by the best fewest-votes query.  Strict multi-step
-    dominance is counted but not asserted.  Each layer is a lattice index
-    array, reached from (0,0,0) through the table's successors and ordered
-    by (a, b); reachability, membership, strictness and deficits are array
-    operations over it on the kernel's per-query error masses (integers
-    for an exact channel).  A deficit is converted to a probability only
-    when nonzero.  ``detail`` adds one verdict row per (t, state).
+    dominance is counted but not asserted.  The check consumes
+    ``backward_layers`` and reads each layer's per-query error masses
+    (integers for an exact channel) as the pass yields them.  A layer's
+    reachable states are a lattice index array, reached from (0,0,0)
+    through the successor table and ordered by (a, b); membership,
+    strictness and deficits are array operations over them.  A deficit is
+    converted to a probability only when nonzero.  ``detail`` adds one
+    verdict row per (t, state).
     """
-    pe_star, table = bellman_optimum(n, ch)
-    log_of(pe_star)  # raises if a float P_e* underflowed: never report it as 0
-    zero: Number = Fraction(0) if ch.exact else 0.0
-    layers = [np.zeros(1, dtype=np.intp)]  # layer k: states after k uses
+    table, layers = backward_layers(n, ch)
+    succ, _ = _successor_tables(n - 1)
+    reach = [np.zeros(1, dtype=np.intp)]  # reach[k]: the states after k uses
     for _ in range(n - 1):
-        layers.append(np.unique(table.successors[:, :, layers[-1]]))
+        reach.append(np.unique(succ[:, :, reach[-1]]))
+    zero: Number = Fraction(0) if ch.exact else 0.0
     coord_a, coord_b = _lattice_coords(n)
     per_horizon = []
     per_state = []
     strict = 0
-    for t in range(1, n + 1):
-        idx = layers[n - t]
+    for t, (vals, best, opt) in enumerate(layers, 1):
+        idx = reach.pop()  # the states after n - t uses
         idx = idx[np.lexsort((coord_b[idx], coord_a[idx]))]
         a, b = coord_a[idx], coord_b[idx]
-        vals, opt = table.query_masses(t)[:, idx], table.ties[t][:, idx]
-        best = table.masses[t][idx]
+        vals, best, opt = vals[:, idx], best[idx], opt[:, idx]
         # normalised states (0, a, b): message 1 always has fewest votes
         lead = np.stack([np.ones_like(a, dtype=bool), a == 0, b == 0])
         loss = np.where(lead, vals, vals[0]).min(axis=0) - best
@@ -597,6 +565,8 @@ def optimal_query_report(n: int, ch: ChannelParams, detail: bool = False) -> dic
                 }
                 for sa, sb, m, d, row, fewest in rows
             )
+    pe_star = table.optimal_error()
+    log_of(pe_star)  # raises if a float P_e* underflowed: never report it as 0
     report: dict = {
         "horizon": n,
         "p": ch.p,

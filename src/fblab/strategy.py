@@ -152,11 +152,12 @@ def load_table(path: str | Path) -> StrategyRule:
 
     A query, numerator or denominator must be a JSON integer (not a bool or
     a float) and a distribution key exactly "1", "2" or "3".  A file that
-    cannot be read or parsed, a malformed entry, a state listed twice, or a
-    table ``StrategyRule`` rejects raises ValueError naming the path.
+    cannot be read or parsed, an object with a repeated key, a malformed
+    entry, a state listed twice, or a table ``StrategyRule`` rejects raises
+    ValueError naming the path.
     """
     try:
-        entries = json.loads(Path(path).read_text())
+        entries = json.loads(Path(path).read_text(), object_pairs_hook=_unique_keys)
     except (OSError, ValueError) as exc:
         raise ValueError(f"cannot read table strategy {path}: {exc}") from None
     if not isinstance(entries, list):
@@ -185,3 +186,12 @@ def load_table(path: str | Path) -> StrategyRule:
         return StrategyRule(kind="table", table=table)
     except ValueError as exc:
         raise ValueError(f"invalid table strategy {path}: {exc}") from None
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict[str, object]:
+    """A JSON object as a dict, raising ValueError where json keeps a repeated key's last value."""
+    keys = [k for k, _ in pairs]
+    for k in keys:
+        if keys.count(k) > 1:
+            raise ValueError(f"key {k!r} is repeated in one object")
+    return dict(pairs)

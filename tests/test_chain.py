@@ -93,10 +93,6 @@ class TestReachProbability:
     def test_three_step_return(self):
         assert reach_prob(3, CH10) == P * Q**2
 
-    def test_depth_guard(self):
-        with pytest.raises(ValueError, match="depth"):
-            reach_prob(10, CH10, depth_bound=3)
-
     def test_log_float_agrees_with_exact(self):
         chf = make_channel("0.1", "float")
         for n in (2, 5, 9):
@@ -106,7 +102,7 @@ class TestReachProbability:
 
     def test_exponent_approaches_limit(self):
         chf = make_channel("0.1", "float")
-        r = reach_prob(300, chf, depth_bound=151)
+        r = reach_prob(300, chf)
         f_fb = error_exponents(chf).f_fb
         assert abs(-math.log(r) / 300 - f_fb) <= 0.03
 

@@ -426,10 +426,14 @@ def test_simulate_table_fault_is_invalid_input(tmp_path, capsys, entry):
 
 
 def _bad_tables():
-    """Tables over the states with entries up to 4, each with one fault."""
+    """JSON texts of tables over the states with entries up to 4, each with one fault.
+
+    A repeated key is written as raw text, since a dict cannot hold one; the
+    last value of each is a valid entry, so only the repetition is at fault.
+    """
     states = [s for s in itertools.product(range(5), repeat=3) if min(s) == 0]
     base = [{"state": list(s), "query": leaders(s)[0]} for s in states]
-    return {
+    tables = {
         "weights-2-and-minus-1": [
             {"state": list(s), "distribution": {str(leaders(s)[0]): [2, 1],
                                                 str(leaders(s)[0] % 3 + 1): [-1, 1]}}
@@ -449,6 +453,16 @@ def _bad_tables():
         "state-listed-twice": base + [{"state": [1.0, 0, 0], "query": 2}],
         "unvisited-unnormalised-state": base + [{"state": [1, 1, 1], "query": 1}],
     }
+    rest = json.dumps(base[1:])[1:]  # the entries after (0, 0, 0), and the closing bracket
+    repeated = {
+        "repeated-distribution-key":
+            '{"state": [0, 0, 0], "distribution": {"1": [1, 2], "1": [1, 1]}}',
+        "repeated-state": '{"state": [0, 1, 1], "state": [0, 0, 0], "query": 1}',
+        "repeated-query": '{"state": [0, 0, 0], "query": 4, "query": 1}',
+    }
+    return {name: json.dumps(table) for name, table in tables.items()} | {
+        name: f"[{entry}, {rest}" for name, entry in repeated.items()
+    }
 
 
 @pytest.mark.parametrize("fault", sorted(_bad_tables()))
@@ -456,7 +470,7 @@ def test_bad_table_is_rejected_by_every_command(tmp_path, capsys, fault):
     # every fault but a missing state is found when the table is loaded, so
     # the detail does not depend on the command, the arithmetic or the horizon
     path = tmp_path / "table.json"
-    path.write_text(json.dumps(_bad_tables()[fault]))
+    path.write_text(_bad_tables()[fault])
     strategy = ("--n", "4", "--strategy", f"table:{path}")
     details = set()
     for argv in (

@@ -1,5 +1,7 @@
 import itertools
 import math
+import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +14,7 @@ from fblab.chain import derive_transitions, reach_prob
 from fblab.channel import make_channel
 from fblab.exact_dp import (
     ResourceCapError,
+    backward_layers,
     bellman_optimum,
     error_curve,
     forward_distribution,
@@ -72,7 +75,7 @@ def _reference_bellman(n, ch):
         return tuple(sorted(apply_outcome(s, j, y)))
 
     values = {(0, s): max(posteriors(s, ch)) for s in sorted_lattice(n)}
-    argmax = {}
+    argmax, queries = {}, {}
     for t in range(1, n + 1):
         for s in sorted_lattice(n - t):
             pi = posteriors(s, ch)
@@ -84,7 +87,29 @@ def _reference_bellman(n, ch):
             best = max(vals)
             values[(t, s)] = best
             argmax[(t, s)] = frozenset(j for j, v in zip((1, 2, 3), vals) if v == best)
-    return values, argmax
+            queries[(t, s)] = tuple(vals)
+    return values, argmax, queries
+
+
+def _stream(n, ch):
+    """The backward pass read off ``backward_layers``, keyed like ``_reference_bellman``.
+
+    Layer 0 is E_0 = Z(s) - 1 in the table's units: Z(s) is ``norms[i]`` and
+    the leader's weight 1 is a third of Z(0, 0, 0).
+    """
+    table, layers = backward_layers(n, ch)
+    one = table.norms[0] // 3
+    values = {
+        (0, s): 1 - table.probability(0, i, table.norms[i] - one)
+        for i, s in enumerate(sorted_lattice(n))
+    }
+    argmax, queries = {}, {}
+    for t, (vals, best, ties) in enumerate(layers, 1):
+        for i, s in enumerate(sorted_lattice(n - t)):
+            values[(t, s)] = 1 - table.probability(t, i, best[i])
+            argmax[(t, s)] = frozenset(j + 1 for j in range(3) if ties[j, i])
+            queries[(t, s)] = tuple(1 - table.probability(t, i, v) for v in vals[:, i])
+    return values, argmax, queries
 
 
 # reference oracle: the Fraction forward propagation that the integer kernel
@@ -321,16 +346,16 @@ def test_reach_prob_matches_fraction_propagation(pl):
 
 class TestBellman:
     def test_horizon_one(self):
-        pe, table = bellman_optimum(1, CH10)
+        pe, _ = bellman_optimum(1, CH10)
         assert pe == Fraction(2, 5)
-        assert table.argmax[(1, (0, 0, 0))] == frozenset({1, 2, 3})
+        assert _stream(1, CH10)[1][(1, (0, 0, 0))] == frozenset({1, 2, 3})
 
     def test_degenerate_channel(self):
         for n in (0, 3, 6):
-            pe, table = bellman_optimum(n, make_channel("1/2"))
+            pe, _ = bellman_optimum(n, make_channel("1/2"))
             assert pe == Fraction(2, 3)
             if n:
-                assert table.argmax[(n, (0, 0, 0))] == frozenset({1, 2, 3})
+                assert _stream(n, make_channel("1/2"))[1][(n, (0, 0, 0))] == frozenset({1, 2, 3})
 
     @pytest.mark.parametrize("pl,n", [("1/10", 1), ("1/10", 2), ("1/10", 3), ("3/10", 2)])
     def test_matches_decision_tree_enumeration(self, pl, n):
@@ -364,8 +389,8 @@ class TestBellman:
             assert b <= a
 
     def test_values_bounded(self):
-        _, table = bellman_optimum(6, CH10)
-        for v in table.values.values():
+        values, _, queries = _stream(6, CH10)
+        for v in itertools.chain(values.values(), *queries.values()):
             assert Fraction(1, 3) <= v <= 1
 
     def test_float_mode_agrees(self):
@@ -378,12 +403,12 @@ class TestBellman:
     def test_matches_fraction_recursion(self, pl, n):
         ch = make_channel(pl)
         pe, table = bellman_optimum(n, ch)
-        values, argmax = _reference_bellman(n, ch)
+        reference = _reference_bellman(n, ch)
+        values = reference[0]
         for t in range(n + 1):
             assert table.optimal_error(t) == 1 - values[(t, (0, 0, 0))]
         assert pe == table.optimal_error(n)
-        assert dict(table.values) == values
-        assert dict(table.argmax) == argmax
+        assert _stream(n, ch) == reference
 
     @pytest.mark.parametrize("n", [48, 120])
     def test_float_relative_error(self, n):
@@ -392,11 +417,23 @@ class TestBellman:
         for t in range(n + 1):
             assert _rel_err(fl.optimal_error(t), exact.optimal_error(t)) <= 1e-12
         if n == 48:
-            assert dict(fl.argmax) == dict(exact.argmax)
+            assert _stream(n, CH10F)[1] == _stream(n, CH10)[1]
 
     def test_resource_cap(self):
         with pytest.raises(ResourceCapError):
             bellman_optimum(30, CH10, state_cap=10)
+
+    def test_pass_holds_one_layer(self):
+        # at n = 60 every layer together peaks at 4.4 MB of integers, one
+        # layer and its query masses at 2.0 MB
+        ch = make_channel("49/100")
+        tracemalloc.start()
+        try:
+            bellman_optimum(60, ch)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3_200_000
 
 
 class TestReachability:
@@ -430,13 +467,33 @@ class TestQueryRuleReport:
         assert rep["overall"]["strict_states"] == 0
 
 
+def _random_fewest_votes_table(seed, kmax):
+    """A table rule over the normalised states with entries up to kmax that
+    puts integer weights 0..6, not all zero, on each state's fewest-votes set."""
+    rng = random.Random(seed)
+    table = {}
+    for s in itertools.product(range(kmax + 1), repeat=3):
+        if min(s) == 0:
+            lead = leaders(s)
+            w = [0] * len(lead)
+            while not any(w):
+                w = [rng.randint(0, 6) for _ in lead]
+            table[s] = {j: Fraction(x, sum(w)) for j, x in zip(lead, w)}
+    return StrategyRule(kind="table", table=table)
+
+
 @pytest.mark.parametrize("pl", ["1/10", "2/5", "49/100"])
 def test_every_fewest_votes_tie_break_is_optimal(pl):
-    # Theorem 2 in its strong form: uniform and lowest-index ties both attain P_e*
+    # Theorem 2 in its strong form: uniform, lowest-index and random ties all attain P_e*
     ch = make_channel(pl)
     _, table = bellman_optimum(20, ch)
     optimum = [(n, table.optimal_error(n)) for n in range(1, 21)]
-    for rule in (MAX_POSTERIOR, StrategyRule(tie_policy="lowest-index")):
+    rules = (
+        MAX_POSTERIOR,
+        StrategyRule(tie_policy="lowest-index"),
+        _random_fewest_votes_table(20220301, 20),
+    )
+    for rule in rules:
         assert [(n, pe) for n, pe, _ in error_curve(ch, rule, 20)] == optimum
 
 
