@@ -504,26 +504,26 @@ def optimal_query_report(n: int, ch: ChannelParams, detail: bool = False) -> dic
     when the argmax query set meets the fewest-votes set; the deficit is
     the value lost by the best fewest-votes query.  Strict multi-step
     dominance is counted but not asserted.  The check consumes
-    ``backward_layers`` and reads each layer's per-query error masses
-    (integers for an exact channel) as the pass yields them.  A layer's
-    reachable states are a lattice index array, reached from (0,0,0)
-    through the successor table and ordered by (a, b); membership,
-    strictness and deficits are array operations over them.  A deficit is
-    converted to a probability only when nonzero.  ``detail`` adds one
-    verdict row per (t, state).
+    ``backward_layers``, reading each layer's per-query error masses
+    (integers for an exact channel) at the reachable states in (a, b)
+    order; a deficit is converted to a probability only when nonzero.
+    ``detail`` adds one verdict row per (t, state).
+
+    After k uses the reachable states are all of sorted_lattice(k), except
+    (0,0,0) at k = 1: a use raises b by at most one, and every outcome at
+    (0,0,0) votes against one or two messages.  Each (0,a,b) of lattice k+1
+    follows from one of lattice k: from (0,a,b+1) if b < k, (0,a+1,k) if
+    a < b = k, (0,k-1,k-1) if a = b = k, (0,min(a,k),k) if b = k+1; and
+    at k = 1, (0,0,1) gives (0,1,1).
     """
     table, layers = backward_layers(n, ch)
-    succ, _ = _successor_tables(n - 1)
-    reach = [np.zeros(1, dtype=np.intp)]  # reach[k]: the states after k uses
-    for _ in range(n - 1):
-        reach.append(np.unique(succ[:, :, reach[-1]]))
     zero: Number = Fraction(0) if ch.exact else 0.0
     coord_a, coord_b = _lattice_coords(n)
     per_horizon = []
     per_state = []
     strict = 0
     for t, (vals, best, opt) in enumerate(layers, 1):
-        idx = reach.pop()  # the states after n - t uses
+        idx = np.arange(int(n - t == 1), _lattice_size(n - t))  # the states after n - t uses
         idx = idx[np.lexsort((coord_b[idx], coord_a[idx]))]
         a, b = coord_a[idx], coord_b[idx]
         vals, best, opt = vals[:, idx], best[idx], opt[:, idx]

@@ -1,14 +1,12 @@
 """JSON/CSV emission helpers shared by the reports and the CLI.
 
-``json`` walks each result itself: dicts, lists, tuples and scalars are
-its own, and the ``default`` hook converts the three types fblab adds.
-Exact rationals serialize as {"num": ..., "den": ...} decimal digit
-strings of arbitrary length, dataclasses as their fields in declaration
-order, and sets as sorted lists; floats use the shortest round-trip
-decimal.  Mapping keys must be str or int.  JSON key order is
-construction order, so re-reading and re-serializing a file is
-byte-identical.  CSV uses RFC-4180 CRLF line endings and fixed header
-strings.
+Dicts, lists, tuples and scalars are JSON's own; ``_default`` writes exact
+rationals as {"num": ..., "den": ...} digit strings, dataclasses as their
+fields in declaration order, and sets as sorted lists.  Floats use the
+shortest round-trip decimal; key order is construction order, so re-reading
+and re-serializing a file is byte-identical.  Indented output comes from
+fblab's own walker, byte for byte that of ``json.dumps(indent=2)``; JSON
+lines come from ``json``'s C encoder.  CSV uses CRLF line endings (RFC 4180).
 """
 
 from __future__ import annotations
@@ -21,7 +19,7 @@ from fractions import Fraction
 
 
 def _default(value):
-    """Convert one value ``json`` does not know; ``json`` then walks the result."""
+    """Convert one value JSON does not know; the encoder then walks the result."""
     if isinstance(value, Fraction):
         return {"num": str(value.numerator), "den": str(value.denominator)}
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
@@ -32,7 +30,69 @@ def _default(value):
 
 
 def dumps(obj) -> str:
-    return json.dumps(obj, indent=2, ensure_ascii=False, default=_default) + "\n"
+    """The text of ``json.dumps(obj, indent=2, ensure_ascii=False, default=_default) + "\\n"``."""
+    out: list[str] = []
+    _write(obj, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+_quote = json.encoder.encode_basestring
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_SCALARS = {  # the text of each scalar, by exact type
+    str: _quote, int: int.__repr__, type(None): lambda _: "null",
+    float: lambda v: _NONFINITE.get(text := float.__repr__(v), text),
+    bool: {True: "true", False: "false"}.__getitem__,
+}
+
+
+def _text(o) -> str | None:
+    """The text of a str, int, float, bool or None, subclasses (numpy's float64) too."""
+    return next((_SCALARS[k](o) for k in type(o).__mro__ if k in _SCALARS), None)
+
+
+def _key(k) -> str:
+    if (text := k if isinstance(k, str) else _text(k)) is None:
+        raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
+    return _quote(text) + ": "
+
+
+def _write(o, pad: str, out: list[str]) -> None:
+    """Append the text of o, whose depth's newline and indent is pad; raise ``json``'s
+    TypeError.  Unlike ``json``'s indented walk (pure Python before 3.13, a generator per
+    container), it dispatches on the exact type and writes scalar children inline."""
+    if (writer := _WRITERS.get(type(o))) or isinstance(o, (list, tuple, dict)):
+        (writer or _container)(o, pad, out)
+    elif (text := _text(o)) is not None:
+        out.append(text)
+    else:
+        _write(_default(o), pad, out)
+
+
+def _container(o, pad: str, out: list[str]) -> None:
+    inner, keyed = pad + "  ", isinstance(o, dict)
+    if not o:
+        out.append("{}" if keyed else "[]")
+    elif not keyed and {*map(type, o)} == {int}:  # a state or a query set: one join
+        out.append(f"[{inner}{(',' + inner).join(map(int.__repr__, o))}{pad}]")
+    else:
+        sep, comma = ("{" if keyed else "[") + inner, "," + inner
+        for k, v in o.items() if keyed else enumerate(o):
+            head = (f"{sep}{_quote(k)}: " if type(k) is str else sep + _key(k)) if keyed else sep
+            if (scalar := _SCALARS.get(type(v))) is not None:
+                out.append(head + scalar(v))
+            else:
+                out.append(head)
+                _WRITERS.get(type(v), _write)(v, inner, out)
+            sep = comma
+        out.append(pad + ("}" if keyed else "]"))
+
+
+def _fraction(o: Fraction, pad: str, out: list[str]) -> None:
+    out.append(f'{{{pad}  "num": "{o.numerator}",{pad}  "den": "{o.denominator}"{pad}}}')
+
+
+_WRITERS = {dict: _container, list: _container, tuple: _container, Fraction: _fraction}
 
 
 def dumps_line(obj) -> str:

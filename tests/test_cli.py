@@ -583,7 +583,7 @@ _HORIZON_FLAG = {
 @given(
     cmd=st.sampled_from(sorted(_HORIZON_FLAG)),
     p=_EDGE_P,
-    n=st.integers(0, 4),
+    n=st.integers(0, 8),
     mode=st.sampled_from(["rational", "float"]),
     series=st.sampled_from(["basic", "loops"]),
     variant=st.sampled_from(["restricted", "closed-form"]),
@@ -595,6 +595,13 @@ def test_numeric_edges_exit_with_a_contract_code(cmd, p, n, mode, series, varian
         argv += ["--series", series, "--variant", variant]
     if cmd == "verify-theorem2" and detail:
         argv.append("--detail")
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = dispatch(argv)
     assert code in (0, 2, 3, 4)
+    # one JSON document per run: the result (sweep's is CSV) or the diagnostic, and
+    # re-reading and re-serializing it gives the same bytes (the README's property)
+    doc, other = (out.getvalue(), err.getvalue()) if code == 0 else (err.getvalue(), out.getvalue())
+    assert other == ""
+    if cmd != "sweep" or code:
+        assert json.dumps(json.loads(doc), indent=2, ensure_ascii=False) + "\n" == doc

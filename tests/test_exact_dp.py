@@ -14,6 +14,8 @@ from fblab.chain import derive_transitions, reach_prob
 from fblab.channel import make_channel
 from fblab.exact_dp import (
     ResourceCapError,
+    _lattice_size,
+    _successor_tables,
     backward_layers,
     bellman_optimum,
     error_curve,
@@ -446,6 +448,20 @@ class TestReachability:
         assert layers[0] == {(0, 0, 0)}
         assert layers[1] == {(0, 0, 1), (0, 1, 1)}
         assert (0, 0, 0) in layers[2]
+
+    def test_reachable_sets_are_whole_lattices(self):
+        # optimal_query_report takes the states after k uses to be all of sorted_lattice(k)
+        # but (0,0,0) at k = 1; step them here through the successor table with np.unique.
+        # The table of horizon 60 is every smaller horizon's table extended, so its steps
+        # are those of each horizon n <= 60 for every k < n.
+        succ, _ = _successor_tables(59)
+        for n in range(1, 61):
+            size = _lattice_size(n - 1)
+            np.testing.assert_array_equal(_successor_tables(n - 1)[0], succ[:, :, :size])
+        reach = np.zeros(1, dtype=np.intp)
+        for k in range(60):
+            np.testing.assert_array_equal(reach, np.arange(int(k == 1), _lattice_size(k)))
+            reach = np.unique(succ[:, :, reach])
 
 
 class TestQueryRuleReport:

@@ -1,12 +1,18 @@
+import contextlib
 import dataclasses
+import io
 import json
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fblab.serialize import dumps, dumps_line
+from fblab import serialize
+from fblab.cli import dispatch
+from fblab.serialize import _default, dumps, dumps_line
 
 
 def _reference_encode(value):
@@ -69,21 +75,120 @@ def _containers(children):
 _VALUES = st.recursive(_SCALARS, _containers, max_leaves=8)
 
 
+def _stdlib(value):
+    """The reference: ``json``'s own indented encoder, with fblab's default hook."""
+    return json.dumps(value, indent=2, ensure_ascii=False, default=_default) + "\n"
+
+
 @settings(max_examples=300, deadline=None)
 @given(_VALUES)
 def test_emitter_matches_reference_tree(value):
     tree = _reference_encode(value)
+    assert dumps(value) == _stdlib(value)
     assert dumps(value) == json.dumps(tree, indent=2, ensure_ascii=False) + "\n"
     assert dumps_line(value) == json.dumps(tree, separators=(",", ":"), ensure_ascii=False) + "\n"
 
 
 @pytest.mark.parametrize(
     "value",
-    [object(), {"a": [1, object()]}, _Pair(1, {2: object()}), {(1, 2): 3}],
-    ids=["object", "nested-object", "object-in-dataclass", "tuple-key"],
+    [object(), {"a": [1, object()]}, _Pair(1, {2: object()}), {(1, 2): 3},
+     np.int64(1), [1, {"a": np.int64(2)}], {"a": {frozenset(): 1}}],
+    ids=["object", "nested-object", "object-in-dataclass", "tuple-key",
+         "numpy-int64", "nested-numpy-int64", "frozenset-key"],
 )
 def test_unsupported_value_raises_type_error(value):
+    with pytest.raises(TypeError):
+        _stdlib(value)
     with pytest.raises(TypeError):
         dumps(value)
     with pytest.raises(TypeError):
         dumps_line(value)
+
+
+# every JSON-emitting subcommand at a small n, then one job per error exit code
+_CLI_JOBS = [
+    (["bounds", "--p", "1/10", "--n", "6"], 0),
+    (["bounds", "--p", "1/10,1/5", "--n", "6", "--format", "csv", "--out", "b.csv"], 0),
+    (["exact", "--p", "1/10", "--n", "6"], 0),
+    (["exact", "--p", "1/5", "--n", "5", "--strategy", "round-robin"], 0),
+    (["bellman", "--p", "1/5", "--n", "6"], 0),
+    (["verify-theorem2", "--p", "1/5", "--n", "6", "--detail"], 0),
+    (["octopus", "--p", "1/10", "--depth", "3", "--verify"], 0),
+    (["paths", "--p", "1/10", "--n", "6"], 0),
+    (["paths", "--p", "1/10", "--n", "6", "--series", "basic", "--variant", "closed-form"], 0),
+    (["simplex", "--p", "1/10", "--n", "6"], 0),
+    (["sweep", "--p", "1/10", "--n-max", "6", "--out", "c.csv"], 0),
+    (["exact", "--p", "2", "--n", "3"], 2),
+    (["bellman", "--p", "1/10", "--n", "30", "--state-cap", "10"], 4),
+]
+_CLI_CASES = [
+    (argv + ["--mode", mode], code) for argv, code in _CLI_JOBS for mode in ("rational", "float")
+] + [
+    (["simulate", "--p", "0.1", "--n", "6", "--trials", "200",
+      "--dump-trajectories", "d.jsonl", "--dump-count", "3"], 0),
+    (["paths", "--p", "1e-400", "--n", "3", "--variant", "closed-form"], 3),
+    (["verify-theorem2", "--p", "5e-324", "--n", "4", "--mode", "float"], 3),
+]
+
+
+@pytest.mark.parametrize("argv, code", _CLI_CASES, ids=[" ".join(a) for a, _ in _CLI_CASES])
+def test_emitter_matches_stdlib_on_every_cli_result(tmp_path, monkeypatch, argv, code):
+    emitted = []
+
+    def record(value):
+        emitted.append((value, dumps(value)))
+        return emitted[-1][1]
+
+    monkeypatch.setattr(serialize, "dumps", record)
+    monkeypatch.chdir(tmp_path)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert dispatch(argv) == code
+    assert emitted
+    for value, text in emitted:
+        assert text == _stdlib(value)
+
+
+class _Dict(dict):
+    pass
+
+
+class _List(list):
+    pass
+
+
+class _Int(int):
+    pass
+
+
+class _Float(float):
+    pass
+
+
+class _Ratio(Fraction):
+    pass
+
+
+def _nested(depth):
+    value = 1
+    for level in range(depth):
+        value = [value, level] if level % 2 else {"d": value, "e": []}
+    return value
+
+
+_EDGES = {
+    "nested-200": _nested(200),
+    "numpy-float64": [np.float64(0.1), np.float64(1e300), {"x": np.float64(-2.5)}],
+    "subclasses": _Dict(a=_List([_Int(3), _Float(0.25), _Ratio(1, 3)]), b=_List()),
+    "non-str-keys": {True: 1, False: 2, None: 3, 1.5: 4, math.nan: 5, _Int(7): 6, 2: [7]},
+    "non-finite": [math.nan, math.inf, -math.inf, {"v": -math.inf}, _Float(math.nan)],
+    "empty": [{}, [], (), {"a": {}, "b": []}, _Dict(), _List()],
+    "strings": {"\x00\x1f\"\\/\x7f": ["\n\t\r\b\f", "\U0001f600", "  ", "\ud800"]},
+    "scalars": [None, True, False, 0, -(10**40), 1e-320, "", Fraction(-7, 3), Fraction(0)],
+    "top-level-scalar": Fraction(5, 2),
+    "set-and-dataclass": _Pair({3, 1, 2}, frozenset({"b", "a"})),
+}
+
+
+@pytest.mark.parametrize("value", list(_EDGES.values()), ids=list(_EDGES))
+def test_emitter_matches_stdlib_on_edge_cases(value):
+    assert dumps(value) == _stdlib(value)
