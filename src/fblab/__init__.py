@@ -59,8 +59,6 @@ from .exact_dp import (
 from .montecarlo import (
     SimulationStats,
     TrajectoryRecord,
-    check_trajectory_invariants,
-    estimate_exponent,
     run_trajectory_audit,
     run_trials,
     simulate_trajectory,

@@ -342,6 +342,8 @@ class BoundReport:
 
 
 def bound_report(ch: ChannelParams, n: int | None = None) -> BoundReport:
+    if n is not None and n < 0:
+        raise ValueError("n must be nonnegative")
     exps = error_exponents(ch)
     asym = simplex_asymptote(ch)
     a0 = f1 = None

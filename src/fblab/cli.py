@@ -1,10 +1,11 @@
 """Command-line surface: one subcommand per analysis, file emission.
 
-Exit codes: 0 success, 2 invalid flags or inputs, 3 a verification check
-failed, 4 a resource cap was exceeded.  Failures print a machine-readable
-JSON diagnostic to stderr.  Every JSON result embeds its full run
-configuration; CSV files carry only their fixed contracted header, so the
-configuration goes to stdout when such a file is written.
+Exit codes: 0 success, 2 invalid flags or inputs (an output path that cannot
+be written included), 3 a verification check failed, 4 a resource cap was
+exceeded.  Failures print a machine-readable JSON diagnostic to stderr.
+Every JSON result embeds its full run configuration; CSV files carry only
+their fixed contracted header, so the configuration goes to stdout when such
+a file is written.
 """
 
 from __future__ import annotations
@@ -299,7 +300,8 @@ def dispatch(argv: list[str] | None = None) -> int:
     except ArithmeticError as exc:
         sys.stderr.write(serialize.dumps({"error": "check-failed", "detail": str(exc)}))
         return EXIT_CHECK_FAILED
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
+        # an OSError is an output path that cannot be written; it names the path
         sys.stderr.write(serialize.dumps({"error": "invalid-input", "detail": str(exc)}))
         return EXIT_USAGE
 

@@ -1,9 +1,10 @@
-"""Seeded episode simulation, trajectory audits, and exponent estimation.
+"""Seeded episode simulation and the trajectory audit.
 
 Every random draw is a pure function of (seed, trial, purpose, step), so
 results are identical for any batch size.  One row-wise batch engine,
 ``_simulate_batch``, runs every rule kind, table rules included: it gives
-``run_trials`` its counts, ``run_trajectory_audit`` its tallies and
+``run_trials`` its counts, and its per-step arrays give
+``run_trajectory_audit`` the paper's vote-invariant tallies and
 ``trajectory_records`` the episode records that the CLI dumps.  The scalar
 path, ``simulate_trajectory`` stepping ``strategy.step``, is kept as the
 oracle only: tests pin the batch engine to it per trial, bit for bit.
@@ -14,7 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
@@ -215,7 +215,13 @@ def _cuts(weights: dict, choices: list[int]) -> tuple[list[int], list[int]]:
 
 
 def _batch_outputs(
-    n: int, ch: ChannelParams, rule: StrategyRule, seed: int, trials: int, size: int, **flags
+    n: int,
+    ch: ChannelParams,
+    rule: StrategyRule,
+    seed: int,
+    trials: int,
+    size: int,
+    return_arrays: bool = False,
 ):
     """``_simulate_batch`` outputs for trials [0, trials), at most ``size`` per
     batch; a table rule is compiled once for all of them."""
@@ -223,7 +229,15 @@ def _batch_outputs(
         raise ValueError(f"horizon n must be non-negative, got {n}")
     table = _TableQueries(rule.table, n) if rule.kind == "table" else None
     for lo in range(0, trials, size):
-        yield _simulate_batch(n, ch, rule, table, seed, lo, min(lo + size, trials), **flags)
+        yield _simulate_batch(n, ch, rule, table, seed, lo, min(lo + size, trials), return_arrays)
+
+
+def _array_batches(n: int, ch: ChannelParams, rule: StrategyRule, seed: int, trials: int):
+    """``_batch_outputs`` with the per-step arrays, in batches of about
+    ``_RECORD_STEPS`` trial-steps, so memory stays bounded for any n."""
+    return _batch_outputs(
+        n, ch, rule, seed, trials, max(1, _RECORD_STEPS // max(n, 1)), return_arrays=True
+    )
 
 
 def _simulate_batch(
@@ -234,13 +248,12 @@ def _simulate_batch(
     seed: int,
     trial_lo: int,
     trial_hi: int,
-    audit: bool = False,
     return_arrays: bool = False,
 ) -> dict:
     """Run trials [trial_lo, trial_hi) of any rule kind (``table`` is the
-    compiled table of a table rule); returns the error count, the audit
-    tallies, and with ``return_arrays`` the per-trial arrays, per-step
-    queries, outputs and vote history included.
+    compiled table of a table rule); returns the error count, and with
+    ``return_arrays`` the per-trial arrays, per-step queries, outputs and
+    vote history included.
 
     Votes are three int32 rows, one per message.  Each draw is the scalar
     path's ``counter_hash(seed, trial, tag, step)``, vectorised over trials.
@@ -268,8 +281,6 @@ def _simulate_batch(
         queries = np.empty((n, count), dtype=np.uint8)
         ys = np.empty((n, count), dtype=np.uint8)
         history = np.empty((n, 3, count), dtype=np.int32)
-    chain_violations = 0
-    spread_violations = 0
     for k in range(n):
         if tie is not None:
             draw(TAG_TIE, k, tie)
@@ -291,29 +302,13 @@ def _simulate_batch(
             queries[k] = q + 1
             ys[k] = y
             history[k] = d
-        if audit:
-            lo = np.minimum(np.minimum(d[0], d[1]), d[2])
-            hi = np.maximum(np.maximum(d[0], d[1]), d[2])
-            total = 2 * (k + 1) - ones
-            mid = total - lo - hi
-            chain_violations += int(np.count_nonzero(hi > mid + 1))
-            spread_violations += int(np.count_nonzero(3 * mid < total - 1))
     decoded = _pick_fewest(d, draw(TAG_DECODE, n, h))
-    errors = decoded != true
-    zero_outputs = n - ones
-    out = {"trials": count, "errors": int(np.count_nonzero(errors))}
+    out = {"trials": count, "errors": int(np.count_nonzero(decoded != true))}
     if return_arrays:
         out.update(
-            true=true + 1, decoded=decoded + 1, votes=d, zero_outputs=zero_outputs,
+            true=true + 1, decoded=decoded + 1, votes=d, zero_outputs=n - ones,
             queries=queries, ys=ys, history=history,
         )
-    if audit:
-        e = d[true, np.arange(count)]
-        out["chain_violations"] = chain_violations
-        out["spread_violations"] = spread_violations
-        out["vote_identity_violations"] = int(np.count_nonzero(d.sum(axis=0) != n + zero_outputs))
-        bad_path = errors & (3 * e + 1 < n + zero_outputs)
-        out["error_path_violations"] = int(np.count_nonzero(bad_path))
     return out
 
 
@@ -345,35 +340,33 @@ def run_trials(
 
 
 def run_trajectory_audit(
-    n: int,
-    ch: ChannelParams,
-    trials: int,
-    seed: int,
-    rule: StrategyRule = MAX_POSTERIOR,
-    batch: int = 1 << 16,
+    n: int, ch: ChannelParams, trials: int, seed: int, rule: StrategyRule = MAX_POSTERIOR
 ) -> dict:
-    """Vectorized invariant sweep over many trajectories.
+    """Tally the paper's vote invariants over trials [0, trials).
 
-    Checks, at every step, the sorted-vote chain (greatest count at most
-    one above the middle) and the middle-vs-average spread; at the end,
-    the vote-total identity 3 * mean votes = n + zeros, and for erroneous
-    trials the path-probability inequality in its exact integer form.
+    Counted from the batch engine's arrays: the steps where the sorted votes
+    lo <= mid <= hi break the chain (hi > mid + 1) or the spread
+    (3 * mid < total - 1), and the trials where the vote total differs from
+    n + m (m outputs y = 0) or that decode wrongly with 3e + 1 < n + m (e
+    votes on the true message).  A fewest-votes rule violates none of them.
     """
     ch.require_float("run_trajectory_audit")
-    tallies = {
-        "trials": 0,
-        "errors": 0,
-        "chain_violations": 0,
-        "spread_violations": 0,
-        "vote_identity_violations": 0,
-        "error_path_violations": 0,
-    }
-    for out in _batch_outputs(n, ch, rule, seed, trials, batch, audit=True):
-        for key in tallies:
-            tallies[key] += out[key]
-    tallies["violations"] = sum(
-        tallies[k] for k in tallies if k.endswith("_violations")
-    )
+    tallies = dict.fromkeys(
+        ("trials", "errors", "chain_violations", "spread_violations",
+         "vote_identity_violations", "error_path_violations"), 0)
+    for out in _array_batches(n, ch, rule, seed, trials):
+        history, votes, m = out["history"], out["votes"], out["zero_outputs"]
+        lo, hi, total = history.min(axis=1), history.max(axis=1), history.sum(axis=1)
+        mid = total - lo - hi
+        e = votes[out["true"] - 1, np.arange(out["trials"])]
+        error = out["decoded"] != out["true"]
+        tallies["trials"] += out["trials"]
+        tallies["errors"] += out["errors"]
+        tallies["chain_violations"] += int(np.count_nonzero(hi > mid + 1))
+        tallies["spread_violations"] += int(np.count_nonzero(3 * mid < total - 1))
+        tallies["vote_identity_violations"] += int(np.count_nonzero(votes.sum(axis=0) != n + m))
+        tallies["error_path_violations"] += int(np.count_nonzero(error & (3 * e + 1 < n + m)))
+    tallies["violations"] = sum(v for k, v in tallies.items() if k.endswith("_violations"))
     return tallies
 
 
@@ -390,19 +383,6 @@ class TrajectoryRecord:
     zero_outputs: int            # m, number of y = 0
     decoded: int
     rule_kind: str
-
-    @property
-    def e(self) -> int:
-        """Votes against the true message."""
-        return self.votes[self.true - 1]
-
-    @property
-    def error(self) -> bool:
-        return self.decoded != self.true
-
-    @property
-    def mean_votes(self) -> Fraction:
-        return Fraction(sum(self.votes), 3)
 
 
 def simulate_trajectory(
@@ -457,8 +437,7 @@ def trajectory_records(
     ``simulate_trajectory(n, ch, rule, seed, t)``."""
     ch.require_float("trajectory_records")
     records = []
-    size = max(1, _RECORD_STEPS // max(n, 1))
-    for out in _batch_outputs(n, ch, rule, seed, count, size, return_arrays=True):
+    for out in _array_batches(n, ch, rule, seed, count):
         columns = zip(
             out["true"].tolist(),
             out["queries"].T.tolist(),
@@ -483,79 +462,3 @@ def trajectory_records(
             for true, qs, ys, hist, votes, zeros, decoded in columns
         ]
     return records
-
-
-@dataclass(frozen=True)
-class TrajectoryVerdict:
-    ok: bool
-    violations: tuple[str, ...]
-
-
-def check_trajectory_invariants(record: TrajectoryRecord, ch: ChannelParams) -> TrajectoryVerdict:
-    """Step-level and terminal invariants for a max-posterior trajectory.
-
-    The path-probability inequality for erroneous trials is checked in its
-    exact integer form (3e + 1 >= n + m, equivalent after cubing) and also
-    evaluated in logs for the report.
-    """
-    problems: list[str] = []
-    if record.rule_kind != "max-posterior":
-        problems.append(f"record from rule {record.rule_kind!r}; invariants assume max-posterior")
-    for k, votes in enumerate(record.vote_history, start=1):
-        lo, mid, hi = sorted(votes)
-        if hi > mid + 1:
-            problems.append(f"step {k}: sorted votes {(lo, mid, hi)} break the +1 chain")
-        if 3 * mid < sum(votes) - 1:
-            problems.append(f"step {k}: middle count below the average - 1/3 floor")
-    n, m = record.n, record.zero_outputs
-    if sum(record.votes) != n + m:
-        problems.append(f"vote total {sum(record.votes)} != n + zeros = {n + m}")
-    if record.error:
-        e = record.e
-        if 3 * e + 1 < n + m:
-            problems.append(f"erroneous path with e={e} below the (n+m)/3 - 1/3 floor")
-        if not ch.degenerate:
-            p, q = float(ch.p), float(ch.q)
-            d13 = (n + m) / 3.0
-            lhs = e * math.log(p) + (n - e) * math.log(q)
-            rhs = math.log(q / p) / 3.0 + d13 * math.log(p) + (n - d13) * math.log(q)
-            if lhs > rhs + 1e-9:
-                problems.append("path log-probability exceeds the spread bound")
-    return TrajectoryVerdict(ok=not problems, violations=tuple(problems))
-
-
-@dataclass(frozen=True)
-class ExponentFit:
-    slope: float
-    intercept: float
-    slope_stderr: float
-    points_used: int
-
-
-def estimate_exponent(grid: Sequence[tuple[int, SimulationStats]]) -> ExponentFit:
-    """Weighted least squares of -ln(estimate) against n.
-
-    Weights are inverse delta-method variances (1-p)/(p * trials); points
-    with zero observed errors carry no information and are dropped.
-    """
-    usable = [(n, st) for n, st in grid if st.errors > 0]
-    if len(usable) < 3:
-        raise ValueError(
-            "need at least 3 grid points with nonzero error counts; "
-            "increase trials or use the exact dynamic program"
-        )
-    xs = np.array([n for n, _ in usable], dtype=float)
-    ps = np.array([st.estimate for _, st in usable])
-    ts = np.array([st.trials for _, st in usable], dtype=float)
-    ys = -np.log(ps)
-    wts = ts * ps / (1.0 - ps)
-    xbar = float((wts * xs).sum() / wts.sum())
-    ybar = float((wts * ys).sum() / wts.sum())
-    sxx = float((wts * (xs - xbar) ** 2).sum())
-    slope = float((wts * (xs - xbar) * (ys - ybar)).sum() / sxx)
-    return ExponentFit(
-        slope=slope,
-        intercept=ybar - slope * xbar,
-        slope_stderr=math.sqrt(1.0 / sxx),
-        points_used=len(usable),
-    )

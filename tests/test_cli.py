@@ -559,6 +559,31 @@ def test_invalid_probability_exit_code(capsys, argv):
     assert argv[2] in diag["detail"]
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_bounds_negative_horizon_is_invalid_input(capsys, fmt):
+    # the exponents fail their check at this p (exit 3), so n is checked first
+    code, out, err = run_cli(capsys, "bounds", "--p", "1e-400", "--n", "-1", "--format", fmt)
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "invalid-input", "detail": "n must be nonnegative"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("exact", "--p", "1/10", "--n", "3", "--out"),
+        ("simulate", "--p", "0.1", "--n", "3", "--trials", "5", "--dump-trajectories"),
+    ],
+    ids=["out", "dump-trajectories"],
+)
+def test_unwritable_output_path_is_invalid_input(tmp_path, capsys, argv):
+    path = tmp_path / "missing" / "result"
+    code, out, err = run_cli(capsys, *argv, str(path))
+    assert code == 2 and out == ""
+    diag = json.loads(err)
+    assert diag["error"] == "invalid-input"
+    assert str(path) in diag["detail"]
+
+
 def test_unknown_flag_exits_with_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         dispatch(["exact", "--p", "1/10", "--n", "1", "--bogus"])
@@ -576,6 +601,7 @@ _EDGE_P = st.one_of(
 _HORIZON_FLAG = {
     "bounds": "--n", "exact": "--n", "bellman": "--n", "verify-theorem2": "--n",
     "simplex": "--n", "paths": "--n", "sweep": "--n-max", "octopus": "--depth",
+    "simulate": "--n",
 }
 
 
@@ -588,9 +614,17 @@ _HORIZON_FLAG = {
     series=st.sampled_from(["basic", "loops"]),
     variant=st.sampled_from(["restricted", "closed-form"]),
     detail=st.booleans(),
+    trials=st.integers(1, 20),
+    strategy=st.sampled_from(["max-posterior", "round-robin", "fixed:1", "fixed:2", "fixed:3"]),
 )
-def test_numeric_edges_exit_with_a_contract_code(cmd, p, n, mode, series, variant, detail):
-    argv = [cmd, "--p", p, _HORIZON_FLAG[cmd], str(n), "--mode", mode]
+def test_numeric_edges_exit_with_a_contract_code(
+    cmd, p, n, mode, series, variant, detail, trials, strategy
+):
+    argv = [cmd, "--p", p, _HORIZON_FLAG[cmd], str(n)]
+    if cmd == "simulate":  # Monte Carlo runs in float only and takes no --mode
+        argv += ["--trials", str(trials), "--strategy", strategy]
+    else:
+        argv += ["--mode", mode]
     if cmd == "paths":
         argv += ["--series", series, "--variant", variant]
     if cmd == "verify-theorem2" and detail:

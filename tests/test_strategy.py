@@ -6,7 +6,7 @@ import pytest
 
 from fblab.belief import normalize
 from fblab.channel import Seed, make_channel
-from fblab.montecarlo import check_trajectory_invariants, simulate_trajectory
+from fblab.montecarlo import simulate_trajectory
 from fblab.strategy import MAX_POSTERIOR, StrategyRule, load_table, select_query, step
 
 CH10 = make_channel("1/10")
@@ -119,5 +119,6 @@ def test_sorted_vote_chain_along_trajectories():
     # greatest vote count stays within one of the middle at every step
     for trial in range(200):
         rec = simulate_trajectory(50, CHF, MAX_POSTERIOR, seed=314, trial=trial)
-        verdict = check_trajectory_invariants(rec, CHF)
-        assert verdict.ok, verdict.violations
+        for k, votes in enumerate(rec.vote_history):
+            lo, mid, hi = sorted(votes)
+            assert hi <= mid + 1, (trial, k, votes)
