@@ -47,7 +47,7 @@ from .chain import (
     series_with_loops,
     verify_reference_transitions,
 )
-from .channel import ChannelParams, Seed, make_channel, sample_flip
+from .channel import ChannelParams, make_channel
 from .exact_dp import (
     ValueTable,
     bellman_optimum,
@@ -62,7 +62,8 @@ from .montecarlo import (
     run_trajectory_audit,
     run_trials,
     simulate_trajectory,
+    step,
 )
-from .strategy import MAX_POSTERIOR, StrategyRule, select_query, step
+from .strategy import MAX_POSTERIOR, StrategyRule, select_query
 
 __version__ = "0.1.0"

@@ -1,35 +1,18 @@
-"""Binary symmetric channel parameters and reproducible noise sampling.
+"""Binary symmetric channel parameters.
 
 Probabilities come in two modes: exact (``fractions.Fraction``) and
 float.  The mode is the one arithmetic choice: the dynamic programs and
 closed forms run in rational arithmetic on an exact channel and in
 log-float arithmetic on a float one; Monte Carlo needs a float channel.
-Noise is generated by a counter-based generator: every bit is a pure
-function of (seed, trial, purpose tag, step), so neither a replay nor the
-batch size can change a result.
+Sampling the channel's noise is ``montecarlo``'s job.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 Number = Fraction | float
-
-_MASK64 = (1 << 64) - 1
-
-# SplitMix64 finalizer constants; frozen, do not change (stored results
-# and pinned test vectors depend on them).
-_PHI64 = 0x9E3779B97F4A7C15
-_MIX_A = 0xBF58476D1CE4E5B9
-_MIX_B = 0x94D049BB133111EB
-
-# Purpose tags: each draw purpose owns an independent substream.
-TAG_NOISE = 1
-TAG_TIE = 2
-TAG_TRUE = 3
-TAG_DECODE = 4
 
 
 @dataclass(frozen=True)
@@ -85,47 +68,3 @@ def make_channel(literal: str | Fraction | float, mode: str = "rational") -> Cha
         q = 1.0 - p
         z = p / q
     return ChannelParams(p=p, q=q, z=z, exact=(mode == "rational"), degenerate=degenerate)
-
-
-@dataclass(frozen=True)
-class Seed:
-    """Root seed plus trial index; together they name one noise trajectory."""
-
-    value: int
-    trial: int = 0
-
-
-def mix64(x: int) -> int:
-    """SplitMix64 finalizer on a 64-bit word."""
-    x &= _MASK64
-    x ^= x >> 30
-    x = (x * _MIX_A) & _MASK64
-    x ^= x >> 27
-    x = (x * _MIX_B) & _MASK64
-    return x ^ (x >> 31)
-
-
-def counter_hash(seed: int, trial: int, tag: int, step: int) -> int:
-    """64-bit hash of (seed, trial, tag, step); the whole RNG is this function."""
-    h = mix64(seed & _MASK64)
-    h = mix64(h ^ ((trial * _PHI64) & _MASK64))
-    h = mix64(h ^ ((tag * _PHI64) & _MASK64))
-    h = mix64(h ^ ((step * _PHI64) & _MASK64))
-    return h
-
-
-def bernoulli_bit(h: int, p: float) -> int:
-    """Top 53 hash bits against a fixed threshold; P(1) = p up to 2**-53."""
-    return 1 if (h >> 11) < math.floor(p * 2.0**53) else 0
-
-
-def uniform_index(h: int, k: int) -> int:
-    """Uniform draw from range(k); modulo bias is < k * 2**-64."""
-    return h % k
-
-
-def sample_flip(ch: ChannelParams, seed: Seed, step: int) -> int:
-    """Channel error bit for one use; 1 means the transmitted bit was flipped."""
-    ch.require_float("sample_flip")
-    h = counter_hash(seed.value, seed.trial, TAG_NOISE, step)
-    return bernoulli_bit(h, ch.p)

@@ -1,13 +1,15 @@
 """Seeded episode simulation and the trajectory audit.
 
-Every random draw is a pure function of (seed, trial, purpose, step), so
-results are identical for any batch size.  One row-wise batch engine,
-``_simulate_batch``, runs every rule kind, table rules included: it gives
-``run_trials`` its counts, and its per-step arrays give
-``run_trajectory_audit`` the paper's vote-invariant tallies and
-``trajectory_records`` the episode records that the CLI dumps.  The scalar
-path, ``simulate_trajectory`` stepping ``strategy.step``, is kept as the
-oracle only: tests pin the batch engine to it per trial, bit for bit.
+Every random draw is ``counter_hash(seed, trial, tag, step)``, a SplitMix64
+chain with one purpose tag per substream.  The layout is frozen (stored
+results and pinned counts depend on it), and no result depends on the batch
+size.  One row-wise batch engine, ``_simulate_batch``, mirrors it bit for
+bit and runs every rule kind, table rules included: it gives ``run_trials``
+its counts, and its per-step arrays give ``run_trajectory_audit`` the
+paper's vote-invariant tallies and ``trajectory_records`` the episode
+records that the CLI dumps.  The scalar path, ``simulate_trajectory``
+calling ``step`` once per channel use, is kept as the oracle only: tests
+pin the batch engine to it per trial, bit for bit.
 """
 
 from __future__ import annotations
@@ -18,23 +20,43 @@ from fractions import Fraction
 
 import numpy as np
 
-from .belief import MetricState, leaders, normalize
-from .channel import (
-    TAG_DECODE,
-    TAG_NOISE,
-    TAG_TIE,
-    TAG_TRUE,
-    ChannelParams,
-    Seed,
-    _MASK64,
-    _MIX_A,
-    _MIX_B,
-    _PHI64,
-    counter_hash,
-    mix64,
-    uniform_index,
-)
-from .strategy import MAX_POSTERIOR, StrategyRule, step
+from .belief import MetricState, apply_outcome, leaders, normalize
+from .channel import ChannelParams
+from .strategy import MAX_POSTERIOR, StrategyRule, select_query
+
+_MASK64 = (1 << 64) - 1
+
+# SplitMix64 finalizer constants; frozen, do not change (stored results
+# and pinned test vectors depend on them).
+_PHI64 = 0x9E3779B97F4A7C15
+_MIX_A = 0xBF58476D1CE4E5B9
+_MIX_B = 0x94D049BB133111EB
+
+# Purpose tags: each draw purpose owns an independent substream.
+TAG_NOISE = 1
+TAG_TIE = 2
+TAG_TRUE = 3
+TAG_DECODE = 4
+
+
+def mix64(x: int) -> int:
+    """SplitMix64 finalizer on a 64-bit word."""
+    x &= _MASK64
+    x ^= x >> 30
+    x = (x * _MIX_A) & _MASK64
+    x ^= x >> 27
+    x = (x * _MIX_B) & _MASK64
+    return x ^ (x >> 31)
+
+
+def counter_hash(seed: int, trial: int, tag: int, step: int) -> int:
+    """64-bit hash of (seed, trial, tag, step); the whole RNG is this function."""
+    h = mix64(seed & _MASK64)
+    h = mix64(h ^ ((trial * _PHI64) & _MASK64))
+    h = mix64(h ^ ((tag * _PHI64) & _MASK64))
+    h = mix64(h ^ ((step * _PHI64) & _MASK64))
+    return h
+
 
 _U = np.uint64
 _WILSON_Z99 = 2.5758293035489004  # two-sided 99% normal quantile
@@ -42,7 +64,7 @@ _RECORD_STEPS = 1_000_000  # trial-steps per batch of trajectory records
 
 
 def _mix_into(x: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """SplitMix64 finalizer of every word of ``x``, in place (``tmp`` is scratch)."""
+    """``mix64`` of every word of ``x``, in place (``tmp`` is scratch)."""
     np.right_shift(x, _U(30), out=tmp)
     x ^= tmp
     x *= _U(_MIX_A)
@@ -54,23 +76,8 @@ def _mix_into(x: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     return x
 
 
-def _mix_np(x: np.ndarray) -> np.ndarray:
-    return _mix_into(x.copy(), np.empty_like(x))
-
-
 def _word(w: int) -> np.uint64:
     return _U((w * _PHI64) & _MASK64)
-
-
-def noise_bits(ch: ChannelParams, seed: int, trial: int, count: int) -> np.ndarray:
-    """Vectorized channel error bits for steps 0..count-1 of one trial;
-    entry k equals the scalar ``sample_flip`` draw at step k."""
-    ch.require_float("noise_bits")
-    steps = np.arange(count, dtype=np.uint64)
-    base = mix64(mix64(seed) ^ ((trial * _PHI64) & _MASK64))
-    base_noise = mix64(base ^ ((TAG_NOISE * _PHI64) & _MASK64))
-    h = _mix_np(_U(base_noise) ^ (steps * _U(_PHI64)))
-    return ((h >> _U(11)) < _U(math.floor(ch.p * 2.0**53))).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -132,12 +139,10 @@ def _fewest_pattern(d: np.ndarray) -> np.ndarray:
     return pattern
 
 
-def _pick_fewest(d: np.ndarray, tie: np.ndarray | None) -> np.ndarray:
-    """0-based fewest-votes message of rank h % k per trial (the lowest one
-    when ``tie`` is None), as ``strategy.step`` and the decoder choose."""
-    index = _fewest_pattern(d) * 6
-    if tie is not None:
-        index += _mod6(tie)
+def _pick_fewest(d: np.ndarray, tie: np.ndarray) -> np.ndarray:
+    """0-based fewest-votes message of rank h % k per trial, as ``step`` and
+    the decoder choose."""
+    index = _fewest_pattern(d) * 6 + _mod6(tie)
     return np.take(_TIE_RANKS, index.astype(np.intp))
 
 
@@ -145,7 +150,7 @@ class _TableQueries:
     """A table rule compiled for the batch engine.
 
     States are looked up by a sorted key of the normalised vote triple.  Per
-    state the query is drawn as ``strategy.step`` draws it: a rank lookup
+    state the query is drawn as ``step`` draws it: a rank lookup
     ``sorted(choices)[h % k]`` when the weights are equal, otherwise the first
     choice whose cumulative weight acc satisfies h < acc * 2**64, i.e.
     h <= ceil(acc * 2**64) - 1, computed exactly from the weights.  Entries
@@ -260,8 +265,9 @@ def _simulate_batch(
     """
     count = trial_hi - trial_lo
     trials = np.arange(trial_lo, trial_hi, dtype=np.uint64)
-    base = _mix_np(_U(mix64(seed)) ^ (trials * _U(_PHI64)))
+    base = _U(mix64(seed)) ^ (trials * _U(_PHI64))
     scratch, h = np.empty_like(base), np.empty_like(base)
+    _mix_into(base, scratch)
     streams = {
         tag: _mix_into(base ^ _word(tag), scratch)
         for tag in (TAG_NOISE, TAG_TIE, TAG_TRUE, TAG_DECODE)
@@ -274,7 +280,7 @@ def _simulate_batch(
     true = (draw(TAG_TRUE, 0, h) % _U(3)).astype(np.uint8)
     # the scalar flip (h >> 11) < floor(p * 2**53), as one comparison of h
     flip_below = _U(math.floor(ch.p * 2.0**53) << 11)
-    tie = np.empty_like(base) if table is not None or rule.equivariant else None
+    tie = np.empty_like(base) if rule.kind in ("max-posterior", "table") else None
     d = np.zeros((3, count), dtype=np.int32)
     ones = np.zeros(count, dtype=np.int32)  # outputs y = 1 so far
     if return_arrays:
@@ -385,25 +391,53 @@ class TrajectoryRecord:
     rule_kind: str
 
 
-def simulate_trajectory(
-    n: int,
-    ch: ChannelParams,
+def step(
     rule: StrategyRule,
+    s: MetricState,
+    ch: ChannelParams,
+    true: int,
     seed: int,
     trial: int,
-    true: int | None = None,
+    t: int,
+) -> tuple[int, int, MetricState]:
+    """One simulated channel use, as (query j, output y, next state); fully
+    reproducible from (seed, trial, t)."""
+    ch.require_float("step")
+    weights = select_query(rule, s)
+    choices = sorted(weights)
+    if len(choices) == 1:
+        j = choices[0]
+    else:
+        h = counter_hash(seed, trial, TAG_TIE, t)
+        if all(weights[c] == weights[choices[0]] for c in choices):
+            j = choices[h % len(choices)]  # modulo bias is < k * 2**-64
+        else:
+            u = Fraction(h, 1 << 64)
+            acc = Fraction(0)
+            j = choices[-1]
+            for c in choices:
+                acc += weights[c]
+                if u < acc:
+                    j = c
+                    break
+    # the top 53 hash bits against a fixed threshold: P(flip) = p up to 2**-53
+    flip = int((counter_hash(seed, trial, TAG_NOISE, t) >> 11) < math.floor(ch.p * 2.0**53))
+    y = int(true != j) ^ flip
+    return j, y, apply_outcome(s, j, y)
+
+
+def simulate_trajectory(
+    n: int, ch: ChannelParams, rule: StrategyRule, seed: int, trial: int
 ) -> TrajectoryRecord:
     """Scalar reference episode; draws match the batch engine bit for bit."""
     ch.require_float("simulate_trajectory")
-    if true is None:
-        true = uniform_index(counter_hash(seed, trial, TAG_TRUE, 0), 3) + 1
-    sd = Seed(seed, trial)
+    true = counter_hash(seed, trial, TAG_TRUE, 0) % 3 + 1
     s: MetricState = (0, 0, 0)
     d = [0, 0, 0]
     queries, ys, history = [], [], []
     zero_outputs = 0
     for t in range(n):
-        j, y, s = step(rule, s, ch, true, sd, t)
+        j, y, s = step(rule, s, ch, true, seed, trial, t)
         if y == 1:
             d[j - 1] += 1
         else:
@@ -415,8 +449,7 @@ def simulate_trajectory(
         ys.append(y)
         history.append(tuple(d))
     lead = leaders(normalize(tuple(d)))
-    rank = uniform_index(counter_hash(seed, trial, TAG_DECODE, n), len(lead))
-    decoded = sorted(lead)[rank]
+    decoded = sorted(lead)[counter_hash(seed, trial, TAG_DECODE, n) % len(lead)]
     return TrajectoryRecord(
         n=n,
         true=true,

@@ -1,4 +1,5 @@
-"""Query strategies: metric state -> weights on the message indices 1..3."""
+"""Query strategies: metric state -> weights on the message indices 1..3;
+``montecarlo.step`` draws a simulated query from them."""
 
 from __future__ import annotations
 
@@ -8,8 +9,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
-from .belief import MetricState, apply_outcome, check_state, leaders
-from .channel import TAG_NOISE, TAG_TIE, ChannelParams, Seed, bernoulli_bit, counter_hash, uniform_index
+from .belief import MetricState, check_state, leaders
 
 QueryWeights = dict[int, Fraction]
 
@@ -18,10 +18,10 @@ QueryWeights = dict[int, Fraction]
 class StrategyRule:
     """A strategy is a pure function of the metric state.
 
-    kinds: ``max-posterior`` queries a fewest-votes message (ties broken by
-    ``tie_policy``); ``fixed`` always queries one message; ``round-robin``
-    cycles with the vote total (kept a state function on purpose);
-    ``table`` looks the state up in an explicit map.
+    kinds: ``max-posterior`` splits its weight evenly over the fewest-votes
+    messages; ``fixed`` always queries one message; ``round-robin`` cycles
+    with the vote total (kept a state function on purpose); ``table`` looks
+    the state up in an explicit map, as any other tie-break must.
 
     A rule is checked once, here.  Every table key must be a normalised
     state of three ints, and every value nonnegative weights on messages
@@ -31,15 +31,12 @@ class StrategyRule:
     """
 
     kind: str = "max-posterior"
-    tie_policy: str = "uniform-random"  # or "lowest-index"
     fixed_query: int | None = None
     table: dict[MetricState, QueryWeights] | None = field(default=None, hash=False)
 
     def __post_init__(self):
         if self.kind not in ("max-posterior", "fixed", "round-robin", "table"):
             raise ValueError(f"unknown strategy kind {self.kind!r}")
-        if self.tie_policy not in ("uniform-random", "lowest-index"):
-            raise ValueError(f"unknown tie policy {self.tie_policy!r}")
         if self.kind == "fixed" and self.fixed_query not in (1, 2, 3):
             raise ValueError("fixed strategy needs fixed_query in 1..3")
         if self.kind == "table":
@@ -52,7 +49,7 @@ class StrategyRule:
     def equivariant(self) -> bool:
         """True when the rule commutes with message relabeling, so the exact
         DP may condition on a single true message."""
-        return self.kind == "max-posterior" and self.tie_policy == "uniform-random"
+        return self.kind == "max-posterior"
 
 
 def _check_entry(s: MetricState, weights: QueryWeights) -> None:
@@ -80,8 +77,6 @@ def select_query(rule: StrategyRule, s: MetricState) -> QueryWeights:
     check_state(s)
     if rule.kind == "max-posterior":
         lead = leaders(s)
-        if rule.tie_policy == "lowest-index":
-            return {lead[0]: Fraction(1)}
         w = Fraction(1, len(lead))
         return {j: w for j in lead}
     if rule.kind == "fixed":
@@ -100,43 +95,9 @@ def weight_denominator(rule: StrategyRule) -> int:
     if rule.kind == "table":
         assert rule.table is not None
         return math.lcm(*(w.denominator for ws in rule.table.values() for w in ws.values()))
-    if rule.kind == "max-posterior" and rule.tie_policy == "uniform-random":
+    if rule.kind == "max-posterior":
         return 6  # ties split evenly over 1, 2 or 3 leaders
     return 1
-
-
-def step(
-    rule: StrategyRule,
-    s: MetricState,
-    ch: ChannelParams,
-    true: int,
-    seed: Seed,
-    t: int,
-) -> tuple[int, int, MetricState]:
-    """One simulated channel use, as (query j, output y, next state); fully
-    reproducible from (seed, trial, t)."""
-    ch.require_float("step")
-    weights = select_query(rule, s)
-    choices = sorted(weights)
-    if len(choices) == 1:
-        j = choices[0]
-    else:
-        h = counter_hash(seed.value, seed.trial, TAG_TIE, t)
-        if all(weights[c] == weights[choices[0]] for c in choices):
-            j = choices[uniform_index(h, len(choices))]
-        else:
-            u = Fraction(h, 1 << 64)
-            acc = Fraction(0)
-            j = choices[-1]
-            for c in choices:
-                acc += weights[c]
-                if u < acc:
-                    j = c
-                    break
-    flip = bernoulli_bit(counter_hash(seed.value, seed.trial, TAG_NOISE, t), ch.p)
-    x = 0 if true == j else 1
-    y = x ^ flip
-    return j, y, apply_outcome(s, j, y)
 
 
 def _json_int(v: object, what: str) -> int:

@@ -51,6 +51,14 @@ class TestCubicField:
         assert (c - Fraction(48075, 100000)).sign() < 0
         assert (c * c * c - z).sign() == 0
 
+    def test_sign_refines_past_twenty_digits(self):
+        # c agrees with its 60-digit bounds to 40 digits, so only the
+        # third, 80-digit refinement decides the sign
+        c = CubicExt.root(Fraction(2))
+        lo, hi = cbrt_bounds(Fraction(2), 60)
+        assert (c - lo).sign() == 1
+        assert (c - hi).sign() == -1
+
     def test_perfect_cube_base_collapses(self):
         c = CubicExt.root(Fraction(1, 8))
         assert (c - Fraction(1, 2)).sign() == 0

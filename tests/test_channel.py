@@ -3,14 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from fblab.channel import (
-    ChannelParams,
-    Seed,
-    counter_hash,
-    make_channel,
-    sample_flip,
-)
-from fblab.montecarlo import noise_bits
+from fblab.channel import ChannelParams, make_channel
+from fblab.montecarlo import _array_batches, counter_hash
+from fblab.strategy import StrategyRule
 
 P_GRID = ["1/20", "1/10", "1/5", "3/10", "2/5"]
 
@@ -59,31 +54,16 @@ def test_counter_hash_pinned_vectors():
     assert counter_hash(2**64 - 1, 2**32, 4, 10**6) == 0x4C5BD4D685B0A0A2
 
 
-def test_sample_flip_is_replayable():
-    ch = make_channel("0.3", "float")
-    draws = [sample_flip(ch, Seed(11, t), k) for t in range(5) for k in range(20)]
-    again = [sample_flip(ch, Seed(11, t), k) for t in range(5) for k in range(20)]
-    assert draws == again
-    assert set(draws) <= {0, 1}
-
-
-def test_sample_flip_rejects_exact_channel():
-    with pytest.raises(ValueError):
-        sample_flip(make_channel("1/10"), Seed(1), 0)
-
-
-def test_sample_flip_matches_vectorized_stream():
-    ch = make_channel("0.1", "float")
-    bits = noise_bits(ch, 123, 5, 1000)
-    assert list(bits) == [sample_flip(ch, Seed(123, 5), k) for k in range(1000)]
-
-
 @pytest.mark.parametrize("p", [0.1, 0.5])
 def test_empirical_flip_rate(p):
+    # 10**6 channel uses from the batch engine's per-step outputs; always
+    # querying message 1 sends x = (true != 1), so the flip is y ^ x
     ch = make_channel(str(p), "float")
-    n = 10**6
-    rate = noise_bits(ch, 2024, 0, n).mean()
-    assert abs(rate - p) <= 4.0 * math.sqrt(p * (1 - p) / n)
+    steps, trials = 100, 10**4
+    [out] = _array_batches(steps, ch, StrategyRule(kind="fixed", fixed_query=1), 2024, trials)
+    flips = out["ys"] ^ (out["true"] != 1)
+    n = steps * trials
+    assert abs(flips.mean() - p) <= 4.0 * math.sqrt(p * (1 - p) / n)
 
 
 def test_channel_params_is_immutable():

@@ -393,8 +393,9 @@ def test_trajectory_dump_is_pinned(tmp_path, monkeypatch, capsys, strategy):
     [
         ("--n", "-1"),
         ("--n", "4", "--dump-trajectories", "dump.jsonl", "--dump-count", "-5"),
+        ("--n", "4", "--trials", "0"),
     ],
-    ids=["negative-horizon", "negative-dump-count"],
+    ids=["negative-horizon", "negative-dump-count", "zero-trials"],
 )
 def test_simulate_bad_input_is_invalid_input(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
@@ -557,6 +558,14 @@ def test_invalid_probability_exit_code(capsys, argv):
     diag = json.loads(err)
     assert diag["error"] == "invalid-input"
     assert argv[2] in diag["detail"]
+
+
+def test_bounds_json_with_several_probabilities_is_invalid_input(capsys):
+    code, out, err = run_cli(capsys, "bounds", "--p", "1/10,1/5", "--format", "json")
+    assert code == 2 and out == ""
+    assert json.loads(err) == {
+        "error": "invalid-input", "detail": "json format takes a single --p literal"
+    }
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])

@@ -204,9 +204,18 @@ TWO_SEVENTHS = StrategyRule(
         if min(s) == 0
     },
 )
+# lowest-index ties: the first of the fewest-votes messages, for n <= 20
+LOWEST_INDEX = StrategyRule(
+    kind="table",
+    table={
+        s: {leaders(s)[0]: Fraction(1)}
+        for s in itertools.product(range(21), repeat=3)
+        if min(s) == 0
+    },
+)
 FORWARD_RULES = [
     MAX_POSTERIOR,
-    StrategyRule(tie_policy="lowest-index"),
+    LOWEST_INDEX,
     StrategyRule(kind="round-robin"),
     StrategyRule(kind="fixed", fixed_query=2),
     TWO_SEVENTHS,
@@ -373,7 +382,7 @@ class TestBellman:
     def test_never_beaten_by_fixed_rules(self):
         rules = [
             MAX_POSTERIOR,
-            StrategyRule(tie_policy="lowest-index"),
+            LOWEST_INDEX,
             StrategyRule(kind="fixed", fixed_query=1),
             StrategyRule(kind="round-robin"),
         ]
@@ -506,7 +515,7 @@ def test_every_fewest_votes_tie_break_is_optimal(pl):
     optimum = [(n, table.optimal_error(n)) for n in range(1, 21)]
     rules = (
         MAX_POSTERIOR,
-        StrategyRule(tie_policy="lowest-index"),
+        LOWEST_INDEX,
         _random_fewest_votes_table(20220301, 20),
     )
     for rule in rules:
@@ -573,7 +582,7 @@ class TestErrorCurve:
         "rule",
         [
             MAX_POSTERIOR,
-            StrategyRule(tie_policy="lowest-index"),
+            LOWEST_INDEX,
             StrategyRule(kind="round-robin"),
             StrategyRule(kind="fixed", fixed_query=2),
         ],

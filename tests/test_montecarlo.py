@@ -31,11 +31,16 @@ def two_sevenths(lead):
     return {lead[0]: Fraction(5, 7), lead[0] % 3 + 1: Fraction(2, 7)}
 
 
+def lowest_leader(lead):
+    return {lead[0]: Fraction(1)}
+
+
 # every rule kind and every way a table rule draws its query: one choice,
-# equal weights over two and over three queries, and unequal weights
+# equal weights over two and over three queries, unequal weights, and
+# unequal weights with a zero that ends the cut list or is skipped
 ORACLE_RULES = {
     "max-posterior": MAX_POSTERIOR,
-    "lowest-index": StrategyRule(tie_policy="lowest-index"),
+    "lowest-index": table_rule(10, lowest_leader),
     "fixed:2": StrategyRule(kind="fixed", fixed_query=2),
     "round-robin": StrategyRule(kind="round-robin"),
     "table-single": table_rule(10, lambda lead: {lead[-1]: Fraction(1)}),
@@ -44,6 +49,12 @@ ORACLE_RULES = {
     "table-5/7-2/7": table_rule(10, two_sevenths),
     "table-1/2-1/3-1/6": table_rule(
         10, lambda lead: {1: Fraction(1, 2), 2: Fraction(1, 3), 3: Fraction(1, 6)}
+    ),
+    "table-1/2-1/2-0": table_rule(
+        10, lambda lead: {1: Fraction(1, 2), 2: Fraction(1, 2), 3: Fraction(0)}
+    ),
+    "table-0-1/3-2/3": table_rule(
+        10, lambda lead: {1: Fraction(0), 2: Fraction(1, 3), 3: Fraction(2, 3)}
     ),
 }
 
@@ -169,7 +180,9 @@ def test_negative_horizon_is_rejected():
 
 # error counts of run_trials(12, p = 0.3, 20,000 trials), recorded before the
 # batch engine became row-wise and took over table rules; a moved count means
-# a draw is taken in a different order
+# a draw is taken in a different order; lowest-index ties were a tie policy
+# of the max-posterior rule then and are a table rule now
+PINNED_TABLES = {"lowest-index": lowest_leader, "table-5/7-2/7": two_sevenths}
 PINNED_ERRORS = {
     (7, "max-posterior"): 3450,
     (7, "lowest-index"): 3430,
@@ -186,7 +199,7 @@ PINNED_ERRORS = {
 
 @pytest.mark.parametrize("seed, name", sorted(PINNED_ERRORS))
 def test_error_counts_are_pinned(seed, name):
-    rule = table_rule(12, two_sevenths) if name.startswith("table") else ORACLE_RULES[name]
+    rule = table_rule(12, PINNED_TABLES[name]) if name in PINNED_TABLES else ORACLE_RULES[name]
     stats = run_trials(12, make_channel("0.3", "float"), rule, trials=20_000, seed=seed)
     assert stats.errors == PINNED_ERRORS[seed, name]
 

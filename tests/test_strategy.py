@@ -5,9 +5,9 @@ from fractions import Fraction
 import pytest
 
 from fblab.belief import normalize
-from fblab.channel import Seed, make_channel
-from fblab.montecarlo import simulate_trajectory
-from fblab.strategy import MAX_POSTERIOR, StrategyRule, load_table, select_query, step
+from fblab.channel import make_channel
+from fblab.montecarlo import simulate_trajectory, step
+from fblab.strategy import MAX_POSTERIOR, StrategyRule, load_table, select_query
 
 CH10 = make_channel("1/10")
 CHF = make_channel("0.1", "float")
@@ -25,12 +25,6 @@ def test_two_way_tie_splits_evenly():
 
 def test_unique_leader_is_deterministic():
     assert select_query(MAX_POSTERIOR, (0, 1, 2)) == {1: Fraction(1)}
-
-
-def test_lowest_index_tie_policy():
-    rule = StrategyRule(tie_policy="lowest-index")
-    assert select_query(rule, (0, 0, 0)) == {1: Fraction(1)}
-    assert select_query(rule, (1, 0, 0)) == {2: Fraction(1)}
 
 
 def test_depends_only_on_fewest_votes_set():
@@ -82,19 +76,18 @@ def test_table_rule_is_checked_when_built(state, weights, message):
 
 def test_equivariance_flag():
     assert MAX_POSTERIOR.equivariant
-    assert not StrategyRule(tie_policy="lowest-index").equivariant
+    assert not StrategyRule(kind="table", table={(0, 0, 0): {1: Fraction(1)}}).equivariant
     assert not StrategyRule(kind="fixed", fixed_query=1).equivariant
 
 
 def test_step_requires_float_channel():
     with pytest.raises(ValueError):
-        step(MAX_POSTERIOR, (0, 0, 0), CH10, 1, Seed(1), 0)
+        step(MAX_POSTERIOR, (0, 0, 0), CH10, 1, 1, 0, 0)
 
 
 def test_step_replay_is_identical():
-    sd = Seed(42, 7)
-    first = [step(MAX_POSTERIOR, (0, 0, 0), CHF, 1, sd, t) for t in range(50)]
-    second = [step(MAX_POSTERIOR, (0, 0, 0), CHF, 1, sd, t) for t in range(50)]
+    first = [step(MAX_POSTERIOR, (0, 0, 0), CHF, 1, 42, 7, t) for t in range(50)]
+    second = [step(MAX_POSTERIOR, (0, 0, 0), CHF, 1, 42, 7, t) for t in range(50)]
     assert first == second
 
 
@@ -102,7 +95,7 @@ def test_step_applies_vote_rule():
     # all outcomes from the uniform state land in the six one-vote states
     seen = set()
     for t in range(200):
-        q, y, nxt = step(MAX_POSTERIOR, (0, 0, 0), CHF, 1, Seed(3, t), 0)
+        q, y, nxt = step(MAX_POSTERIOR, (0, 0, 0), CHF, 1, 3, t, 0)
         assert nxt == normalize(nxt)
         seen.add(nxt)
     assert seen == {(0, 1, 1), (1, 0, 0), (0, 1, 0), (1, 0, 1), (0, 0, 1), (1, 1, 0)}
@@ -111,7 +104,7 @@ def test_step_applies_vote_rule():
 def test_degenerate_channel_outputs_uniform():
     ch = make_channel("0.5", "float")
     n = 10**5
-    ones = sum(step(MAX_POSTERIOR, (0, 0, 0), ch, 1, Seed(9, t), 0)[1] for t in range(n))
+    ones = sum(step(MAX_POSTERIOR, (0, 0, 0), ch, 1, 9, t, 0)[1] for t in range(n))
     assert abs(ones / n - 0.5) <= 4.0 * (0.25 / n) ** 0.5
 
 
