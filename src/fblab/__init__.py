@@ -10,16 +10,13 @@ closed-form bounds and exponents, and reproducible Monte Carlo.
 
 from .belief import (
     MetricState,
-    QueryOutcome,
     apply_outcome,
-    decode_error,
     leaders,
     normalize,
     one_step_gap,
     one_step_values,
     outcome_distribution,
     posteriors,
-    query_outcome,
 )
 from .bounds import (
     BoundReport,
@@ -40,11 +37,9 @@ from .bounds import (
 from .chain import (
     TransitionTable,
     derive_transitions,
-    enumerate_two_loops,
     export_dot,
+    path_series,
     reach_prob,
-    series_basic,
-    series_with_loops,
     verify_reference_transitions,
 )
 from .channel import ChannelParams, make_channel

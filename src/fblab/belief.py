@@ -20,9 +20,6 @@ simulator encode agreement with it themselves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-
 from .channel import ChannelParams, Number
 
 MetricState = tuple[int, int, int]
@@ -55,11 +52,6 @@ def posteriors(s: tuple[int, int, int], ch: ChannelParams) -> tuple[Number, Numb
     weights = [z**v for v in m]
     total = sum(weights)
     return tuple(wt / total for wt in weights)  # type: ignore[return-value]
-
-
-def decode_error(s: MetricState, ch: ChannelParams) -> Number:
-    """Error of max-posterior decoding with uniform tie randomization: 1 - max pi."""
-    return 1 - max(posteriors(s, ch))
 
 
 def check_query(j: int) -> None:
@@ -120,57 +112,6 @@ def outcome_distribution(
     return {0: dist[0], 1: dist[1]}
 
 
-@dataclass(frozen=True)
-class QueryOutcome:
-    """Full one-step breakdown for a single query at a unique-leader state.
-
-    ``prior_ratios`` holds a_j = z**(m_j - m_leader) for the two trailing
-    messages; ``b_before`` is their sum (the leader's posterior is then
-    1/(1 + b_before)).  Per outcome y: its probability, the gap change
-    delta_j for each message, the next state, and b afterwards.
-    """
-
-    query: int
-    leader: int
-    prior_ratios: dict[int, Number]
-    b_before: Number
-    probs: dict[int, Number]
-    deltas: dict[int, dict[int, int]]
-    next_states: dict[int, MetricState]
-    b_after: dict[int, Number]
-    expected_leader_posterior: Number
-
-
-def query_outcome(s: MetricState, j: int, ch: ChannelParams, mode: str = "paper") -> QueryOutcome:
-    """One-step outcome record for query j; see QueryOutcome."""
-    i0, u, v = _leader_and_others(s)
-    z = ch.z
-    ratios = {k: z ** (s[k - 1] - s[i0 - 1]) for k in (u, v)}
-    probs = outcome_distribution(s, j, ch, mode=mode)
-    deltas: dict[int, dict[int, int]] = {}
-    nexts: dict[int, MetricState] = {}
-    b_after: dict[int, Number] = {}
-    for y in (0, 1):
-        ns = apply_outcome(s, j, y)
-        nexts[y] = ns
-        deltas[y] = {
-            k: (ns[k - 1] - ns[i0 - 1]) - (s[k - 1] - s[i0 - 1]) for k in (1, 2, 3)
-        }
-        b_after[y] = sum(ratios[k] * z ** deltas[y][k] for k in (u, v))
-    expected = sum(probs[y] / (1 + b_after[y]) for y in (0, 1))
-    return QueryOutcome(
-        query=j,
-        leader=i0,
-        prior_ratios=ratios,
-        b_before=sum(ratios.values()),
-        probs=probs,
-        deltas=deltas,
-        next_states=nexts,
-        b_after=b_after,
-        expected_leader_posterior=expected,
-    )
-
-
 def _leader_and_others(s: MetricState) -> tuple[int, int, int]:
     lead = leaders(s)
     if len(lead) != 1:
@@ -185,6 +126,8 @@ def one_step_values(s: MetricState, ch: ChannelParams, mode: str = "paper") -> t
 
     Returned in role order (query the leader, query the lower-indexed
     other, query the higher-indexed other).  Requires a unique leader.
+    No command calls it; it stays in ``src/`` as the paper's printed one-step
+    law, which the acceptance checks evaluate.
     """
     check_state(s)
     if mode not in ("paper", "bayes"):
@@ -202,7 +145,9 @@ def one_step_values(s: MetricState, ch: ChannelParams, mode: str = "paper") -> t
 
 def one_step_gap(s: MetricState, ch: ChannelParams) -> Number:
     """Closed-form advantage of querying the leader over the lower-indexed
-    rival under the paper-mode law; equals one_step_values(paper)[0] - [1]."""
+    rival under the paper-mode law; equals one_step_values(paper)[0] - [1].
+    No command calls it; it stays in ``src/`` as the paper's printed one-step
+    gap, which the acceptance checks evaluate."""
     check_state(s)
     i0, u, v = _leader_and_others(s)
     z = ch.z

@@ -27,15 +27,6 @@ from .exact_dp import log_of, logaddexp
 IDENTITY_DPS = 50
 
 
-def binary_entropy(u: float) -> float:
-    """Natural-log binary entropy; 0 at the endpoints."""
-    if not 0.0 <= u <= 1.0:
-        raise ValueError(f"entropy argument must be in [0,1], got {u}")
-    if u in (0.0, 1.0):
-        return 0.0
-    return -u * math.log(u) - (1.0 - u) * math.log1p(-u)
-
-
 @dataclass(frozen=True)
 class ErrorExponents:
     f_fb: float  # three messages with noiseless feedback
@@ -75,7 +66,10 @@ def _generator(ch: ChannelParams) -> CubicExt:
 
 
 def error_upper_bound_exact(n: int, ch: ChannelParams) -> CubicExt:
-    """Exact cubic-field value of the upper bound: q^n c^(n-1) (1+c)^n, c = z^(1/3)."""
+    """Exact cubic-field value of the upper bound: q^n c^(n-1) (1+c)^n, c = z^(1/3).
+
+    No command calls it yet; the acceptance check that the upper bound
+    dominates the strategy's error uses it, and ROADMAP item 2 gives it one."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     c = _generator(ch)

@@ -193,18 +193,6 @@ def reach_prob(n: int, ch: ChannelParams) -> Number:
     return math.exp(at_hub[0] if at_hub else -math.inf)
 
 
-def enumerate_two_loops(s: ChainState, table: TransitionTable) -> list[tuple[ChainState, Number]]:
-    """All length-2 closed paths at s, as (intermediate state, probability)."""
-    if s not in table.entries:
-        raise ValueError(f"state {s} not in table")
-    loops = []
-    for tr in table.entries[s]:
-        for back in table.entries.get(tr.target, ()):
-            if back.target == s:
-                loops.append((tr.target, tr.prob * back.prob))
-    return sorted(loops)
-
-
 @dataclass(frozen=True)
 class PathComposition:
     """One feasible mix of building blocks in a return-path family."""
@@ -219,14 +207,24 @@ class PathComposition:
         return comb(self.m, self.n2 if self.n2 else self.k2)
 
 
-def _restricted_series(n: int, ch: ChannelParams, loops: bool):
-    """Compositions of n into 2-blocks and 3-blocks, and their restricted series.
+def path_series(n: int, ch: ChannelParams, loops: bool, variant: str):
+    """Return-path series over compositions of n into 2-blocks and 3-blocks,
+    as (value, compositions).  The 3-blocks are hub-to-hub blocks; so are the
+    2-blocks, or with ``loops`` they are generic 2-loops.
 
-    The 2-blocks are hub-to-hub blocks, or generic 2-loops with ``loops``;
-    the series is sum weight * (pq)**(2-blocks) * (pq**2)**n3 over them.
+    restricted: the exact sum of weight * (pq)**(2-blocks) * (pq**2)**n3, a
+    lower bound on the return probability (without loops, the exact
+    basic-only one).  With loops the weight is the sequential-arrangement
+    count C(k2+n3, k2); the printed C(n, k2) overcounts at small n.
+    closed-form, in doubles: (1/n) (pq^2)^(n/3) (1+z^(1/3))^(n(1+a0)/3), a0
+    the optimal 2-block density, or with loops (1/2) (pq^2)^(n/3)
+    (1+z^(1/3))^n, which the divisibility relaxation lets exceed the exact
+    return probability.
     """
     if n < 2:
         raise ValueError("series need n >= 2")
+    if variant not in ("restricted", "closed-form"):
+        raise ValueError(f"unknown variant {variant!r}")
     two = ch.p * ch.q
     three = ch.p * ch.q * ch.q
     comps = []
@@ -236,30 +234,15 @@ def _restricted_series(n: int, ch: ChannelParams, loops: bool):
             n2, k2 = (0, k) if loops else (k, 0)
             comps.append(PathComposition(n2=n2, n3=n3, k2=k2, m=k + n3))
     value = sum((c.weight * two ** (c.n2 + c.k2)) * three**c.n3 for c in comps)
-    return value, comps
-
-
-def series_basic(n: int, ch: ChannelParams, variant: str = "restricted"):
-    """Return-probability series over hub-and-basic paths.
-
-    restricted: exact sum over integer-feasible compositions (a valid lower
-    bound; it equals the exact basic-only return probability).
-    closed-form: the analytic stand-in (1/n) (pq^2)^(n/3) (1+z^(1/3))^(n(1+a0)/3)
-    with a0 the optimal 2-block density.
-    """
-    value, comps = _restricted_series(n, ch, loops=False)
     if variant == "restricted":
         return value, comps
-    if variant == "closed-form":
-        p, q, z = float(ch.p), float(ch.q), float(ch.z)
-        a0 = bounds.optimal_loop_density(ch.p).root
-        log_v = (
-            -math.log(n)
-            + (n / 3.0) * exact_dp.log_of(p * q * q)
-            + (n * (1.0 + a0) / 3.0) * math.log1p(z ** (1.0 / 3.0))
-        )
-        return math.exp(log_v), comps
-    raise ValueError(f"unknown variant {variant!r}")
+    p, q, z = float(ch.p), float(ch.q), float(ch.z)
+    if loops:
+        lead, blocks = math.log(0.5), n
+    else:
+        lead, blocks = -math.log(n), n * (1.0 + bounds.optimal_loop_density(ch.p).root) / 3.0
+    log_v = lead + (n / 3.0) * exact_dp.log_of(p * q * q) + blocks * math.log1p(z ** (1.0 / 3.0))
+    return math.exp(log_v), comps
 
 
 def closed_form_loop_bound_exact(n: int, ch: ChannelParams) -> CubicExt:
@@ -268,35 +251,6 @@ def closed_form_loop_bound_exact(n: int, ch: ChannelParams) -> CubicExt:
     (pq^2)^(1/3) = q z^(1/3), so this is ``bounds.error_lower_bound_exact``.
     """
     return bounds.error_lower_bound_exact(n, ch)
-
-
-def series_with_loops(n: int, ch: ChannelParams, variant: str = "restricted"):
-    """Return-path series allowing generic 2-loops, with the exact return probability.
-
-    restricted: exact sum over integer-feasible (k2, n3) with the
-    sequential-arrangement count C(k2+n3, k2) (the looser printed count
-    C(n, k2) overcounts at small n and is not a valid probability).
-    closed-form: (1/2) (pq^2)^(n/3) (1+z^(1/3))^n; the flag marks
-    whenever it exceeds the exact return probability, which the
-    divisibility relaxation makes possible (None for restricted).
-
-    Returns (value, compositions, flag, reach_prob(n, ch)).
-    """
-    value, comps = _restricted_series(n, ch, loops=True)
-    if variant not in ("restricted", "closed-form"):
-        raise ValueError(f"unknown variant {variant!r}")
-    reach = reach_prob(n, ch)
-    if variant == "restricted":
-        return value, comps, None, reach
-    p, q, z = float(ch.p), float(ch.q), float(ch.z)
-    log_v = (
-        math.log(0.5)
-        + (n / 3.0) * exact_dp.log_of(p * q * q)
-        + n * math.log1p(z ** (1.0 / 3.0))
-    )
-    value = math.exp(log_v)
-    bound = closed_form_loop_bound_exact(n, ch) if ch.exact else value
-    return value, comps, bound > reach, reach
 
 
 def _node_name(s: ChainState) -> str:

@@ -90,6 +90,8 @@ def cmd_exact(args) -> int:
 
 
 def cmd_bellman(args) -> int:
+    if args.state_cap < 1:
+        raise ValueError(f"--state-cap must be at least 1, got {args.state_cap}")
     ch = make_channel(args.p, args.mode)
     pe, table = exact_dp.bellman_optimum(args.n, ch, state_cap=args.state_cap)
     unique, two_way, three_way = table.tie_counts()
@@ -121,6 +123,8 @@ def cmd_verify_theorem2(args) -> int:
 
 
 def cmd_octopus(args) -> int:
+    if args.verify and args.format == "dot":
+        raise ValueError("--verify needs --format json: DOT output has no place for the verdict report")
     ch = make_channel(args.p, args.mode)
     table = chain.derive_transitions(ch, args.depth)
     if args.format == "dot":
@@ -142,12 +146,14 @@ def cmd_octopus(args) -> int:
 
 def cmd_paths(args) -> int:
     ch = make_channel(args.p, args.mode)
-    if args.series == "basic":
-        value, comps = chain.series_basic(args.n, ch, args.variant)
-        exceeds = None
-        reach = chain.reach_prob(args.n, ch)
-    else:
-        value, comps, exceeds, reach = chain.series_with_loops(args.n, ch, args.variant)
+    loops = args.series == "loops"
+    value, comps = chain.path_series(args.n, ch, loops, args.variant)
+    reach = chain.reach_prob(args.n, ch)
+    exceeds = None
+    if loops and args.variant == "closed-form":
+        # the divisibility relaxation lets the closed form exceed the exact return probability
+        bound = chain.closed_form_loop_bound_exact(args.n, ch) if ch.exact else value
+        exceeds = bound > reach
     result = {
         "config": _config(args),
         "n": args.n,

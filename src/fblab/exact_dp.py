@@ -276,7 +276,9 @@ def forward_distribution(
     """State distribution after n uses given the true message.
 
     An exact channel gives exact probabilities; a float channel gives
-    natural-log probabilities.  Keys are in order of first arrival.
+    natural-log probabilities.  Keys are in order of first arrival.  No
+    command calls it; it stays as the layer view that the oracle tests and
+    the chain's hub-mass cross-check compare against.
     """
     votes, mass, den = _forward_layer(n, ch, rule, (true,))
     dist = zip(map(tuple, votes.tolist()), mass[:, 0].tolist())
@@ -314,7 +316,7 @@ def sorted_lattice(kmax: int) -> list[MetricState]:
     """All sorted metric states (0, a, b), a <= b <= kmax.
 
     State (0, a, b) has index b(b+1)/2 + a, so each lattice is a prefix of
-    the next.
+    the next.  Public as the lattice order that the oracle tests use.
     """
     return [(0, a, b) for b in range(kmax + 1) for a in range(b + 1)]
 

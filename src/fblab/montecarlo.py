@@ -355,6 +355,7 @@ def run_trajectory_audit(
     (3 * mid < total - 1), and the trials where the vote total differs from
     n + m (m outputs y = 0) or that decode wrongly with 3e + 1 < n + m (e
     votes on the true message).  A fewest-votes rule violates none of them.
+    No command calls it; it stays as the check of the paper's vote invariants.
     """
     ch.require_float("run_trajectory_audit")
     tallies = dict.fromkeys(
@@ -429,7 +430,10 @@ def step(
 def simulate_trajectory(
     n: int, ch: ChannelParams, rule: StrategyRule, seed: int, trial: int
 ) -> TrajectoryRecord:
-    """Scalar reference episode; draws match the batch engine bit for bit."""
+    """Scalar reference episode; draws match the batch engine bit for bit.
+
+    No command calls it; it stays as the oracle for the batch engine, and
+    ``perfbench/tracing.py`` patches it (and ``step``) as a module attribute."""
     ch.require_float("simulate_trajectory")
     true = counter_hash(seed, trial, TAG_TRUE, 0) % 3 + 1
     s: MetricState = (0, 0, 0)

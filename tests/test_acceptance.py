@@ -18,7 +18,7 @@ from fblab.bounds import (
     simplex_asymptote,
     simplex_event_prob,
 )
-from fblab.chain import reach_prob, series_with_loops, verify_reference_transitions
+from fblab.chain import path_series, reach_prob, verify_reference_transitions
 from fblab.channel import make_channel
 from fblab.exact_dp import bellman_optimum, error_curve, forward_distribution
 from fblab.montecarlo import run_trajectory_audit, run_trials
@@ -130,7 +130,7 @@ def test_chain_and_dp_agree_on_hub_mass():
         rp = reach_prob(n, ch)
         ok &= dp_mass == rp
         if n >= 2:
-            restricted, _, _, _ = series_with_loops(n, ch, "restricted")
+            restricted, _ = path_series(n, ch, True, "restricted")
             ok &= restricted <= rp
     _verdict("forward DP and chain agree on hub mass (n 0..30)", ok)
     assert ok

@@ -5,14 +5,12 @@ import pytest
 
 from fblab.belief import (
     apply_outcome,
-    decode_error,
     leaders,
     normalize,
     one_step_gap,
     one_step_values,
     outcome_distribution,
     posteriors,
-    query_outcome,
 )
 from fblab.channel import make_channel
 
@@ -53,17 +51,6 @@ class TestPosteriors:
             assert abs(sum(posteriors(s, chf)) - 1.0) <= 1e-12
 
 
-class TestDecodeError:
-    def test_uniform(self):
-        assert decode_error((0, 0, 0), CH10) == Fraction(2, 3)
-
-    def test_single_gap(self):
-        assert decode_error((0, 1, 1), CH10) == Fraction(2, 11)
-
-    def test_degenerate(self):
-        assert decode_error((0, 5, 5), CH_HALF) == Fraction(2, 3)
-
-
 class TestQueryUpdates:
     def test_vote_rule(self):
         assert apply_outcome((0, 0, 0), 1, 0) == (0, 1, 1)
@@ -78,8 +65,6 @@ class TestQueryUpdates:
         for mode in ("bayes", "paper"):
             with pytest.raises(ValueError, match="message index must be 1..3"):
                 outcome_distribution((0, 1, 1), j, CH10, mode)
-        with pytest.raises(ValueError, match="message index must be 1..3"):
-            query_outcome((0, 1, 1), j, CH10)
 
     def test_vote_conservation(self):
         # one channel use adds 1 vote (y=1) or 2 votes (y=0) before renormalizing
@@ -180,44 +165,6 @@ class TestOneStepGap:
                 if len(leaders(s)) != 1:
                     continue
                 assert one_step_gap(s, ch) >= 0
-
-
-class TestQueryOutcome:
-    def test_breakdown_at_single_gap_state(self):
-        out = query_outcome((0, 1, 1), 2, CH10, "paper")
-        assert out.leader == 1 and out.query == 2
-        assert out.prior_ratios == {2: Fraction(1, 9), 3: Fraction(1, 9)}
-        assert out.b_before == Fraction(2, 9)
-        # y=1 votes message 2 down: delta_2 = +1, delta_3 = 0
-        assert out.deltas[1] == {1: 0, 2: 1, 3: 0}
-        assert out.deltas[0] == {1: 0, 2: -1, 3: 0}
-        assert out.next_states[1] == (0, 2, 1)
-        assert out.b_after[1] == Fraction(1, 81) + Fraction(1, 9)
-        assert out.expected_leader_posterior == Fraction(14985, 19019)
-
-    def test_b_after_follows_ratio_update(self):
-        for s in random_states(30, 10, seed=12):
-            if len(leaders(s)) != 1:
-                continue
-            i0 = leaders(s)[0]
-            for j in (1, 2, 3):
-                out = query_outcome(s, j, CH10, "bayes")
-                for y in (0, 1):
-                    others = [k for k in (1, 2, 3) if k != i0]
-                    direct = sum(
-                        CH10.z ** (out.next_states[y][k - 1] - out.next_states[y][i0 - 1])
-                        for k in others
-                    )
-                    assert out.b_after[y] == direct
-
-    def test_expected_value_matches_one_step_values(self):
-        vals = one_step_values((0, 1, 2), CH10, "paper")
-        outs = [query_outcome((0, 1, 2), j, CH10, "paper") for j in (1, 2, 3)]
-        assert tuple(o.expected_leader_posterior for o in outs) == vals
-
-    def test_probabilities_sum_to_one(self):
-        out = query_outcome((0, 2, 3), 3, CH10, "paper")
-        assert out.probs[0] + out.probs[1] == 1
 
 
 class TestMartingale:

@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from fblab.bounds import (
-    binary_entropy,
     bound_report,
     error_exponents,
     error_lower_bound,
@@ -23,6 +22,15 @@ from fblab.cubicfield import CubicExt, cbrt_bounds, icbrt
 
 CH10 = make_channel("1/10")
 CH_HALF = make_channel("1/2")
+
+
+def binary_entropy(u: float) -> float:
+    """Natural-log binary entropy; 0 at the endpoints."""
+    if not 0.0 <= u <= 1.0:
+        raise ValueError(f"entropy argument must be in [0,1], got {u}")
+    if u in (0.0, 1.0):
+        return 0.0
+    return -u * math.log(u) - (1.0 - u) * math.log1p(-u)
 
 
 class TestCubicField:

@@ -8,12 +8,11 @@ from fblab.bounds import error_exponents
 from fblab.chain import (
     classify,
     depth,
+    closed_form_loop_bound_exact,
     derive_transitions,
-    enumerate_two_loops,
     export_dot,
+    path_series,
     reach_prob,
-    series_basic,
-    series_with_loops,
     table_to_json,
     verify_reference_transitions,
 )
@@ -108,37 +107,40 @@ class TestReachProbability:
 
 
 class TestTwoLoops:
+    # a 2-loop at s is an edge s -> t followed by the edge t -> s
+    ROWS = {s: {tr.target: tr.prob for tr in rows}
+            for s, rows in derive_transitions(CH10, 3).entries.items()}
+
     def test_hub_loops(self):
-        table = derive_transitions(CH10, 3)
-        loops = dict(enumerate_two_loops((0, 0, 0), table))
-        assert loops == {(0, 1, 1): P * Q / 3, (1, 0, 1): P * Q / 3, (1, 1, 0): P * Q / 3}
-        assert sum(loops.values()) == P * Q
+        hub = self.ROWS[(0, 0, 0)]
+        back = {t for t in hub if (0, 0, 0) in self.ROWS[t]}
+        assert back == {(0, 1, 1), (1, 0, 1), (1, 1, 0)}
+        assert all(hub[t] * self.ROWS[t][(0, 0, 0)] == P * Q / 3 for t in back)
 
     def test_tentacle_loop(self):
-        table = derive_transitions(CH10, 3)
-        loops = dict(enumerate_two_loops((0, 1, 1), table))
-        assert loops[(0, 2, 2)] == Q * P
+        assert self.ROWS[(0, 1, 1)][(0, 2, 2)] * self.ROWS[(0, 2, 2)][(0, 1, 1)] == Q * P
 
     def test_split_tentacle_loops(self):
-        table = derive_transitions(CH10, 3)
-        loops = dict(enumerate_two_loops((1, 0, 0), table))
-        assert loops == {(2, 0, 1): Q * P / 2, (2, 1, 0): Q * P / 2}
+        rows = self.ROWS[(1, 0, 0)]
+        back = {t for t in rows if (1, 0, 0) in self.ROWS[t]}
+        assert back == {(2, 0, 1), (2, 1, 0)}
+        assert all(rows[t] * self.ROWS[t][(1, 0, 0)] == Q * P / 2 for t in back)
 
 
 class TestSeries:
     def test_three_step_block_only(self):
-        value, comps = series_basic(3, CH10, "restricted")
+        value, comps = path_series(3, CH10, False, "restricted")
         assert value == P * Q**2
         assert [(c.n2, c.n3) for c in comps] == [(0, 1)]
 
     def test_two_step_block_only(self):
-        value, comps = series_basic(2, CH10, "restricted")
+        value, comps = path_series(2, CH10, False, "restricted")
         assert value == P * Q
         assert [(c.n2, c.n3) for c in comps] == [(1, 0)]
 
     def test_composition_feasibility(self):
         for n in range(2, 20):
-            _, comps = series_basic(n, CH10, "restricted")
+            _, comps = path_series(n, CH10, False, "restricted")
             for c in comps:
                 assert 2 * c.n2 + 3 * c.n3 == n
                 assert c.m == c.n2 + c.n3
@@ -160,31 +162,32 @@ class TestSeries:
             return dist.get((0, 0, 0), Fraction(0))
 
         for n in range(2, 13):
-            value, _ = series_basic(n, CH10, "restricted")
+            value, _ = path_series(n, CH10, False, "restricted")
             assert value == basic_return(n)
 
     def test_loop_series_small_horizons_meet_exact(self):
-        v2, comps2, _, _ = series_with_loops(2, CH10, "restricted")
+        v2, comps2 = path_series(2, CH10, True, "restricted")
         assert v2 == reach_prob(2, CH10) == Fraction(9, 100)
         assert [(c.k2, c.n3) for c in comps2] == [(1, 0)]
-        v3, comps3, _, _ = series_with_loops(3, CH10, "restricted")
+        v3, comps3 = path_series(3, CH10, True, "restricted")
         assert v3 == reach_prob(3, CH10)
         assert [(c.k2, c.n3) for c in comps3] == [(0, 1)]
 
     def test_loop_series_never_exceeds_exact(self):
         for n in range(2, 31):
-            value, _, _, _ = series_with_loops(n, CH10, "restricted")
+            value, _ = path_series(n, CH10, True, "restricted")
             assert value <= reach_prob(n, CH10)
 
     def test_closed_form_value_and_flag(self):
-        value, _, exceeds, reach = series_with_loops(3, CH10, "closed-form")
+        value, _ = path_series(3, CH10, True, "closed-form")
         # independent high-precision evaluation of (1/2) pq^2 (1+z^(1/3))^3
         assert abs(value - 0.13149223920865075) <= 1e-12
-        assert exceeds is True  # 0.1315 > exact return probability 0.081
+        reach = reach_prob(3, CH10)
         assert reach == Fraction(81, 1000)
+        assert closed_form_loop_bound_exact(3, CH10) > reach  # 0.1315 > 0.081, exactly
 
     def test_basic_closed_form_is_finite_and_positive(self):
-        value, _ = series_basic(9, CH10, "closed-form")
+        value, _ = path_series(9, CH10, False, "closed-form")
         assert 0 < value < 1
 
 

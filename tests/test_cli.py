@@ -560,6 +560,37 @@ def test_invalid_probability_exit_code(capsys, argv):
     assert argv[2] in diag["detail"]
 
 
+@pytest.mark.parametrize(
+    "argv, detail",
+    [
+        # DOT output has no place for the verdict report
+        (("octopus", "--p", "1/10", "--format", "dot", "--verify"),
+         "--verify needs --format json"),
+        (("bellman", "--p", "1/10", "--n", "3", "--state-cap", "0"),
+         "--state-cap must be at least 1, got 0"),
+        (("bellman", "--p", "1/10", "--n", "3", "--state-cap", "-1"),
+         "--state-cap must be at least 1, got -1"),
+    ],
+    ids=["octopus-dot-verify", "bellman-zero-state-cap", "bellman-negative-state-cap"],
+)
+def test_invalid_flag_values_are_invalid_input(capsys, argv, detail):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    diag = json.loads(err)
+    assert diag["error"] == "invalid-input"
+    assert detail in diag["detail"]
+
+
+@pytest.mark.parametrize("series", ["basic", "loops"])
+def test_paths_checks_the_series_before_the_return_probability(capsys, monkeypatch, series):
+    # both fail: the closed form underflows (exit 3) and the forward pass hits its cap (exit 4)
+    monkeypatch.setattr(exact_dp, "STATE_CAP", 100)
+    code, _, err = run_cli(capsys, "paths", "--p", "1e-400", "--n", "30",
+                           "--series", series, "--variant", "closed-form")
+    assert code == 3
+    assert "underflow" in json.loads(err)["detail"]
+
+
 def test_bounds_json_with_several_probabilities_is_invalid_input(capsys):
     code, out, err = run_cli(capsys, "bounds", "--p", "1/10,1/5", "--format", "json")
     assert code == 2 and out == ""
@@ -625,9 +656,14 @@ _HORIZON_FLAG = {
     detail=st.booleans(),
     trials=st.integers(1, 20),
     strategy=st.sampled_from(["max-posterior", "round-robin", "fixed:1", "fixed:2", "fixed:3"]),
+    bounds_format=st.sampled_from(["json", "csv"]),
+    octopus_format=st.sampled_from(["json", "dot"]),
+    verify=st.booleans(),
+    method=st.sampled_from(["block-sum", "enumeration"]),
 )
 def test_numeric_edges_exit_with_a_contract_code(
-    cmd, p, n, mode, series, variant, detail, trials, strategy
+    cmd, p, n, mode, series, variant, detail, trials, strategy,
+    bounds_format, octopus_format, verify, method,
 ):
     argv = [cmd, "--p", p, _HORIZON_FLAG[cmd], str(n)]
     if cmd == "simulate":  # Monte Carlo runs in float only and takes no --mode
@@ -638,6 +674,13 @@ def test_numeric_edges_exit_with_a_contract_code(
         argv += ["--series", series, "--variant", variant]
     if cmd == "verify-theorem2" and detail:
         argv.append("--detail")
+    fmt = {"bounds": bounds_format, "octopus": octopus_format}.get(cmd, "json")
+    if cmd in ("bounds", "octopus"):
+        argv += ["--format", fmt]
+    if cmd == "octopus" and verify:
+        argv.append("--verify")
+    if cmd == "simplex":
+        argv += ["--method", method]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = dispatch(argv)
@@ -646,5 +689,5 @@ def test_numeric_edges_exit_with_a_contract_code(
     # re-reading and re-serializing it gives the same bytes (the README's property)
     doc, other = (out.getvalue(), err.getvalue()) if code == 0 else (err.getvalue(), out.getvalue())
     assert other == ""
-    if cmd != "sweep" or code:
+    if code or (cmd != "sweep" and fmt == "json"):
         assert json.dumps(json.loads(doc), indent=2, ensure_ascii=False) + "\n" == doc
