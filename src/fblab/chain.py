@@ -225,17 +225,15 @@ def path_series(n: int, ch: ChannelParams, loops: bool, variant: str):
         raise ValueError("series need n >= 2")
     if variant not in ("restricted", "closed-form"):
         raise ValueError(f"unknown variant {variant!r}")
-    two = ch.p * ch.q
-    three = ch.p * ch.q * ch.q
     comps = []
     for k in range(n // 2 + 1):
         n3, rem = divmod(n - 2 * k, 3)
         if not rem:
             n2, k2 = (0, k) if loops else (k, 0)
             comps.append(PathComposition(n2=n2, n3=n3, k2=k2, m=k + n3))
-    value = sum((c.weight * two ** (c.n2 + c.k2)) * three**c.n3 for c in comps)
     if variant == "restricted":
-        return value, comps
+        two, three = ch.p * ch.q, ch.p * ch.q * ch.q
+        return sum((c.weight * two ** (c.n2 + c.k2)) * three**c.n3 for c in comps), comps
     p, q, z = float(ch.p), float(ch.q), float(ch.z)
     if loops:
         lead, blocks = math.log(0.5), n

@@ -4,7 +4,9 @@ Every random draw is ``counter_hash(seed, trial, tag, step)``, a SplitMix64
 chain with one purpose tag per substream.  The layout is frozen (stored
 results and pinned counts depend on it), and no result depends on the batch
 size.  One row-wise batch engine, ``_simulate_batch``, mirrors it bit for
-bit and runs every rule kind, table rules included: it gives ``run_trials``
+bit and runs every rule kind, table rules included.  Like ``step``, it hashes
+the tie substream only for the trials whose query or decode has two or more
+candidates, so a draw nobody uses is never made.  It gives ``run_trials``
 its counts, and its per-step arrays give ``run_trajectory_audit`` the
 paper's vote-invariant tallies and ``trajectory_records`` the episode
 records that the CLI dumps.  The scalar path, ``simulate_trajectory``
@@ -130,32 +132,42 @@ def _mod6(h: np.ndarray) -> np.ndarray:
     return r
 
 
-def _fewest_pattern(d: np.ndarray) -> np.ndarray:
-    """Per trial, bit i set when message i + 1 has the fewest votes."""
+def _rehash(x: np.ndarray, w: int, tmp: np.ndarray | None = None) -> np.ndarray:
+    """``mix64(x ^ w * PHI)`` of every word of ``x``, in place: one link of
+    the ``counter_hash`` chain (``tmp`` is scratch of x's shape)."""
+    x ^= _word(w)
+    return _mix_into(x, np.empty_like(x) if tmp is None else tmp)
+
+
+def _pick_fewest(d: np.ndarray, draw) -> np.ndarray:
+    """0-based fewest-votes message per trial, as ``step`` and the decoder
+    choose: the one message with the fewest votes, or among k tied ones the
+    one of rank h % k, where ``draw(rows)`` hashes h for the tied rows only,
+    as ``step`` hashes only when it has two or more choices."""
     lo = np.minimum(np.minimum(d[0], d[1]), d[2])
-    pattern = (d[0] == lo).view(np.uint8)
-    pattern |= (d[1] == lo).view(np.uint8) << 1
-    pattern |= (d[2] == lo).view(np.uint8) << 2
-    return pattern
-
-
-def _pick_fewest(d: np.ndarray, tie: np.ndarray) -> np.ndarray:
-    """0-based fewest-votes message of rank h % k per trial, as ``step`` and
-    the decoder choose."""
-    index = _fewest_pattern(d) * 6 + _mod6(tie)
-    return np.take(_TIE_RANKS, index.astype(np.intp))
+    e0, e1, e2 = ((v == lo).view(np.uint8) for v in d)
+    q = e2 + e2
+    q += e1  # exact wherever a single message has the fewest votes
+    k = e0 + e1
+    k += e2
+    tied = np.flatnonzero(k > 1)
+    if len(tied):
+        pattern = e0[tied] | q[tied] << 1
+        q[tied] = _TIE_RANKS[pattern.astype(np.intp) * 6 + _mod6(draw(tied))]
+    return q
 
 
 class _TableQueries:
     """A table rule compiled for the batch engine.
 
     States are looked up by a sorted key of the normalised vote triple.  Per
-    state the query is drawn as ``step`` draws it: a rank lookup
-    ``sorted(choices)[h % k]`` when the weights are equal, otherwise the first
-    choice whose cumulative weight acc satisfies h < acc * 2**64, i.e.
-    h <= ceil(acc * 2**64) - 1, computed exactly from the weights.  Entries
-    were checked when the rule was built, and only states with entries up to
-    n can occur; a missing state raises ValueError when a trial visits it.
+    state the query is drawn as ``step`` draws it: the one choice when there
+    is one (no draw), a rank lookup ``sorted(choices)[h % k]`` when the
+    weights are equal, otherwise the first choice whose cumulative weight acc
+    satisfies h < acc * 2**64, i.e. h <= ceil(acc * 2**64) - 1, computed
+    exactly from the weights.  Entries were checked when the rule was built,
+    and only states with entries up to n can occur; a missing state raises
+    ValueError when a trial visits it.
     """
 
     def __init__(self, table: dict, n: int):
@@ -168,18 +180,22 @@ class _TableQueries:
         keys = [(s[0] * self.radix + s[1]) * self.radix + s[2] for s, _ in entries]
         self.keys = np.array(keys + [self.radix**3], dtype=np.int64)
         self.ranks = np.zeros((size, 6), dtype=np.uint8)
+        self.multi = np.zeros(size, dtype=bool)
         self.cut = np.zeros((size, 2), dtype=np.uint64)
         self.pick = np.zeros((size, 3), dtype=np.uint8)
         self.by_cut = np.zeros(size, dtype=bool)
         for i, (_, weights) in enumerate(entries):
             choices = sorted(weights)
+            self.multi[i] = len(choices) > 1
             if all(weights[c] == weights[choices[0]] for c in choices):
                 self.ranks[i] = [choices[r % len(choices)] - 1 for r in range(6)]
             else:
                 self.by_cut[i] = True
                 self.cut[i], self.pick[i] = _cuts(weights, choices)
 
-    def queries(self, d: np.ndarray, tie: np.ndarray) -> np.ndarray:
+    def queries(self, d: np.ndarray, draw) -> np.ndarray:
+        """0-based query per trial; ``draw(rows)`` hashes h for the rows whose
+        state has two or more choices, the only ones ``step`` draws for."""
         m = d - np.minimum(np.minimum(d[0], d[1]), d[2])
         c = np.minimum(m, self.radix - 1).astype(np.int64)
         key = (c[0] * self.radix + c[1]) * self.radix + c[2]
@@ -188,14 +204,19 @@ class _TableQueries:
         if not found.all():
             state = tuple(m[:, np.argmin(found)].tolist())
             raise ValueError(f"table strategy has no entry for reachable state {state}")
-        q = np.take(self.ranks.ravel(), pos * 6 + _mod6(tie).astype(np.intp))
-        sel = np.flatnonzero(self.by_cut[pos])
-        if len(sel):
-            at, h = pos[sel], tie[sel]
-            cut, pick = self.cut[at], self.pick[at]
-            q[sel] = np.where(
-                h <= cut[:, 0], pick[:, 0], np.where(h <= cut[:, 1], pick[:, 1], pick[:, 2])
-            )
+        q = self.ranks[pos, 0]
+        rows = np.flatnonzero(self.multi[pos])
+        if len(rows):
+            at, h = pos[rows], draw(rows)
+            pick = np.take(self.ranks.ravel(), at * 6 + _mod6(h))
+            sel = np.flatnonzero(self.by_cut[at])
+            if len(sel):
+                at, h = at[sel], h[sel]
+                cut, to = self.cut[at], self.pick[at]
+                pick[sel] = np.where(
+                    h <= cut[:, 0], to[:, 0], np.where(h <= cut[:, 1], to[:, 1], to[:, 2])
+                )
+            q[rows] = pick
         return q
 
 
@@ -261,54 +282,59 @@ def _simulate_batch(
     vote history included.
 
     Votes are three int32 rows, one per message.  Each draw is the scalar
-    path's ``counter_hash(seed, trial, tag, step)``, vectorised over trials.
+    path's ``counter_hash(seed, trial, tag, step)``, vectorised over the
+    trials that take it: the noise draw over all of them, a tie or decode
+    draw over those with two or more candidates only, as in ``step``.
     """
     count = trial_hi - trial_lo
-    trials = np.arange(trial_lo, trial_hi, dtype=np.uint64)
-    base = _U(mix64(seed)) ^ (trials * _U(_PHI64))
-    scratch, h = np.empty_like(base), np.empty_like(base)
+    base = np.arange(trial_lo, trial_hi, dtype=np.uint64)
+    base *= _U(_PHI64)
+    base ^= _U(mix64(seed))
+    scratch = np.empty_like(base)
     _mix_into(base, scratch)
-    streams = {
-        tag: _mix_into(base ^ _word(tag), scratch)
-        for tag in (TAG_NOISE, TAG_TIE, TAG_TRUE, TAG_DECODE)
-    }
-
-    def draw(tag: int, step: int, out: np.ndarray) -> np.ndarray:
-        np.bitwise_xor(streams[tag], _word(step), out=out)
-        return _mix_into(out, scratch)
-
-    true = (draw(TAG_TRUE, 0, h) % _U(3)).astype(np.uint8)
+    # only the noise and tie streams stay resident; the true message and the
+    # decode draw are hashed from ``base`` where they are used
+    noise = _rehash(base.copy(), TAG_NOISE, scratch)
+    h = _rehash(_rehash(base.copy(), TAG_TRUE, scratch), 0, scratch)
+    true = (h % _U(3)).astype(np.uint8)
     # the scalar flip (h >> 11) < floor(p * 2**53), as one comparison of h
     flip_below = _U(math.floor(ch.p * 2.0**53) << 11)
-    tie = np.empty_like(base) if rule.kind in ("max-posterior", "table") else None
+    tie = None
+    if rule.kind in ("max-posterior", "table"):
+        tie = _rehash(base.copy(), TAG_TIE, scratch)
     d = np.zeros((3, count), dtype=np.int32)
-    ones = np.zeros(count, dtype=np.int32)  # outputs y = 1 so far
+    # outputs y = 1 so far, read only by round-robin and the returned arrays
+    ones = np.zeros(count, dtype=np.int32) if return_arrays or rule.kind == "round-robin" else None
     if return_arrays:
         queries = np.empty((n, count), dtype=np.uint8)
         ys = np.empty((n, count), dtype=np.uint8)
         history = np.empty((n, 3, count), dtype=np.int32)
+
+    def tie_draw(rows: np.ndarray) -> np.ndarray:  # step k's tie draw for ``rows``
+        return _rehash(tie[rows], k)
+
     for k in range(n):
-        if tie is not None:
-            draw(TAG_TIE, k, tie)
         if table is not None:
-            q = table.queries(d, tie)
+            q = table.queries(d, tie_draw)
         elif rule.kind == "max-posterior":
-            q = _pick_fewest(d, tie)
+            q = _pick_fewest(d, tie_draw)
         elif rule.kind == "fixed":
             q = np.full(count, rule.fixed_query - 1, dtype=np.uint8)
         else:  # round-robin on the vote total, which is 2k - ones after k steps
             q = ((2 * k - ones) % 3).astype(np.uint8)
-        flip = draw(TAG_NOISE, k, h) < flip_below
+        np.bitwise_xor(noise, _word(k), out=h)
+        flip = _mix_into(h, scratch) < flip_below
         y = (q != true) ^ flip
         # y = 1 puts one vote on the query, y = 0 one on each other message
         for i in range(3):
             d[i] += (q == i) == y
-        ones += y
+        if ones is not None:
+            ones += y
         if return_arrays:
             queries[k] = q + 1
             ys[k] = y
             history[k] = d
-    decoded = _pick_fewest(d, draw(TAG_DECODE, n, h))
+    decoded = _pick_fewest(d, lambda rows: _rehash(_rehash(base[rows], TAG_DECODE), n))
     out = {"trials": count, "errors": int(np.count_nonzero(decoded != true))}
     if return_arrays:
         out.update(

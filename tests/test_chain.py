@@ -190,6 +190,14 @@ class TestSeries:
         value, _ = path_series(9, CH10, False, "closed-form")
         assert 0 < value < 1
 
+    @pytest.mark.parametrize("loops", [False, True])
+    def test_float_closed_form_skips_the_restricted_sum(self, loops):
+        # the restricted sum turns binomials past 2**1024 into doubles and
+        # overflows at this n; the closed form must not compute it
+        value, comps = path_series(2600, make_channel("0.1", "float"), loops, "closed-form")
+        assert 0 <= value < 1
+        assert all(2 * (c.n2 + c.k2) + 3 * c.n3 == 2600 for c in comps)
+
 
 class TestDotExport:
     def test_depth_one_shape(self):

@@ -645,6 +645,16 @@ _HORIZON_FLAG = {
 }
 
 
+@pytest.fixture(scope="module")
+def edge_tables(tmp_path_factory):
+    """Table rules covering every state the fuzz can reach (n <= 8), by name."""
+    root = tmp_path_factory.mktemp("edge-tables")
+    tables = {"lowest-index": _lowest_leader, "two-sevenths": _two_sevenths}
+    for name, entry in tables.items():
+        _write_table(root / f"{name}.json", 8, entry)
+    return {name: f"table:{root / name}.json" for name in tables}
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     cmd=st.sampled_from(sorted(_HORIZON_FLAG)),
@@ -655,19 +665,24 @@ _HORIZON_FLAG = {
     variant=st.sampled_from(["restricted", "closed-form"]),
     detail=st.booleans(),
     trials=st.integers(1, 20),
-    strategy=st.sampled_from(["max-posterior", "round-robin", "fixed:1", "fixed:2", "fixed:3"]),
+    strategy=st.sampled_from([
+        "max-posterior", "round-robin", "fixed:1", "fixed:2", "fixed:3",
+        "lowest-index", "two-sevenths",
+    ]),
     bounds_format=st.sampled_from(["json", "csv"]),
     octopus_format=st.sampled_from(["json", "dot"]),
     verify=st.booleans(),
     method=st.sampled_from(["block-sum", "enumeration"]),
 )
 def test_numeric_edges_exit_with_a_contract_code(
-    cmd, p, n, mode, series, variant, detail, trials, strategy,
+    edge_tables, cmd, p, n, mode, series, variant, detail, trials, strategy,
     bounds_format, octopus_format, verify, method,
 ):
     argv = [cmd, "--p", p, _HORIZON_FLAG[cmd], str(n)]
+    if cmd in ("simulate", "exact"):
+        argv += ["--strategy", edge_tables.get(strategy, strategy)]
     if cmd == "simulate":  # Monte Carlo runs in float only and takes no --mode
-        argv += ["--trials", str(trials), "--strategy", strategy]
+        argv += ["--trials", str(trials)]
     else:
         argv += ["--mode", mode]
     if cmd == "paths":

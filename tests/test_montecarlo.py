@@ -77,6 +77,19 @@ class TestDeterminism:
         b = run_trials(8, CHF, MAX_POSTERIOR, trials=10_000, seed=1, batch=10_000)
         assert (a.trials, a.errors) == (b.trials, b.errors)
 
+    @pytest.mark.parametrize("name", sorted(ORACLE_RULES))
+    def test_batch_size_is_irrelevant_for_every_rule(self, name):
+        # the engine hashes tie draws for the tied trials of a batch only; n = 0
+        # makes every decode a three-way tie, and batch 1 makes the tied subset
+        # of a batch every trial or none
+        trials = 300
+        for n in (0, 1, 8):
+            runs = [
+                run_trials(n, CHF, ORACLE_RULES[name], trials, seed=1, batch=b)
+                for b in (1, 137, trials)
+            ]
+            assert len({(r.trials, r.errors) for r in runs}) == 1, n
+
     def test_scalar_and_batch_engines_agree_per_trial(self):
         # a record holds the true and decoded messages, the final votes, the
         # zero outputs, and the per-step queries, outputs and vote history
@@ -86,6 +99,13 @@ class TestDeterminism:
                 batch = trajectory_records(10, ch, rule, 999, 100)
                 for trial, rec in enumerate(batch):
                     assert rec == simulate_trajectory(10, ch, rule, 999, trial), (p, name, trial)
+
+    def test_engines_agree_at_horizon_zero(self):
+        # no channel use: every decode is a three-way tie drawn from the seed
+        for name, rule in ORACLE_RULES.items():
+            batch = trajectory_records(0, CHF, rule, 5, 200)
+            assert batch == [simulate_trajectory(0, CHF, rule, 5, t) for t in range(200)], name
+            assert {rec.decoded for rec in batch} == {1, 2, 3}
 
     def test_rejects_exact_channel(self):
         with pytest.raises(ValueError):
