@@ -68,17 +68,11 @@ def _generator(ch: ChannelParams) -> CubicExt:
 def error_upper_bound_exact(n: int, ch: ChannelParams) -> CubicExt:
     """Exact cubic-field value of the upper bound: q^n c^(n-1) (1+c)^n, c = z^(1/3).
 
-    No command calls it yet; the acceptance check that the upper bound
-    dominates the strategy's error uses it, and ROADMAP item 2 gives it one."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    c = _generator(ch)
-    z = Fraction(ch.z)
-    one = CubicExt.of(1, z)
-    if n == 0:
-        # c^(-1) = c^2 / z
-        return CubicExt(Fraction(0), Fraction(0), 1 / z, z)
-    return (c ** (n - 1)) * Fraction(ch.q) ** n * ((one + c) ** n)
+    (q/p)^(1/3) = 1/c = c^2/z, so this is 2 c^2 / z times
+    ``error_lower_bound_exact``.  No command calls it yet; the acceptance
+    check that the upper bound dominates the strategy's error uses it, and
+    ROADMAP item 2 gives it one."""
+    return error_lower_bound_exact(n, ch) * (_generator(ch) ** 2 * (2 / Fraction(ch.z)))
 
 
 @dataclass(frozen=True)

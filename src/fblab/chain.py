@@ -170,8 +170,8 @@ def reach_prob(n: int, ch: ChannelParams) -> Number:
     An exact channel propagates integer masses over (6c)**t for p = a/c
     (every move's probability is p or q times 1, 1/2 or 1/3) and returns a
     Fraction; a float channel propagates log-probabilities and returns a
-    float.  The forward programs' kernel, ``exact_dp.propagate``, steps a
-    ``exact_dp.MoveGraph`` built from ``_raw_transitions`` as states are reached.
+    float.  The forward programs' kernel, ``exact_dp.propagate``, steps the
+    moves of ``_raw_transitions`` as states are reached.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -183,11 +183,10 @@ def reach_prob(n: int, ch: ChannelParams) -> Number:
         return [(target, int(prob * scale) if exact else exact_dp.log_of(prob), 0)
                 for target, prob, _ in _raw_transitions(s, ch)]
 
-    graph = exact_dp.MoveGraph(moves, dtype)
     start, f2 = np.full(1, one, dtype), np.full((1, 1), one, dtype)
-    layers = exact_dp.propagate(graph, MAIN_STATE, start, f2)
-    ids, mass = next(itertools.islice(layers, n, None))
-    at_hub = mass[ids == graph.number[MAIN_STATE], 0].tolist()
+    layers = exact_dp.propagate(moves, MAIN_STATE, start, f2)
+    votes, mass = next(itertools.islice(layers, n, None))
+    at_hub = mass[(votes == 0).all(axis=1), 0].tolist()
     if exact:
         return Fraction(at_hub[0] if at_hub else 0, scale**n)
     return math.exp(at_hub[0] if at_hub else -math.inf)

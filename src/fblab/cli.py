@@ -148,7 +148,9 @@ def cmd_paths(args) -> int:
     ch = make_channel(args.p, args.mode)
     loops = args.series == "loops"
     value, comps = chain.path_series(args.n, ch, loops, args.variant)
+    exact_dp.log_of(value)  # positive for n >= 2: raises if a double underflowed to 0.0
     reach = chain.reach_prob(args.n, ch)
+    exact_dp.log_of(reach)
     exceeds = None
     if loops and args.variant == "closed-form":
         # the divisibility relaxation lets the closed form exceed the exact return probability

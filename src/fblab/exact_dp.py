@@ -11,10 +11,11 @@ true message (equivariant rules need one conditioning; others are averaged
 over the three), in exact integer numerators over one denominator per
 layer or in log-domain floats.  The moves depend on the rule only, so the
 three conditionings share one graph and one pass, with one mass column
-each.  Its layer kernel, ``propagate``, steps an indexed frontier: the
-moves sit in numpy tables (``MoveGraph``), each layer lists its states in
-order of first arrival, and log-float masses meeting at a state combine by
-``np.logaddexp.at`` in that order, bit for bit as a scalar loop would.
+each.  Its layer kernel, ``propagate``, steps an indexed frontier: it
+tabulates the moves in numpy arrays as states are reached, each layer
+lists its states in order of first arrival, and log-float masses meeting
+at a state combine by ``np.logaddexp.at`` in that order, bit for bit as a
+scalar loop would.
 The same kernel steps the chain module's return probability.
 
 The backward pass computes the minimum error over all metric-state
@@ -80,24 +81,20 @@ def log_of(value: Number) -> float:
 # Most moves out of one state: three queries, two answers each.
 MOVES = 6
 
+# A state's moves as (target, f1, code); see propagate.
+Moves = Callable[[MetricState], Sequence[tuple[MetricState, Number, int]]]
 
-class MoveGraph:
+
+class _MoveGraph:
     """States numbered in order of discovery, and their moves in numpy arrays.
 
-    ``moves(s)`` lists the moves out of state s as (target, f1, code), at
-    most MOVES of them.  Row i of ``target`` (state numbers), ``factor``
-    (f1, of ``dtype``: object for integers) and ``code`` holds the moves of
-    state i in that order, ``count[i]`` of them; ``count[i]`` is -1 until
+    Row i of ``target`` (state numbers), ``factor`` (f1, of ``dtype``:
+    object for integers) and ``code`` holds the moves of state i in
+    ``moves`` order, ``count[i]`` of them; ``count[i]`` is -1 until
     ``expand`` has called ``moves`` for state i.  ``votes[i]`` is state i.
-    A move's code picks its row of the f2 table that ``propagate`` steps
-    with.
     """
 
-    def __init__(
-        self,
-        moves: Callable[[MetricState], Sequence[tuple[MetricState, Number, int]]],
-        dtype: type,
-    ) -> None:
+    def __init__(self, moves: Moves, dtype: np.dtype) -> None:
         self._moves = moves
         self.number: dict[MetricState, int] = {}
         self.states: list[MetricState] = []
@@ -152,16 +149,18 @@ def _grow(a: np.ndarray, extra: int, fill: int) -> np.ndarray:
 
 
 def propagate(
-    graph: MoveGraph, start: MetricState, mass: np.ndarray, f2: np.ndarray
+    moves: Moves, start: MetricState, mass: np.ndarray, f2: np.ndarray
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield (state numbers, masses) of the start layer, then of each further step.
+    """Yield (state votes, masses) of the start layer, then of each further step.
 
+    ``moves(s)`` lists the moves out of state s as (target, f1, code), at
+    most MOVES of them; it is called once per state, as states are reached.
     Masses have one column per conditioning: ``mass`` is the start state's
     row, and a move with factor f1 and code c scales column k of its
     source's row by f1 * f2[c, k] when ``f2`` holds (object) integers and
     adds f1 + f2[c, k] to it when ``f2`` holds log-floats.  A layer lists
     its states in order of first arrival: sources in their layer's order,
-    each source's moves in ``graph`` order.  Masses meeting at a target add
+    each source's moves in ``moves`` order.  Masses meeting at a target add
     in that order, exactly for integers and by ``np.logaddexp.at`` for
     log-floats, which applies updates in array order and matches
     ``logaddexp`` bit for bit, so every double equals that of a scalar loop.
@@ -169,10 +168,11 @@ def propagate(
     layers after the start hold more than STATE_CAP states in total.
     """
     exact = f2.dtype == object
+    graph = _MoveGraph(moves, f2.dtype)
     ids, mass = graph.ids([start]), mass[None, :]
     touched = 0
     while True:
-        yield ids, mass
+        yield graph.votes.take(ids, axis=0), mass  # take gathers rows faster than votes[ids]
         graph.expand(ids)
         count = graph.count[ids]
         live = np.arange(MOVES) < count[:, None]
@@ -254,10 +254,9 @@ def _forward_layers(ch: ChannelParams, rule: StrategyRule, trues: Sequence[int])
         return out
 
     f2 = np.array([[fq if code >> (t - 1) & 1 else fp for t in trues] for code in range(8)], dtype)
-    graph = MoveGraph(moves, dtype)
-    layers = propagate(graph, (0, 0, 0), np.full(len(trues), start, dtype), f2)
+    layers = propagate(moves, (0, 0, 0), np.full(len(trues), start, dtype), f2)
     dens = itertools.accumulate(itertools.repeat(step), operator.mul, initial=1)
-    return ((graph.votes[ids], mass, den) for (ids, mass), den in zip(layers, dens))
+    return ((votes, mass, den) for (votes, mass), den in zip(layers, dens))
 
 
 def _forward_layer(n: int, ch: ChannelParams, rule: StrategyRule, trues: Sequence[int]) -> Layer:

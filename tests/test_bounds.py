@@ -115,8 +115,12 @@ class TestUpperBound:
             assert abs(exact - approx) <= 1e-12 * exact
 
     def test_exact_zero_horizon_cubes_to_inverse_ratio(self):
-        b0 = error_upper_bound_exact(0, CH10)
-        assert b0**3 == CubicExt.of(Fraction(CH10.q) / Fraction(CH10.p), Fraction(CH10.z))
+        # upper = (q/p)^(1/3) * 2 * lower at every horizon, n = 0 included
+        ratio = Fraction(CH10.q) / Fraction(CH10.p)
+        for n in (0, 1, 7, 20):
+            upper, lower = error_upper_bound_exact(n, CH10), error_lower_bound_exact(n, CH10)
+            assert upper**3 == (lower * 2) ** 3 * ratio
+        assert error_upper_bound_exact(0, CH10) ** 3 == CubicExt.of(ratio, Fraction(CH10.z))
 
 
 class TestLowerBound:

@@ -98,9 +98,14 @@ def test_bellman_resource_cap_exit_code(capsys):
         # the float chain's transition probability p/3 underflows
         (("paths", "--p", "5e-324", "--n", "3", "--mode", "float"), "underflow"),
         (("verify-theorem2", "--p", "5e-324", "--n", "4", "--mode", "float"), "underflow"),
+        # a positive series value that underflowed is never printed as 0.0
+        (("paths", "--p", "0.001", "--n", "400", "--mode", "float"), "underflow"),
+        # rational mode, but the closed form runs on doubles
+        (("paths", "--p", "1/1000", "--n", "400", "--variant", "closed-form"), "underflow"),
     ],
     ids=["exact-p-e", "bounds-subnormal-p", "bounds-below-half", "bounds-zero-double",
-         "paths-closed-form", "paths-reach", "verify-theorem2-p-e"],
+         "paths-closed-form", "paths-reach", "verify-theorem2-p-e", "paths-series-value",
+         "paths-rational-closed-form-value"],
 )
 def test_float_underflow_is_a_failed_check(capsys, argv, detail):
     code, _, err = run_cli(capsys, *argv)
@@ -108,6 +113,15 @@ def test_float_underflow_is_a_failed_check(capsys, argv, detail):
     diag = json.loads(err)
     assert diag["error"] == "check-failed"
     assert detail in diag["detail"]
+
+
+def test_paths_underflowed_return_probability_is_a_failed_check(capsys, monkeypatch):
+    from fblab import chain
+
+    monkeypatch.setattr(chain, "reach_prob", lambda n, ch: 0.0)
+    code, out, err = run_cli(capsys, "paths", "--p", "0.1", "--n", "6", "--mode", "float")
+    assert code == 3 and out == ""
+    assert "underflow" in json.loads(err)["detail"]
 
 
 def test_closed_form_underflow_does_not_point_to_rational_mode(capsys):

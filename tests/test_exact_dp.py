@@ -195,6 +195,23 @@ class TestForward:
         assert abs(math.log(log_fl) - math.log(exact_f)) <= 1e-10
 
 
+@pytest.mark.parametrize("p", ["0.001", "0.02", "0.1", "0.3", "0.45", "0.49", "0.5"])
+@pytest.mark.parametrize(
+    "rule, n_max",
+    [(MAX_POSTERIOR, 60), (StrategyRule(kind="round-robin"), 30),
+     (StrategyRule(kind="fixed", fixed_query=2), 30)],
+    ids=["max-posterior", "round-robin", "fixed-2"],
+)
+def test_log_float_forward_relative_error(p, rule, n_max):
+    # log-float errors are absolute in the log, so they grow with n and |ln P_e|;
+    # the worst measured ratio to n (1 + |ln P_e|) 2**-53 is about 1.2
+    chf = make_channel(p, "float")
+    exact = error_curve(make_channel(chf.p), rule, n_max)  # the double's own p
+    for (n, pf, _), (_, px, _) in zip(error_curve(chf, rule, n_max), exact):
+        bound = 4 * n * (1 + abs(math.log(px))) * 2**-53
+        assert abs(Fraction(pf) - px) <= Fraction(bound) * px, n
+
+
 # weight 5/7 on the lowest leader and 2/7 on the next message: L = 7
 TWO_SEVENTHS = StrategyRule(
     kind="table",

@@ -4,6 +4,9 @@ defines it), and every public function or class has a caller in the package
 or a stated reason to stay."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -47,6 +50,19 @@ def test_the_check_sees_a_private_import():
     assert _private_uses(tree) == ["from .channel import _MASK64", "chain._x"]
 
 
+def test_light_modules_load_without_numpy_or_mpmath():
+    # the package re-exports nothing, so one module loads only what it imports
+    code = (
+        "import sys\n"
+        "import fblab.serialize, fblab.channel, fblab.strategy, fblab.belief, fblab.cubicfield\n"
+        "print(sorted({'numpy', 'mpmath'} & set(sys.modules)))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True).stdout
+    assert out == "[]\n"
+
+
 # Public names that no fblab module calls, and why each stays in the package.
 KEPT = {
     "one_step_values": "the paper's printed one-step law, which the acceptance checks evaluate",
@@ -81,8 +97,7 @@ def _uncalled(sources: dict[str, str]) -> list[str]:
 
 
 def test_every_public_name_has_a_caller_or_a_reason():
-    # __init__ only re-exports, which is not a use
-    uncalled = _uncalled({p.stem: p.read_text() for p in MODULES if p.name != "__init__.py"})
+    uncalled = _uncalled({p.stem: p.read_text() for p in MODULES})
     assert [name for name in uncalled if name.split(".")[1] not in KEPT] == []
     # a kept name that is deleted or gains a caller leaves KEPT
     assert sorted(name.split(".")[1] for name in uncalled) == sorted(KEPT)
