@@ -19,10 +19,11 @@ from fractions import Fraction
 from math import comb
 
 import mpmath
+import numpy as np
 
 from .channel import ChannelParams, Number
 from .cubicfield import CubicExt
-from .exact_dp import log_of, logaddexp
+from .exact_dp import log_of
 
 IDENTITY_DPS = 50
 
@@ -120,20 +121,15 @@ def _mp_from(p: Fraction | float):
     return mpmath.mpf(f.numerator) / mpmath.mpf(f.denominator)
 
 
-@dataclass(frozen=True)
-class LoopDensityRoot:
-    root: float        # closed form, real cube-root branch
-    bisection: float   # independent bracketing on the cubic
-    residual: float    # |cubic(root)|
-
-
-def optimal_loop_density(p: Fraction | float) -> LoopDensityRoot:
-    """Unique root in (0, 1/2) of (27-31p) a^3 + 3 p a - p = 0.
+def optimal_loop_density(p: Fraction | float) -> float:
+    """Unique root in (0, 1/2) of (27-31p) a^3 + 3 p a - p = 0, as a double.
 
     This density of length-2 blocks maximizes the return-path count rate.
-    Evaluated two ways: the closed form (with sign-preserving real cube
-    roots; the inner radicand is negative) and exact-sign bisection.
-    Disagreement beyond 1e-10 raises, flagging a branch-handling bug.
+    It is the closed form, with sign-preserving real cube roots (the inner
+    radicand is negative), rounded to a double.  The cubic rises on
+    (0, 1/2), so the root lies within one ulp of that double exactly when
+    the cubic, evaluated exactly, is negative one ulp below it and positive
+    one ulp above; otherwise this raises, flagging a branch-handling bug.
     """
     pf = Fraction(p)
     if not Fraction(0) < pf < Fraction(1, 2):
@@ -142,27 +138,15 @@ def optimal_loop_density(p: Fraction | float) -> LoopDensityRoot:
         pm = _mp_from(pf)
         disc = mpmath.sqrt(27 * (1 - pm) / (27 - 31 * pm))
         pref = mpmath.cbrt(pm / (2 * (27 - 31 * pm)))
-        a0 = pref * (_mp_real_cbrt(1 + disc) + _mp_real_cbrt(1 - disc))
-        residual = abs((27 - 31 * pm) * a0**3 + 3 * pm * a0 - pm)
-        closed = float(a0)
-        resid = float(residual)
+        root = float(pref * (_mp_real_cbrt(1 + disc) + _mp_real_cbrt(1 - disc)))
 
-    def cubic(a: Fraction) -> Fraction:
+    def cubic(a: float) -> Fraction:
+        a = Fraction(a)
         return (27 - 31 * pf) * a**3 + 3 * pf * a - pf
 
-    lo, hi = Fraction(0), Fraction(1, 2)
-    for _ in range(140):
-        mid = (lo + hi) / 2
-        if cubic(mid) <= 0:
-            lo = mid
-        else:
-            hi = mid
-    bisected = float((lo + hi) / 2)
-    if abs(closed - bisected) > 1e-10:
-        raise ArithmeticError(
-            f"closed-form root {closed} and bisection {bisected} disagree at p={p}"
-        )
-    return LoopDensityRoot(root=closed, bisection=bisected, residual=resid)
+    if not cubic(math.nextafter(root, 0.0)) < 0 < cubic(math.nextafter(root, 1.0)):
+        raise ArithmeticError(f"closed-form root {root} is not within one ulp of the root at p={p}")
+    return root
 
 
 def loop_density_objective(p: Fraction | float, a: float) -> tuple[float, float]:
@@ -220,13 +204,12 @@ def simplex_event_prob(n: int, ch: ChannelParams, method: str = "block-sum") -> 
                 for t in range(b + 1)
             )
         lp, lq = math.log(p), math.log(q)
-        acc = -math.inf
-        for t in range(b + 1):
-            term = 3.0 * math.lgamma(b + 1) - 3.0 * (
-                math.lgamma(t + 1) + math.lgamma(b - t + 1)
-            ) + (b + t) * lp + (2 * b - t) * lq
-            acc = logaddexp(acc, term)
-        return math.exp(acc)
+        terms = [
+            3.0 * math.lgamma(b + 1) - 3.0 * (math.lgamma(t + 1) + math.lgamma(b - t + 1))
+            + (b + t) * lp + (2 * b - t) * lq
+            for t in range(b + 1)
+        ]
+        return math.exp(np.logaddexp.accumulate(terms)[-1])  # folds in order of t
     if method == "enumeration":
         if n > 15:
             raise ValueError("enumeration method is limited to n <= 15")
@@ -336,7 +319,7 @@ def bound_report(ch: ChannelParams, n: int | None = None) -> BoundReport:
     asym = simplex_asymptote(ch)
     a0 = f1 = None
     if not ch.degenerate:
-        a0 = optimal_loop_density(ch.p).root
+        a0 = optimal_loop_density(ch.p)
         f1 = loop_density_objective(ch.p, a0)[0]
     upper = lower = variant = None
     if n is not None:

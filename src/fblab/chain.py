@@ -232,12 +232,15 @@ def path_series(n: int, ch: ChannelParams, loops: bool, variant: str):
             comps.append(PathComposition(n2=n2, n3=n3, k2=k2, m=k + n3))
     if variant == "restricted":
         two, three = ch.p * ch.q, ch.p * ch.q * ch.q
-        return sum((c.weight * two ** (c.n2 + c.k2)) * three**c.n3 for c in comps), comps
+        try:
+            return sum((c.weight * two ** (c.n2 + c.k2)) * three**c.n3 for c in comps), comps
+        except OverflowError:  # a weight past the largest double: n >= 2538, series < e**-1003
+            return 0.0, comps
     p, q, z = float(ch.p), float(ch.q), float(ch.z)
     if loops:
         lead, blocks = math.log(0.5), n
     else:
-        lead, blocks = -math.log(n), n * (1.0 + bounds.optimal_loop_density(ch.p).root) / 3.0
+        lead, blocks = -math.log(n), n * (1.0 + bounds.optimal_loop_density(ch.p)) / 3.0
     log_v = lead + (n / 3.0) * exact_dp.log_of(p * q * q) + blocks * math.log1p(z ** (1.0 / 3.0))
     return math.exp(log_v), comps
 

@@ -51,7 +51,7 @@ def make_channel(literal: str | Fraction | float, mode: str = "rational") -> Cha
     if mode not in ("rational", "float"):
         raise ValueError(f"unknown channel mode {mode!r}")
     try:
-        frac = Fraction(literal) if not isinstance(literal, float) else Fraction(literal)
+        frac = Fraction(literal)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed probability literal {literal!r}: {exc}") from None
     if not 0 < frac <= Fraction(1, 2):

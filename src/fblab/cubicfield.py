@@ -2,13 +2,13 @@
 
 The non-asymptotic error bounds are rational multiples of powers of
 (1 + z**(1/3)), so comparing them against exact rational probabilities
-needs numbers of the form x + y*c + w*c**2.  Signs are decided by interval
-refinement with integer cube roots, which terminates because a nonzero
-element of the field is bounded away from zero.
+needs numbers of the form x + y*c + w*c**2.  A sign is decided in one
+step, by the sign of the element's field norm evaluated on integers.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -110,25 +110,25 @@ class CubicExt:
         return out
 
     def sign(self) -> int:
-        """Exact sign: -1, 0, or +1."""
+        """Exact sign: -1, 0, or +1.
+
+        For irrational c it is the sign of the norm x**3 + r y**3 + r**2 w**3
+        - 3 r x y w (r = c**3 = a/b), the element times |s|**2 for s its image
+        under a complex embedding; |s|**2 is half the sum of the squares of
+        x - yc, yc - wc**2 and wc**2 - x, zero only for the zero element.  The
+        norm is evaluated on integers, times b**2 d**3, d the common denominator.
+        """
         if self.x == 0 and self.y == 0 and self.w == 0:
             return 0
         exact_c = _rational_cbrt(self.base)
-        if exact_c is not None:
+        if exact_c is not None:  # the norm can vanish on a nonzero element here
             v = self.x + self.y * exact_c + self.w * exact_c**2
             return (v > 0) - (v < 0)
-        digits = 20
-        while digits <= 1300:
-            lo, hi = cbrt_bounds(self.base, digits)
-            lo2, hi2 = lo * lo, hi * hi
-            vlo = self.x + min(self.y * lo, self.y * hi) + min(self.w * lo2, self.w * hi2)
-            vhi = self.x + max(self.y * lo, self.y * hi) + max(self.w * lo2, self.w * hi2)
-            if vlo > 0:
-                return 1
-            if vhi < 0:
-                return -1
-            digits *= 2
-        raise ArithmeticError("sign undecided after refinement; element may be zero")
+        a, b = self.base.numerator, self.base.denominator
+        d = math.lcm(self.x.denominator, self.y.denominator, self.w.denominator)
+        x, y, w = (v.numerator * (d // v.denominator) for v in (self.x, self.y, self.w))
+        norm = b * b * x**3 + a * b * y**3 + a * a * w**3 - 3 * a * b * x * y * w
+        return (norm > 0) - (norm < 0)
 
     def compare(self, other: "CubicExt | Fraction | int") -> int:
         if not isinstance(other, CubicExt):

@@ -54,16 +54,6 @@ class ResourceCapError(RuntimeError):
     """Raised when a dynamic program would exceed its configured state cap."""
 
 
-def logaddexp(a: float, b: float) -> float:
-    """ln(e**a + e**b) for natural-log probabilities; -inf is the log of 0."""
-    if a == -math.inf:
-        return b
-    if b == -math.inf:
-        return a
-    hi, lo = (a, b) if a >= b else (b, a)
-    return hi + math.log1p(math.exp(lo - hi))
-
-
 def log_of(value: Number) -> float:
     """Natural log of a probability: of the exact value for a Fraction.
 
@@ -162,8 +152,9 @@ def propagate(
     its states in order of first arrival: sources in their layer's order,
     each source's moves in ``moves`` order.  Masses meeting at a target add
     in that order, exactly for integers and by ``np.logaddexp.at`` for
-    log-floats, which applies updates in array order and matches
-    ``logaddexp`` bit for bit, so every double equals that of a scalar loop.
+    log-floats, which applies updates in array order and matches a scalar
+    max-plus-log1p fold bit for bit (tests/test_exact_dp.py holds numpy to
+    it), so every double equals that of a scalar loop.
     A state without moves loses its mass.  Raises ResourceCapError once the
     layers after the start hold more than STATE_CAP states in total.
     """
@@ -404,7 +395,7 @@ class ValueTable:
 
 
 def backward_layers(
-    n: int, ch: ChannelParams, state_cap: int = STATE_CAP
+    n: int, ch: ChannelParams, state_cap: int | None = None
 ) -> tuple[ValueTable, Iterator[BackwardLayer]]:
     """Backward induction to horizon n as a stream of layers t = 1..n.
 
@@ -436,10 +427,13 @@ def backward_layers(
     Returns the ValueTable, holding layer 0, and an iterator that computes
     each further layer from the one before alone, records it in the table
     and yields it as a BackwardLayer in lattice order.  Raises
-    ResourceCapError up front when the layers exceed ``state_cap`` states.
+    ResourceCapError up front when the layers exceed ``state_cap`` states
+    (by default STATE_CAP, read at the call).
     """
     if n < 0:
         raise ValueError("horizon must be nonnegative")
+    if state_cap is None:
+        state_cap = STATE_CAP
     total_states = sum(_lattice_size(k) for k in range(n + 1))
     if total_states > state_cap:
         raise ResourceCapError(
@@ -485,7 +479,7 @@ def backward_layers(
 
 
 def bellman_optimum(
-    n: int, ch: ChannelParams, state_cap: int = STATE_CAP
+    n: int, ch: ChannelParams, state_cap: int | None = None
 ) -> tuple[Number, ValueTable]:
     """Minimum achievable error over all metric-state strategies.
 

@@ -63,6 +63,7 @@ def counter_hash(seed: int, trial: int, tag: int, step: int) -> int:
 _U = np.uint64
 _WILSON_Z99 = 2.5758293035489004  # two-sided 99% normal quantile
 _RECORD_STEPS = 1_000_000  # trial-steps per batch of trajectory records
+_BATCH = 1 << 16  # most trials per batch of run_trials
 
 
 def _mix_into(x: np.ndarray, tmp: np.ndarray) -> np.ndarray:
@@ -351,7 +352,6 @@ def run_trials(
     trials: int,
     seed: int,
     workers: int = 1,
-    batch: int = 1 << 16,
 ) -> SimulationStats:
     """Estimate the error probability from ``trials`` simulated episodes.
 
@@ -367,7 +367,7 @@ def run_trials(
         raise ValueError("need at least one trial")
     if workers < 1:
         raise ValueError("workers must be positive")
-    errors = sum(out["errors"] for out in _batch_outputs(n, ch, rule, seed, trials, batch))
+    errors = sum(out["errors"] for out in _batch_outputs(n, ch, rule, seed, trials, _BATCH))
     return SimulationStats(trials, errors, seed)
 
 

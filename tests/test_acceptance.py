@@ -234,12 +234,14 @@ def test_simplex_event_identities():
 def test_loop_density_root_agreement():
     ok = True
     for p in (1e-6, 1e-3, 0.1, 0.3, 0.49):
-        root = optimal_loop_density(p)
-        ok &= abs(root.root - root.bisection) <= 1e-10
-        ok &= root.residual <= 1e-10
-    small = optimal_loop_density(1e-6).root
+        root, pf = optimal_loop_density(p), Fraction(p)
+        # the cubic, evaluated exactly, changes sign within one ulp either side
+        lo, hi = (Fraction(math.nextafter(root, end)) for end in (0.0, 1.0))
+        ok &= (27 - 31 * pf) * lo**3 + 3 * pf * lo - pf < 0
+        ok &= (27 - 31 * pf) * hi**3 + 3 * pf * hi - pf > 0
+    small = optimal_loop_density(1e-6)
     ok &= abs(3 * small / 1e-2 - 1) <= 0.1
-    _verdict("loop-density cubic: closed form vs bisection", ok)
+    _verdict("loop-density cubic: closed form vs exact sign change", ok)
     assert ok
 
 

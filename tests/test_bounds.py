@@ -1,8 +1,10 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
+from fblab import bounds
 from fblab.bounds import (
     bound_report,
     error_exponents,
@@ -18,7 +20,7 @@ from fblab.bounds import (
     simplex_event_report,
 )
 from fblab.channel import make_channel
-from fblab.cubicfield import CubicExt, cbrt_bounds, icbrt
+from fblab.cubicfield import CubicExt, _rational_cbrt, cbrt_bounds, icbrt
 
 CH10 = make_channel("1/10")
 CH_HALF = make_channel("1/2")
@@ -59,18 +61,39 @@ class TestCubicField:
         assert (c - Fraction(48075, 100000)).sign() < 0
         assert (c * c * c - z).sign() == 0
 
-    def test_sign_refines_past_twenty_digits(self):
-        # c agrees with its 60-digit bounds to 40 digits, so only the
-        # third, 80-digit refinement decides the sign
+    def test_sign_of_a_sixty_digit_gap(self):
         c = CubicExt.root(Fraction(2))
         lo, hi = cbrt_bounds(Fraction(2), 60)
         assert (c - lo).sign() == 1
         assert (c - hi).sign() == -1
 
+    def test_sign_of_a_gap_below_ten_to_the_minus_thirteen_hundred(self):
+        # c agrees with lo and hi to 1,400 digits, so both differences are below 10**-1399
+        c = CubicExt.root(Fraction(2))
+        lo, hi = cbrt_bounds(Fraction(2), 1400)
+        assert (c - lo).sign() == 1
+        assert (c - hi).sign() == -1
+
+    def test_sign_matches_the_real_value(self):
+        # the field norm's sign against a 60-digit evaluation, on random elements
+        rng = random.Random(20220301)
+        for _ in range(300):
+            base = Fraction(rng.randint(1, 200), rng.randint(1, 200))
+            if _rational_cbrt(base) is not None:
+                continue
+            e = CubicExt(*(Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
+                           for _ in range(3)), base)
+            lo = cbrt_bounds(base, 60)[0]
+            value = e.x + e.y * lo + e.w * lo * lo
+            assert abs(value) > Fraction(1, 10**40)  # far from zero at this precision
+            assert e.sign() == (1 if value > 0 else -1)
+
     def test_perfect_cube_base_collapses(self):
         c = CubicExt.root(Fraction(1, 8))
         assert (c - Fraction(1, 2)).sign() == 0
         assert (c - Fraction(49, 100)).sign() > 0
+        # a nonzero element whose norm vanishes: 1 + 2c + 4c**2 = 3 at c = 1/2
+        assert CubicExt(Fraction(1), Fraction(2), Fraction(4), Fraction(1, 8)).sign() == 1
 
     def test_float_conversion(self):
         c = CubicExt.root(Fraction(1, 9))
@@ -146,22 +169,38 @@ class TestLowerBound:
             assert error_lower_bound_exact(n, CH10) < error_upper_bound_exact(n, CH10)
 
 
+def _brackets_cubic_root(p, a0: float) -> bool:
+    """The cubic (27-31p) a^3 + 3pa - p, evaluated exactly, changes sign
+    between the doubles one ulp either side of a0."""
+    pf = Fraction(p)
+
+    def cubic(a: float) -> Fraction:
+        return (27 - 31 * pf) * Fraction(a) ** 3 + 3 * pf * Fraction(a) - pf
+
+    return cubic(math.nextafter(a0, 0.0)) < 0 < cubic(math.nextafter(a0, 1.0))
+
+
 class TestLoopDensity:
     def test_frozen_root_at_p_tenth(self):
         root = optimal_loop_density(Fraction(1, 10))
-        assert abs(root.root - 0.13543269388597468) <= 1e-12
-        assert abs(root.root - root.bisection) <= 1e-10
-        assert root.residual <= 1e-10
+        assert abs(root - 0.13543269388597468) <= 1e-12
+        assert _brackets_cubic_root(Fraction(1, 10), root)
 
     @pytest.mark.parametrize("p", [1e-6, 1e-3, 0.1, 0.3, 0.49])
     def test_closed_form_meets_bisection_on_grid(self, p):
+        # the two-ulp bracket is where a bisection over the doubles would stop
         root = optimal_loop_density(p)
-        assert abs(root.root - root.bisection) <= 1e-10
-        assert root.residual <= 1e-10
-        assert 0 < root.root < 0.5
+        assert _brackets_cubic_root(p, root)
+        assert 0 < root < 0.5
+
+    def test_wrong_cube_root_branch_raises(self, monkeypatch):
+        # the principal cube root of the negative inner radicand is not real
+        monkeypatch.setattr(bounds, "_mp_real_cbrt", lambda x: abs(x) ** (1 / 3))
+        with pytest.raises(ArithmeticError, match="one ulp"):
+            optimal_loop_density(Fraction(1, 10))
 
     def test_small_p_scaling_law(self):
-        root = optimal_loop_density(1e-6).root
+        root = optimal_loop_density(1e-6)
         assert abs(3 * root / 1e-2 - 1) <= 0.1
 
     def test_rejects_boundary(self):
@@ -171,7 +210,7 @@ class TestLoopDensity:
 
     def test_derivative_vanishes_at_root(self):
         for p in (0.05, 0.1, 0.3):
-            a0 = optimal_loop_density(p).root
+            a0 = optimal_loop_density(p)
             _, deriv = loop_density_objective(p, a0)
             assert abs(deriv) <= 1e-8
 
@@ -184,7 +223,7 @@ class TestLoopDensity:
                 assert second < 0
 
     def test_derivative_changes_sign_at_root(self):
-        a0 = optimal_loop_density(0.1).root
+        a0 = optimal_loop_density(0.1)
         assert loop_density_objective(0.1, a0 - 1e-4)[1] > 0
         assert loop_density_objective(0.1, a0 + 1e-4)[1] < 0
 

@@ -102,10 +102,13 @@ def test_bellman_resource_cap_exit_code(capsys):
         (("paths", "--p", "0.001", "--n", "400", "--mode", "float"), "underflow"),
         # rational mode, but the closed form runs on doubles
         (("paths", "--p", "1/1000", "--n", "400", "--variant", "closed-form"), "underflow"),
+        # a binomial weight of the restricted sum is past the largest double
+        (("paths", "--p", "0.1", "--n", "2600", "--mode", "float", "--series", "basic"),
+         "underflow"),
     ],
     ids=["exact-p-e", "bounds-subnormal-p", "bounds-below-half", "bounds-zero-double",
          "paths-closed-form", "paths-reach", "verify-theorem2-p-e", "paths-series-value",
-         "paths-rational-closed-form-value"],
+         "paths-rational-closed-form-value", "paths-restricted-weight-overflow"],
 )
 def test_float_underflow_is_a_failed_check(capsys, argv, detail):
     code, _, err = run_cli(capsys, *argv)
@@ -148,9 +151,12 @@ def test_float_simplex_underflow_is_a_failed_check(capsys):
         ("exact", "--p", "1/10", "--n", "30"),
         ("sweep", "--p", "0.1", "--n-max", "30", "--mode", "float"),
         ("paths", "--p", "1/10", "--n", "30"),
+        ("bellman", "--p", "1/10", "--n", "30"),
+        ("verify-theorem2", "--p", "1/10", "--n", "30"),
+        ("sweep", "--p", "1/10", "--n-max", "30", "--strategy", "optimal"),
     ],
 )
-def test_forward_programs_respect_state_cap(capsys, monkeypatch, argv):
+def test_every_program_respects_state_cap(capsys, monkeypatch, argv):
     monkeypatch.setattr(exact_dp, "STATE_CAP", 100)
     code, _, err = run_cli(capsys, *argv)
     assert code == 4

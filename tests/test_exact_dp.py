@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fblab.belief import apply_outcome, leaders, normalize, posteriors
+from fblab.bounds import simplex_event_prob
 from fblab.chain import derive_transitions, reach_prob
 from fblab.channel import make_channel
 from fblab.exact_dp import (
@@ -21,7 +22,6 @@ from fblab.exact_dp import (
     error_curve,
     forward_distribution,
     forward_error_prob,
-    logaddexp,
     optimal_query_report,
     sorted_lattice,
 )
@@ -29,6 +29,18 @@ from fblab.strategy import MAX_POSTERIOR, StrategyRule, select_query
 from witnesses import HALF_CONSTANT_WITNESSES
 
 P_GRID = ["1/20", "1/10", "1/5", "3/10", "2/5"]
+
+
+def logaddexp(a: float, b: float) -> float:
+    """ln(e**a + e**b), -inf the log of 0: the scalar reference that numpy's
+    logaddexp, and so every log-float fold in fblab, is held to bit for bit."""
+    if a == -math.inf:
+        return b
+    if b == -math.inf:
+        return a
+    hi, lo = (a, b) if a >= b else (b, a)
+    return hi + math.log1p(math.exp(lo - hi))
+
 CH10 = make_channel("1/10")
 CH10F = make_channel("0.1", "float")
 
@@ -336,6 +348,20 @@ def test_numpy_logaddexp_matches_scalar_helper_bit_for_bit():
     want = [logaddexp(x, y) for x, y in zip(a.tolist(), b.tolist())]
     assert np.array_equal(_bits(np.logaddexp(a, b)), _bits(want))
     assert np.array_equal(_bits(np.logaddexp(b, a)), _bits(want))
+
+
+@pytest.mark.parametrize("p", ["1e-300", "1e-5", "0.05", "0.3", "0.49", "0.5"])
+def test_float_simplex_fold_matches_scalar_loop_bit_for_bit(p):
+    ch = make_channel(p, "float")
+    lp, lq = math.log(ch.p), math.log(ch.q)
+    for n in (3, 6, 30, 99, 600):
+        b, acc = n // 3, -math.inf
+        for t in range(b + 1):
+            term = 3.0 * math.lgamma(b + 1) - 3.0 * (
+                math.lgamma(t + 1) + math.lgamma(b - t + 1)
+            ) + (b + t) * lp + (2 * b - t) * lq
+            acc = logaddexp(acc, term)
+        assert _bits(simplex_event_prob(n, ch)) == _bits(math.exp(acc)), n
 
 
 def test_numpy_logaddexp_at_folds_repeated_indices_in_order():

@@ -9,6 +9,7 @@ from fblab.belief import leaders
 from fblab.channel import make_channel
 from fblab.exact_dp import forward_error_prob
 from fblab.montecarlo import (
+    _batch_outputs,
     run_trajectory_audit,
     run_trials,
     simulate_trajectory,
@@ -73,22 +74,22 @@ class TestDeterminism:
         assert len({(r.trials, r.errors) for r in runs}) == 1
 
     def test_batch_size_is_irrelevant(self):
-        a = run_trials(8, CHF, MAX_POSTERIOR, trials=10_000, seed=1, batch=137)
-        b = run_trials(8, CHF, MAX_POSTERIOR, trials=10_000, seed=1, batch=10_000)
-        assert (a.trials, a.errors) == (b.trials, b.errors)
+        want = run_trials(8, CHF, MAX_POSTERIOR, trials=10_000, seed=1).errors
+        for size in (137, 10_000):
+            outs = _batch_outputs(8, CHF, MAX_POSTERIOR, 1, 10_000, size)
+            assert sum(out["errors"] for out in outs) == want
 
     @pytest.mark.parametrize("name", sorted(ORACLE_RULES))
     def test_batch_size_is_irrelevant_for_every_rule(self, name):
         # the engine hashes tie draws for the tied trials of a batch only; n = 0
         # makes every decode a three-way tie, and batch 1 makes the tied subset
         # of a batch every trial or none
-        trials = 300
+        trials, rule = 300, ORACLE_RULES[name]
         for n in (0, 1, 8):
-            runs = [
-                run_trials(n, CHF, ORACLE_RULES[name], trials, seed=1, batch=b)
-                for b in (1, 137, trials)
-            ]
-            assert len({(r.trials, r.errors) for r in runs}) == 1, n
+            want = run_trials(n, CHF, rule, trials, seed=1).errors
+            for size in (1, 137, trials):
+                outs = _batch_outputs(n, CHF, rule, 1, trials, size)
+                assert sum(out["errors"] for out in outs) == want, (n, size)
 
     def test_scalar_and_batch_engines_agree_per_trial(self):
         # a record holds the true and decoded messages, the final votes, the
