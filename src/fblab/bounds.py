@@ -40,7 +40,8 @@ def error_exponents(ch: ChannelParams) -> ErrorExponents:
     p, q = float(ch.p), float(ch.q)
     if p == 0.0:
         raise ArithmeticError("p underflows to 0.0 as a double, and the exponents use doubles")
-    f_fb = -math.log(p ** (1 / 3) * q ** (2 / 3) + p ** (2 / 3) * q ** (1 / 3))
+    # 0.0 - x, not -x: at p = 1/2 the log is 0.0 and f_fb must not print as -0.0
+    f_fb = 0.0 - math.log(p ** (1 / 3) * q ** (2 / 3) + p ** (2 / 3) * q ** (1 / 3))
     e2 = 0.5 * math.log(1.0 / (4.0 * p * q))
     e3 = e2 * 2.0 / 3.0
     if not ch.degenerate and not e2 > f_fb > e3:

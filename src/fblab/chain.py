@@ -85,7 +85,11 @@ def _raw_transitions(s: ChainState, ch: ChannelParams) -> list[tuple[ChainState,
 
 
 def derive_transitions(ch: ChannelParams, depth_bound: int) -> TransitionTable:
-    """Build the chain by breadth-first expansion from the all-zero state."""
+    """Build the chain by breadth-first expansion from the all-zero state.
+
+    Raises ResourceCapError once the expansion has seen more than
+    exact_dp.STATE_CAP states (read at the call): depth d gives 9d - 2.
+    """
     if depth_bound < 1:
         raise ValueError("depth bound must be at least 1")
     entries: dict[ChainState, tuple[Transition, ...]] = {}
@@ -105,6 +109,10 @@ def derive_transitions(ch: ChannelParams, depth_bound: int) -> TransitionTable:
                     seen.add(target)
                     nxt.append(target)
             entries[s] = tuple(kept)
+        if len(seen) > exact_dp.STATE_CAP:
+            raise exact_dp.ResourceCapError(
+                f"chain derivation reaches {len(seen)} states, cap is {exact_dp.STATE_CAP}"
+            )
         frontier = nxt
     return TransitionTable(depth_bound=depth_bound, entries=entries, boundary=frozenset(boundary))
 

@@ -1,18 +1,22 @@
-"""Command-line surface: one subcommand per analysis, file emission.
+"""Command-line surface: one subcommand per analysis.
+
+Each ``cmd_*`` returns what it computed: a dict for a JSON result, or the
+text of a CSV or DOT document; ``verify-theorem2`` and ``octopus --verify``
+also return whether their check passed.  ``dispatch`` alone writes output.
+A JSON result gets the run configuration as its first key, ``config``, and
+goes to stdout or to ``--out``.  A CSV or DOT document goes to stdout, or to
+``--out`` with ``{"config", "written"}`` echoed to stdout, since the file has
+no place for the configuration.
 
 Exit codes: 0 success, 2 invalid flags or inputs (an output path that cannot
 be written included), 3 a verification check failed, 4 a resource cap was
 exceeded.  Failures print a machine-readable JSON diagnostic to stderr.
-Every JSON result embeds its full run configuration; CSV files carry only
-their fixed contracted header, so the configuration goes to stdout when such
-a file is written.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from . import bounds as bounds_mod
@@ -38,71 +42,46 @@ def _parse_strategy(text: str) -> StrategyRule:
     raise ValueError(f"unknown strategy {text!r}")
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text, newline="")
-    else:
-        sys.stdout.write(text)
+def _error_result(ch, n: int, strategy: str, pe) -> dict:
+    """The fields that ``exact`` and ``bellman`` share: P_e at horizon n and its exponent."""
+    return {
+        "p": ch.p,
+        "n": n,
+        "strategy": strategy,
+        "mode": ch.arithmetic,
+        "p_e": pe,
+        "exponent": (-exact_dp.log_of(pe) / n) if n else None,
+    }
 
 
-def _config(args: argparse.Namespace) -> dict:
-    skip = {"func"}
-    return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
-
-
-def _channels(args) -> list:
-    return [make_channel(lit, args.mode) for lit in args.p.split(",")]
-
-
-def cmd_bounds(args) -> int:
-    chans = _channels(args)
+def cmd_bounds(args) -> dict | str:
+    chans = [make_channel(lit, args.mode) for lit in args.p.split(",")]
     if args.format == "json":
         if len(chans) != 1:
             raise ValueError("json format takes a single --p literal")
-        report = bounds_mod.bound_report(chans[0], args.n)
-        _emit(serialize.dumps({"config": _config(args), "report": report}), args.out)
-        return EXIT_OK
-    rows = []
-    for ch in chans:
-        r = bounds_mod.bound_report(ch, args.n)
-        rows.append([float(r.p), r.n, r.f_fb, r.e2, r.e3, r.upper, r.lower])
-    _emit(serialize.csv_text(serialize.BOUNDS_HEADER, rows), args.out)
-    if args.out:
-        sys.stdout.write(serialize.dumps({"config": _config(args), "written": args.out}))
-    return EXIT_OK
+        return {"report": bounds_mod.bound_report(chans[0], args.n)}
+    reports = [bounds_mod.bound_report(ch, args.n) for ch in chans]
+    return serialize.csv_text([
+        {"p": float(r.p), "n": r.n, "f_fb": r.f_fb, "e2": r.e2, "e3": r.e3,
+         "upper": r.upper, "lower": r.lower}
+        for r in reports
+    ])
 
 
-def cmd_exact(args) -> int:
+def cmd_exact(args) -> dict:
     ch = make_channel(args.p, args.mode)
     rule = _parse_strategy(args.strategy)
     pe = exact_dp.forward_error_prob(args.n, ch, rule)
-    result = {
-        "config": _config(args),
-        "p": ch.p,
-        "n": args.n,
-        "strategy": args.strategy,
-        "mode": ch.arithmetic,
-        "p_e": pe,
-        "exponent": (-exact_dp.log_of(pe) / args.n) if args.n else None,
-    }
-    _emit(serialize.dumps(result), args.out)
-    return EXIT_OK
+    return _error_result(ch, args.n, args.strategy, pe)
 
 
-def cmd_bellman(args) -> int:
+def cmd_bellman(args) -> dict:
     if args.state_cap < 1:
         raise ValueError(f"--state-cap must be at least 1, got {args.state_cap}")
     ch = make_channel(args.p, args.mode)
     pe, table = exact_dp.bellman_optimum(args.n, ch, state_cap=args.state_cap)
     unique, two_way, three_way = table.tie_counts()
-    result = {
-        "config": _config(args),
-        "p": ch.p,
-        "n": args.n,
-        "strategy": "optimal",
-        "mode": ch.arithmetic,
-        "p_e": pe,
-        "exponent": (-exact_dp.log_of(pe) / args.n) if args.n else None,
+    return _error_result(ch, args.n, "optimal", pe) | {
         "argmax_summary": {
             "states": unique + two_way + three_way,
             "unique": unique,
@@ -111,40 +90,29 @@ def cmd_bellman(args) -> int:
             "tie_tolerance": table.tie_tolerance,
         },
     }
-    _emit(serialize.dumps(result), args.out)
-    return EXIT_OK
 
 
-def cmd_verify_theorem2(args) -> int:
+def cmd_verify_theorem2(args) -> tuple[dict, bool]:
     ch = make_channel(args.p, args.mode)
     report = exact_dp.optimal_query_report(args.n, ch, detail=args.detail)
-    _emit(serialize.dumps({"config": _config(args), "report": report}), args.out)
-    return EXIT_OK if report["overall"]["all_member"] else EXIT_CHECK_FAILED
+    return {"report": report}, report["overall"]["all_member"]
 
 
-def cmd_octopus(args) -> int:
+def cmd_octopus(args) -> dict | str | tuple[dict, bool]:
     if args.verify and args.format == "dot":
         raise ValueError("--verify needs --format json: DOT output has no place for the verdict report")
     ch = make_channel(args.p, args.mode)
     table = chain.derive_transitions(ch, args.depth)
     if args.format == "dot":
-        _emit(chain.export_dot(table), args.out)
-        return EXIT_OK
-    result = {
-        "config": _config(args),
-        "table": chain.table_to_json(table),
-    }
-    status = EXIT_OK
-    if args.verify:
-        verdicts = chain.verify_reference_transitions(ch)
-        result["verification"] = verdicts
-        if not verdicts["all_match"]:
-            status = EXIT_CHECK_FAILED
-    _emit(serialize.dumps(result), args.out)
-    return status
+        return chain.export_dot(table)
+    result = {"table": chain.table_to_json(table)}
+    if not args.verify:
+        return result
+    result["verification"] = verdicts = chain.verify_reference_transitions(ch)
+    return result, verdicts["all_match"]
 
 
-def cmd_paths(args) -> int:
+def cmd_paths(args) -> dict:
     ch = make_channel(args.p, args.mode)
     loops = args.series == "loops"
     value, comps = chain.path_series(args.n, ch, loops, args.variant)
@@ -156,8 +124,7 @@ def cmd_paths(args) -> int:
         # the divisibility relaxation lets the closed form exceed the exact return probability
         bound = chain.closed_form_loop_bound_exact(args.n, ch) if ch.exact else value
         exceeds = bound > reach
-    result = {
-        "config": _config(args),
+    return {
         "n": args.n,
         "series": args.series,
         "variant": args.variant,
@@ -166,11 +133,9 @@ def cmd_paths(args) -> int:
         "closed_form_exceeds_exact": exceeds,
         "compositions": comps,
     }
-    _emit(serialize.dumps(result), args.out)
-    return EXIT_OK
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> dict:
     if args.dump_count < 0:
         raise ValueError(f"--dump-count must be non-negative, got {args.dump_count}")
     ch = make_channel(args.p, "float")
@@ -179,38 +144,28 @@ def cmd_simulate(args) -> int:
         args.n, ch, rule, trials=args.trials, seed=args.seed, workers=args.workers
     )
     lo, hi = stats.confidence_interval()
-    result = {
-        "config": _config(args),
-        "stats": stats,
-        "estimate": stats.estimate,
-        "ci99": [lo, hi],
-    }
+    result = {"stats": stats, "estimate": stats.estimate, "ci99": [lo, hi]}
     if args.dump_trajectories:
         count = min(args.dump_count, args.trials)
         records = montecarlo.trajectory_records(args.n, ch, rule, args.seed, count)
         lines = [serialize.dumps_line(rec) for rec in records]
         Path(args.dump_trajectories).write_text("".join(lines))
         result["trajectory_dump"] = {"path": args.dump_trajectories, "count": count}
-    _emit(serialize.dumps(result), args.out)
-    return EXIT_OK
+    return result
 
 
-def cmd_simplex(args) -> int:
+def cmd_simplex(args) -> dict:
     ch = make_channel(args.p, args.mode)
-    report = bounds_mod.simplex_event_report(args.n, ch, method=args.method)
-    _emit(serialize.dumps({"config": _config(args), "report": report}), args.out)
-    return EXIT_OK
+    return {"report": bounds_mod.simplex_event_report(args.n, ch, method=args.method)}
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args) -> str:
     ch = make_channel(args.p, args.mode)
     rule = "optimal" if args.strategy == "optimal" else _parse_strategy(args.strategy)
-    rows = exact_dp.error_curve(ch, rule, args.n_max)
-    csv_rows = [[n, float(ch.p), float(pe), exp] for n, pe, exp in rows]
-    _emit(serialize.csv_text(serialize.SWEEP_HEADER, csv_rows), args.out)
-    if args.out:
-        sys.stdout.write(serialize.dumps({"config": _config(args), "written": args.out}))
-    return EXIT_OK
+    return serialize.csv_text([
+        {"n": n, "p": float(ch.p), "pe": float(pe), "exponent": exp}
+        for n, pe, exp in exact_dp.error_curve(ch, rule, args.n_max)
+    ])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -220,52 +175,50 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(sp, n_flag=True):
+    def add(name, func, summary, n="--n", mode=True, **n_kw):
+        """A subcommand with --p, the horizon flag ``n`` (None: none) and --mode, in that order."""
+        sp = sub.add_parser(name, help=summary)
+        sp.set_defaults(func=func)
         sp.add_argument("--p", required=True, help='crossover probability, "a/b" or decimal')
-        if n_flag:
-            sp.add_argument("--n", type=int, required=True, help="horizon (channel uses)")
-        sp.add_argument("--mode", choices=["rational", "float"], default="rational")
+        if n:
+            n_kw = {"required": True, "help": "horizon (channel uses)"} | n_kw
+            sp.add_argument(n, type=int, **n_kw)
+        if mode:
+            sp.add_argument("--mode", choices=["rational", "float"], default="rational")
+        return sp
+
+    def out(sp):
         sp.add_argument("--out", default=None, help="output path (default: stdout)")
 
-    sp = sub.add_parser("bounds", help="closed-form exponents and bounds")
-    sp.add_argument("--p", required=True, help="probability literal, or comma list for csv")
-    sp.add_argument("--n", type=int, default=None)
-    sp.add_argument("--mode", choices=["rational", "float"], default="rational")
+    sp = add("bounds", cmd_bounds, "closed-form exponents and bounds (csv: --p takes a comma list)",
+             required=False)
     sp.add_argument("--format", choices=["json", "csv"], default="json")
-    sp.add_argument("--out", default=None)
-    sp.set_defaults(func=cmd_bounds)
+    out(sp)
 
-    sp = sub.add_parser("exact", help="forward error probability of a strategy")
-    common(sp)
+    sp = add("exact", cmd_exact, "forward error probability of a strategy")
+    out(sp)
     sp.add_argument("--strategy", default="max-posterior")
-    sp.set_defaults(func=cmd_exact)
 
-    sp = sub.add_parser("bellman", help="optimal error by backward induction")
-    common(sp)
+    sp = add("bellman", cmd_bellman, "optimal error by backward induction")
+    out(sp)
     sp.add_argument("--state-cap", type=int, default=exact_dp.STATE_CAP)
-    sp.set_defaults(func=cmd_bellman)
 
-    sp = sub.add_parser("verify-theorem2", help="check fewest-votes queries are optimal")
-    common(sp)
+    sp = add("verify-theorem2", cmd_verify_theorem2, "check fewest-votes queries are optimal")
+    out(sp)
     sp.add_argument("--detail", action="store_true", help="emit one verdict row per state")
-    sp.set_defaults(func=cmd_verify_theorem2)
 
-    sp = sub.add_parser("octopus", help="derive and check the strategy's Markov chain")
-    common(sp, n_flag=False)
+    sp = add("octopus", cmd_octopus, "derive and check the strategy's Markov chain", n=None)
+    out(sp)
     sp.add_argument("--depth", type=int, default=6, help="tentacle depth bound")
     sp.add_argument("--verify", action="store_true", help="compare with the reference tables")
     sp.add_argument("--format", choices=["json", "dot"], default="json")
-    sp.set_defaults(func=cmd_octopus)
 
-    sp = sub.add_parser("paths", help="return-path series and compositions")
-    common(sp)
+    sp = add("paths", cmd_paths, "return-path series and compositions")
+    out(sp)
     sp.add_argument("--series", choices=["basic", "loops"], default="loops")
     sp.add_argument("--variant", choices=["restricted", "closed-form"], default="restricted")
-    sp.set_defaults(func=cmd_paths)
 
-    sp = sub.add_parser("simulate", help="Monte Carlo estimate with a fixed seed")
-    sp.add_argument("--p", required=True)
-    sp.add_argument("--n", type=int, required=True)
+    sp = add("simulate", cmd_simulate, "Monte Carlo estimate with a fixed seed", mode=False)
     sp.add_argument("--trials", type=int, required=True)
     sp.add_argument("--seed", type=int, default=20220301)
     sp.add_argument(
@@ -278,30 +231,34 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--strategy", default="max-posterior")
     sp.add_argument("--dump-trajectories", default=None, help="JSON-lines path for episode records")
     sp.add_argument("--dump-count", type=int, default=100, help="bound on dumped episodes")
-    sp.add_argument("--out", default=None)
-    sp.set_defaults(func=cmd_simulate)
+    out(sp)
 
-    sp = sub.add_parser("simplex", help="equal-likelihood event of the simplex code")
-    common(sp)
+    sp = add("simplex", cmd_simplex, "equal-likelihood event of the simplex code")
+    out(sp)
     sp.add_argument("--method", choices=["block-sum", "enumeration"], default="block-sum")
-    sp.set_defaults(func=cmd_simplex)
 
-    sp = sub.add_parser("sweep", help="error curve over a horizon range (CSV)")
-    sp.add_argument("--p", required=True)
-    sp.add_argument("--n-max", type=int, required=True)
-    sp.add_argument("--mode", choices=["rational", "float"], default="rational")
+    sp = add("sweep", cmd_sweep, "error curve over a horizon range (CSV)", n="--n-max",
+             help="largest horizon")
     sp.add_argument("--strategy", default="max-posterior", help="a strategy or 'optimal'")
-    sp.add_argument("--out", default=None)
-    sp.set_defaults(func=cmd_sweep)
+    out(sp)
 
     return parser
 
 
 def dispatch(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        result = args.func(args)
+        result, passed = result if isinstance(result, tuple) else (result, True)
+        head = {"config": {k: v for k, v in sorted(vars(args).items()) if k != "func"}}
+        text = result if isinstance(result, str) else serialize.dumps(head | result)
+        if not args.out:
+            sys.stdout.write(text)
+        else:
+            Path(args.out).write_text(text, newline="")
+            if isinstance(result, str):  # a CSV or DOT file has no place for the configuration
+                sys.stdout.write(serialize.dumps(head | {"written": args.out}))
+        return EXIT_OK if passed else EXIT_CHECK_FAILED
     except exact_dp.ResourceCapError as exc:
         sys.stderr.write(serialize.dumps({"error": "resource-cap", "detail": str(exc)}))
         return EXIT_RESOURCE

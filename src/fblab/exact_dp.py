@@ -167,11 +167,11 @@ def propagate(
         graph.expand(ids)
         count = graph.count[ids]
         live = np.arange(MOVES) < count[:, None]
-        target = graph.target[ids][live]
+        target = graph.target.take(ids, axis=0)[live]
         step = mass[np.repeat(np.arange(ids.size), count)]
         combine = np.multiply if exact else np.add  # (mass . f1) . f2, in place
-        combine(step, graph.factor[ids][live][:, None], out=step)
-        combine(step, f2[graph.code[ids][live]], out=step)
+        combine(step, graph.factor.take(ids, axis=0)[live][:, None], out=step)
+        combine(step, f2[graph.code.take(ids, axis=0)[live]], out=step)
         # the targets in order of first arrival, and each move's row among them
         arrival = np.arange(target.size)
         slot = np.full(len(graph.states), target.size)

@@ -100,14 +100,10 @@ def dumps_line(obj) -> str:
     return json.dumps(obj, separators=(",", ":"), ensure_ascii=False, default=_default) + "\n"
 
 
-SWEEP_HEADER = ["n", "p", "pe", "exponent"]
-BOUNDS_HEADER = ["p", "n", "f_fb", "e2", "e3", "upper", "lower"]
-
-
-def csv_text(header: list[str], rows: list[list]) -> str:
+def csv_text(rows: list[dict]) -> str:
+    """CSV of dict rows under the first row's keys as the header."""
     buf = io.StringIO()
-    writer = csv.writer(buf)  # default dialect: RFC-4180 CRLF
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow(row)
+    writer = csv.DictWriter(buf, fieldnames=list(rows[0]))  # default dialect: RFC-4180 CRLF
+    writer.writeheader()
+    writer.writerows(rows)
     return buf.getvalue()

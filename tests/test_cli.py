@@ -4,6 +4,10 @@ import io
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -50,6 +54,62 @@ def test_bounds_csv_header_and_rows(tmp_path, capsys):
     assert lines[0] == "p,n,f_fb,e2,e3,upper,lower"
     assert len(lines) == 4 and lines[3] == ""
     assert json.loads(out)["written"] == str(out_file)  # run config goes to stdout
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+def test_f_fb_at_one_half_is_positive_zero(capsys, mode):
+    _, out, _ = run_cli(capsys, "bounds", "--p", "1/2", "--n", "3", "--mode", mode)
+    f_fb = json.loads(out)["report"]["f_fb"]
+    assert f_fb == 0.0 and math.copysign(1.0, f_fb) == 1.0
+    _, out, _ = run_cli(capsys, "bounds", "--p", "1/2", "--format", "csv", "--mode", mode)
+    assert out.split("\r\n")[1].split(",")[2] == "0.0"
+
+
+# one job per subcommand and output format
+_OUTPUT_JOBS = {
+    "bounds": ("bounds", "--p", "1/10", "--n", "6"),
+    "bounds-csv": ("bounds", "--p", "1/10,1/5", "--n", "6", "--format", "csv"),
+    "exact": ("exact", "--p", "1/10", "--n", "6"),
+    "bellman": ("bellman", "--p", "1/5", "--n", "6"),
+    "verify-theorem2": ("verify-theorem2", "--p", "1/5", "--n", "6", "--detail"),
+    "octopus": ("octopus", "--p", "1/10", "--depth", "3", "--verify"),
+    "octopus-dot": ("octopus", "--p", "1/10", "--depth", "3", "--format", "dot"),
+    "paths": ("paths", "--p", "1/10", "--n", "6"),
+    "simulate": ("simulate", "--p", "0.1", "--n", "6", "--trials", "200"),
+    "simplex": ("simplex", "--p", "1/10", "--n", "6"),
+    "sweep": ("sweep", "--p", "1/10", "--n-max", "6"),
+}
+
+
+@pytest.mark.parametrize("job", sorted(_OUTPUT_JOBS))
+def test_out_file_holds_what_stdout_gets_without_it(tmp_path, capsys, job):
+    argv, path = _OUTPUT_JOBS[job], tmp_path / "result"
+    code, text, _ = run_cli(capsys, *argv)
+    assert code == 0
+    code, echo, _ = run_cli(capsys, *argv, "--out", str(path))
+    assert code == 0
+    written = path.read_bytes().decode()
+    if text.startswith("{"):  # JSON carries its configuration, whose "out" is the path
+        out_key = f'\n    "out": {json.dumps(str(path))},'
+        assert echo == "" and written == text.replace('\n    "out": null,', out_key, 1)
+    else:  # a CSV or DOT file has no place for the configuration, so stdout gets it
+        assert written == text
+        doc = json.loads(echo)
+        assert list(doc) == ["config", "written"] and doc["written"] == str(path)
+        assert doc["config"]["subcommand"] == argv[0] and doc["config"]["out"] == str(path)
+
+
+def test_module_entry_point():
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+
+    def run(p):
+        argv = [sys.executable, "-m", "fblab", "bounds", "--p", p, "--n", "2"]
+        return subprocess.run(argv, env=env, capture_output=True, text=True)
+
+    ok, bad = run("1/10"), run("2")
+    assert ok.returncode == 0 and json.loads(ok.stdout)["config"]["subcommand"] == "bounds"
+    assert bad.returncode == 2 and bad.stdout == ""
+    assert json.loads(bad.stderr)["error"] == "invalid-input"
 
 
 def test_exact_emits_exact_rational(capsys):
@@ -154,6 +214,7 @@ def test_float_simplex_underflow_is_a_failed_check(capsys):
         ("bellman", "--p", "1/10", "--n", "30"),
         ("verify-theorem2", "--p", "1/10", "--n", "30"),
         ("sweep", "--p", "1/10", "--n-max", "30", "--strategy", "optimal"),
+        ("octopus", "--p", "1/10", "--depth", "30"),  # 9 * 30 - 2 = 268 chain states
     ],
 )
 def test_every_program_respects_state_cap(capsys, monkeypatch, argv):
