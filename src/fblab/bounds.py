@@ -53,15 +53,6 @@ def error_exponents(ch: ChannelParams) -> ErrorExponents:
     return ErrorExponents(f_fb=f_fb, e2=e2, e3=e3)
 
 
-def error_upper_bound(n: int, ch: ChannelParams) -> float:
-    """(q/p)^(1/3) exp(-n f_fb); the achievability bound, log-domain."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    p, q = float(ch.p), float(ch.q)
-    f_fb = error_exponents(ch).f_fb
-    return math.exp(math.log(q / p) / 3.0 - n * f_fb)
-
-
 def _generator(ch: ChannelParams) -> CubicExt:
     ch.require_exact("exact bound arithmetic")
     return CubicExt.root(Fraction(ch.z))
@@ -73,37 +64,18 @@ def error_upper_bound_exact(n: int, ch: ChannelParams) -> CubicExt:
     (q/p)^(1/3) = 1/c = c^2/z, so this is 2 c^2 / z times
     ``error_lower_bound_exact``.  No command calls it yet; the acceptance
     check that the upper bound dominates the strategy's error uses it, and
-    ROADMAP item 2 gives it one."""
+    ROADMAP item 3 gives it one."""
     return error_lower_bound_exact(n, ch) * (_generator(ch) ** 2 * (2 / Fraction(ch.z)))
 
 
-@dataclass(frozen=True)
-class LowerBound:
-    main: float         # (1/2) exp(-n f_fb)
-    loop_variant: float  # (1/3) (pq^2)^(n/3) (1+z^(1/3))^n, same exponent
-
-
-def error_lower_bound(n: int, ch: ChannelParams) -> LowerBound:
-    """Candidate converse bounds on the optimal three-message error probability.
-
-    ``main`` is the printed (1/2)-constant claim.  It is false: the exact
-    optimal error sits below it at 220 points of the p in {1/20, 1/10, 1/5,
-    3/10, 2/5}, n = 0..48 grid (e.g. 4/25 < 0.2052 at p=1/10, n=2).
-    ``loop_variant``, the (1/3)-constant form, holds at every point of that grid.
-    """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    f_fb = error_exponents(ch).f_fb
-    base = math.exp(-n * f_fb)
-    return LowerBound(main=0.5 * base, loop_variant=base / 3.0)
-
-
 def error_lower_bound_exact(n: int, ch: ChannelParams) -> CubicExt:
-    """Exact cubic-field value of ``main``: (1/2) (q c (1+c))^n.
+    """Exact cubic-field value of the lower bound: (1/2) (q c (1+c))^n.
 
-    This is the printed (1/2)-constant claim, which fails at 220 points of the
-    tested grid (see ``error_lower_bound``); two thirds of it is the
-    (1/3)-constant bound, which holds there.
+    This is the printed (1/2)-constant claim on the optimal three-message
+    error probability.  It is false: the exact optimal error sits below it at
+    220 points of the p in {1/20, 1/10, 1/5, 3/10, 2/5}, n = 0..48 grid (e.g.
+    4/25 < 0.2052 at p=1/10, n=2).  Two thirds of it, the (1/3)-constant
+    bound, holds at every point of that grid.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -304,9 +276,9 @@ class BoundReport:
     f_fb: float
     e2: float
     e3: float
-    upper: float | None
-    lower: float | None
-    lower_loop_variant: float | None
+    upper: float | None               # (q/p)^(1/3) exp(-n f_fb)
+    lower: float | None               # (1/2) exp(-n f_fb), refuted: see error_lower_bound_exact
+    lower_loop_variant: float | None  # (1/3) exp(-n f_fb)
     a0: float | None
     f1_at_a0: float | None
     u0: float
@@ -324,9 +296,9 @@ def bound_report(ch: ChannelParams, n: int | None = None) -> BoundReport:
         f1 = loop_density_objective(ch.p, a0)[0]
     upper = lower = variant = None
     if n is not None:
-        upper = error_upper_bound(n, ch)
-        lb = error_lower_bound(n, ch)
-        lower, variant = lb.main, lb.loop_variant
+        base = math.exp(-n * exps.f_fb)
+        upper = math.exp(math.log(float(ch.q) / float(ch.p)) / 3.0 - n * exps.f_fb)
+        lower, variant = 0.5 * base, base / 3.0
     return BoundReport(
         p=ch.p,
         n=n,

@@ -26,21 +26,14 @@ from .strategy import MAX_POSTERIOR, select_query
 ChainState = MetricState
 
 MAIN_STATE: ChainState = (0, 0, 0)
-BASIC_STATES: tuple[ChainState, ...] = (
-    (0, 1, 1), (1, 0, 0), (1, 0, 1), (0, 1, 0), (1, 1, 0), (0, 0, 1),
-)
-
-
-def classify(s: ChainState) -> str:
-    if s == MAIN_STATE:
-        return "main"
-    if s in BASIC_STATES:
-        return "basic"
-    return "tentacle"
 
 
 def depth(s: ChainState) -> int:
     return max(s)
+
+
+def classify(s: ChainState) -> str:
+    return ("main", "basic", "tentacle")[min(depth(s), 2)]
 
 
 @dataclass(frozen=True)
@@ -87,11 +80,15 @@ def _raw_transitions(s: ChainState, ch: ChannelParams) -> list[tuple[ChainState,
 def derive_transitions(ch: ChannelParams, depth_bound: int) -> TransitionTable:
     """Build the chain by breadth-first expansion from the all-zero state.
 
-    Raises ResourceCapError once the expansion has seen more than
-    exact_dp.STATE_CAP states (read at the call): depth d gives 9d - 2.
+    Depth d gives 9d - 2 states, so this raises ResourceCapError before
+    expanding when that exceeds exact_dp.STATE_CAP (read at the call).
     """
     if depth_bound < 1:
         raise ValueError("depth bound must be at least 1")
+    if 9 * depth_bound - 2 > exact_dp.STATE_CAP:
+        raise exact_dp.ResourceCapError(
+            f"chain derivation reaches {9 * depth_bound - 2} states, cap is {exact_dp.STATE_CAP}"
+        )
     entries: dict[ChainState, tuple[Transition, ...]] = {}
     boundary = set()
     frontier = [MAIN_STATE]
@@ -109,10 +106,6 @@ def derive_transitions(ch: ChannelParams, depth_bound: int) -> TransitionTable:
                     seen.add(target)
                     nxt.append(target)
             entries[s] = tuple(kept)
-        if len(seen) > exact_dp.STATE_CAP:
-            raise exact_dp.ResourceCapError(
-                f"chain derivation reaches {len(seen)} states, cap is {exact_dp.STATE_CAP}"
-            )
         frontier = nxt
     return TransitionTable(depth_bound=depth_bound, entries=entries, boundary=frozenset(boundary))
 

@@ -8,9 +8,7 @@ from fblab import bounds
 from fblab.bounds import (
     bound_report,
     error_exponents,
-    error_lower_bound,
     error_lower_bound_exact,
-    error_upper_bound,
     error_upper_bound_exact,
     loop_density_objective,
     optimal_loop_density,
@@ -120,21 +118,21 @@ class TestExponents:
 
 class TestUpperBound:
     def test_vacuous_at_zero(self):
-        assert abs(error_upper_bound(0, CH10) - 2.0800838230519041) <= 1e-12
+        assert abs(bound_report(CH10, 0).upper - 2.0800838230519041) <= 1e-12
 
     def test_frozen_at_twenty(self):
-        value = error_upper_bound(20, CH10)
+        value = bound_report(CH10, 20).upper
         assert abs(value - 2.8245435922587e-4) <= 1e-15
         assert abs(value - 2.8279e-4) <= 0.01 * 2.8279e-4
 
     def test_degenerate_is_one(self):
         for n in (0, 5, 40):
-            assert error_upper_bound(n, CH_HALF) == pytest.approx(1.0, abs=1e-12)
+            assert bound_report(CH_HALF, n).upper == pytest.approx(1.0, abs=1e-12)
 
     def test_exact_agrees_with_float(self):
         for n in (0, 1, 7, 33, 60):
             exact = float(error_upper_bound_exact(n, CH10))
-            approx = error_upper_bound(n, CH10)
+            approx = bound_report(CH10, n).upper
             assert abs(exact - approx) <= 1e-12 * exact
 
     def test_exact_zero_horizon_cubes_to_inverse_ratio(self):
@@ -148,21 +146,21 @@ class TestUpperBound:
 
 class TestLowerBound:
     def test_zero_horizon(self):
-        lb = error_lower_bound(0, CH10)
-        assert lb.main == 0.5 and abs(lb.loop_variant - 1 / 3) <= 1e-15
+        report = bound_report(CH10, 0)
+        assert report.lower == 0.5 and abs(report.lower_loop_variant - 1 / 3) <= 1e-15
 
     def test_single_use(self):
-        lb = error_lower_bound(1, CH10)
-        assert abs(lb.main - 0.32034162669870646) <= 1e-12
-        assert lb.main <= 0.4  # exact optimum at one use
+        lower = bound_report(CH10, 1).lower
+        assert abs(lower - 0.32034162669870646) <= 1e-12
+        assert lower <= 0.4  # exact optimum at one use
 
     def test_degenerate(self):
-        assert error_lower_bound(4, CH_HALF).main == pytest.approx(0.5, abs=1e-12)
+        assert bound_report(CH_HALF, 4).lower == pytest.approx(0.5, abs=1e-12)
 
     def test_exact_agrees_with_float(self):
         for n in (0, 1, 12, 48):
             exact = float(error_lower_bound_exact(n, CH10))
-            assert abs(exact - error_lower_bound(n, CH10).main) <= 1e-12 * exact
+            assert abs(exact - bound_report(CH10, n).lower) <= 1e-12 * exact
 
     def test_exact_lower_below_exact_upper(self):
         for n in (1, 5, 20):

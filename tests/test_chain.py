@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from fblab import chain, exact_dp
 from fblab.bounds import error_exponents
 from fblab.chain import (
     classify,
@@ -71,6 +72,25 @@ def test_rows_are_stochastic_and_octopus_shaped():
         assert len({tr.target for tr in rows}) == len(rows)  # no two moves meet
         if s not in table.boundary:
             assert sum(tr.prob for tr in rows) == 1
+
+
+@pytest.mark.parametrize("pl", ["1/10", "1/2", "0.3"])
+def test_state_count_is_nine_per_depth_less_two(pl):
+    # the up-front state cap of derive_transitions rests on this count
+    ch = make_channel(pl)
+    for d in range(1, 41):
+        assert len(derive_transitions(ch, d).entries) == 9 * d - 2
+
+
+def test_state_cap_is_checked_before_expanding(monkeypatch):
+    monkeypatch.setattr(exact_dp, "STATE_CAP", 100)
+    calls = []
+    raw = chain._raw_transitions
+    monkeypatch.setattr(chain, "_raw_transitions", lambda *a: calls.append(a) or raw(*a))
+    with pytest.raises(exact_dp.ResourceCapError, match="reaches 268 states, cap is 100"):
+        derive_transitions(CH10, 30)
+    assert calls == []
+    assert len(derive_transitions(CH10, 11).entries) == 97 and calls
 
 
 def test_depth_two_ring():

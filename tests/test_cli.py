@@ -244,6 +244,8 @@ FLOAT_OUTPUT_SHA256 = {
         "d5097c7bff3a3a8480a8aee7204e599837a96f83a2103f5b0ec4d32ecabac51c",
     "verify-theorem2 --p 0.2 --n 36 --mode float":
         "abbb9ec865e563af627d4c39cf632a44d82256704a2646931a72377e7fd4dfba",
+    "bounds --p 0.1 --n 20 --mode float":
+        "a241a421e1df8c55c0bdb11e5a626d8a5ee3bc8f32874e3eda8139c719310b10",
 }
 
 
@@ -289,6 +291,10 @@ RATIONAL_OUTPUT_SHA256 = {
         "6f4cdafbd26b557a3324f322dc7ee718a569d7941fe4534b70435afa0593e687",
     "verify-theorem2 --p 3/10 --n 24":
         "511eaece2e9988d08989b06f119de1e039be5d04ff926b7b5348bc09b5aecf08",
+    "bounds --p 1/10 --n 20":
+        "7e350b9a556fa4acaae1afd2f0cc98e4946bbaa34a319e580ef526c8709ad93d",
+    "bounds --p 1/2 --n 4":
+        "4cf5a9173fc8f6152adf44b2296bd73bb0908eaf622156f7fcd055ea6aba11f3",
 }
 
 
