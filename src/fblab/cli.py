@@ -148,8 +148,8 @@ def cmd_simulate(args) -> dict:
     if args.dump_trajectories:
         count = min(args.dump_count, args.trials)
         records = montecarlo.trajectory_records(args.n, ch, rule, args.seed, count)
-        lines = [serialize.dumps_line(rec) for rec in records]
-        Path(args.dump_trajectories).write_text("".join(lines))
+        with open(args.dump_trajectories, "w") as fh:
+            fh.writelines(map(serialize.dumps_line, records))
         result["trajectory_dump"] = {"path": args.dump_trajectories, "count": count}
     return result
 

@@ -19,15 +19,14 @@ def icbrt(n: int) -> int:
         raise ValueError("icbrt of negative")
     if n == 0:
         return 0
-    x = 1 << -(-n.bit_length() // 3)  # upper-ish starting point
+    x = 1 << -(-n.bit_length() // 3)  # above the cube root
+    # by AM-GM no step goes below the floor root, and steps fall while x**3 > n,
+    # so the first step that does not fall leaves x at the floor root
     while True:
         y = (2 * x + n // (x * x)) // 3
         if y >= x:
-            break
+            return x
         x = y
-    while x * x * x > n:
-        x -= 1
-    return x
 
 
 def _rational_cbrt(r: Fraction) -> Fraction | None:

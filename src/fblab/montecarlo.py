@@ -9,7 +9,10 @@ the tie substream only for the trials whose query or decode has two or more
 candidates, so a draw nobody uses is never made.  It gives ``run_trials``
 its counts, and its per-step arrays give ``run_trajectory_audit`` the
 paper's vote-invariant tallies and ``trajectory_records`` the episode
-records that the CLI dumps.  The scalar path, ``simulate_trajectory``
+records that the CLI dumps.  Both take the arrays in batches of about
+``_RECORD_STEPS`` trial-steps, and ``trajectory_records`` yields each
+batch's records as they are consumed, so a dump holds one batch in memory
+whatever its length.  The scalar path, ``simulate_trajectory``
 calling ``step`` once per channel use, is kept as the oracle only: tests
 pin the batch engine to it per trial, bit for bit.
 """
@@ -17,6 +20,7 @@ pin the batch engine to it per trial, bit for bit.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -62,7 +66,7 @@ def counter_hash(seed: int, trial: int, tag: int, step: int) -> int:
 
 _U = np.uint64
 _WILSON_Z99 = 2.5758293035489004  # two-sided 99% normal quantile
-_RECORD_STEPS = 1_000_000  # trial-steps per batch of trajectory records
+_RECORD_STEPS = 1 << 17  # trial-steps per batch of trajectory records
 _BATCH = 1 << 16  # most trials per batch of run_trials
 
 
@@ -304,8 +308,6 @@ def _simulate_batch(
     if rule.kind in ("max-posterior", "table"):
         tie = _rehash(base.copy(), TAG_TIE, scratch)
     d = np.zeros((3, count), dtype=np.int32)
-    # outputs y = 1 so far, read only by round-robin and the returned arrays
-    ones = np.zeros(count, dtype=np.int32) if return_arrays or rule.kind == "round-robin" else None
     if return_arrays:
         queries = np.empty((n, count), dtype=np.uint8)
         ys = np.empty((n, count), dtype=np.uint8)
@@ -321,16 +323,14 @@ def _simulate_batch(
             q = _pick_fewest(d, tie_draw)
         elif rule.kind == "fixed":
             q = np.full(count, rule.fixed_query - 1, dtype=np.uint8)
-        else:  # round-robin on the vote total, which is 2k - ones after k steps
-            q = ((2 * k - ones) % 3).astype(np.uint8)
+        else:  # round-robin on the vote total, whose residue the normalised state keeps
+            q = (d.sum(axis=0) % 3).astype(np.uint8)
         np.bitwise_xor(noise, _word(k), out=h)
         flip = _mix_into(h, scratch) < flip_below
         y = (q != true) ^ flip
         # y = 1 puts one vote on the query, y = 0 one on each other message
         for i in range(3):
             d[i] += (q == i) == y
-        if ones is not None:
-            ones += y
         if return_arrays:
             queries[k] = q + 1
             ys[k] = y
@@ -339,7 +339,8 @@ def _simulate_batch(
     out = {"trials": count, "errors": int(np.count_nonzero(decoded != true))}
     if return_arrays:
         out.update(
-            true=true + 1, decoded=decoded + 1, votes=d, zero_outputs=n - ones,
+            true=true + 1, decoded=decoded + 1, votes=d,
+            zero_outputs=n - ys.sum(axis=0, dtype=np.int64),
             queries=queries, ys=ys, history=history,
         )
     return out
@@ -495,33 +496,27 @@ def simulate_trajectory(
 
 def trajectory_records(
     n: int, ch: ChannelParams, rule: StrategyRule, seed: int, count: int
-) -> list[TrajectoryRecord]:
-    """Records of trials [0, count) from the batch engine; record t equals
+) -> Iterator[TrajectoryRecord]:
+    """Records of trials [0, count) from the batch engine, made one batch at a
+    time as they are consumed; record t equals
     ``simulate_trajectory(n, ch, rule, seed, t)``."""
     ch.require_float("trajectory_records")
-    records = []
     for out in _array_batches(n, ch, rule, seed, count):
-        columns = zip(
-            out["true"].tolist(),
-            out["queries"].T.tolist(),
-            out["ys"].T.tolist(),
-            out["history"].transpose(2, 0, 1).tolist(),
-            out["votes"].T.tolist(),
-            out["zero_outputs"].tolist(),
-            out["decoded"].tolist(),
-        )
-        records += [
+        # a generator expression: its column lists go when it is spent, before
+        # the next batch is made
+        yield from (
             TrajectoryRecord(
-                n=n,
-                true=true,
-                queries=tuple(qs),
-                ys=tuple(ys),
-                vote_history=tuple(map(tuple, hist)),
-                votes=tuple(votes),
-                zero_outputs=zeros,
-                decoded=decoded,
-                rule_kind=rule.kind,
+                n=n, true=true, queries=tuple(qs), ys=tuple(ys),
+                vote_history=tuple(map(tuple, hist)), votes=tuple(votes),
+                zero_outputs=zeros, decoded=decoded, rule_kind=rule.kind,
             )
-            for true, qs, ys, hist, votes, zeros, decoded in columns
-        ]
-    return records
+            for true, qs, ys, hist, votes, zeros, decoded in zip(
+                out["true"].tolist(),
+                out["queries"].T.tolist(),
+                out["ys"].T.tolist(),
+                out["history"].transpose(2, 0, 1).tolist(),
+                out["votes"].T.tolist(),
+                out["zero_outputs"].tolist(),
+                out["decoded"].tolist(),
+            )
+        )

@@ -38,6 +38,16 @@ class TestCubicField:
         for n in [0, 1, 7, 8, 26, 27, 10**18, 10**18 + 1]:
             r = icbrt(n)
             assert r**3 <= n < (r + 1) ** 3
+        # every n of up to 19 bits: the floor root is c on [c**3, (c + 1)**3)
+        top = 1 << 19
+        want = [c for c in range(81) for _ in range(c**3, min((c + 1) ** 3, top))]
+        assert list(map(icbrt, range(top))) == want
+        # either side of a cube, for roots of every length up to 256 bits, then of
+        # lengths spread up to 3,000 bits
+        rng = random.Random(3000)
+        for bits in [*range(1, 257), *range(275, 3001, 25)]:
+            for c in (1 << (bits - 1), (1 << bits) - 1, rng.getrandbits(bits) | 1 << (bits - 1)):
+                assert (icbrt(c**3 - 1), icbrt(c**3), icbrt(c**3 + 1)) == (c - 1, c, c)
 
     def test_cbrt_bounds_bracket(self):
         lo, hi = cbrt_bounds(Fraction(1, 9), 25)
@@ -92,6 +102,22 @@ class TestCubicField:
         assert (c - Fraction(49, 100)).sign() > 0
         # a nonzero element whose norm vanishes: 1 + 2c + 4c**2 = 3 at c = 1/2
         assert CubicExt(Fraction(1), Fraction(2), Fraction(4), Fraction(1, 8)).sign() == 1
+
+    @pytest.mark.parametrize("base", [Fraction(1, 9), Fraction(2), Fraction(8, 27)])
+    def test_comparisons_at_equality(self, base):
+        # 8/27 is a perfect cube, whose root is 2/3 exactly
+        c = CubicExt.root(base)
+        e = CubicExt.of(Fraction(1, 3), base) + 5 * c - c * c
+        assert e <= e and e >= e and not e < e and not e > e
+        for r in (Fraction(0), Fraction(-7, 3), Fraction(10**30, 3)):
+            f = CubicExt.of(r, base)
+            assert f.compare(r) == 0 and f <= r and f >= r and not f < r
+            assert (f - r).sign() == 0
+        if base == Fraction(8, 27):
+            r = Fraction(2, 3)
+            assert c.compare(r) == 0 and c <= r and c >= r and not c < r and not c > r
+            assert (c - r).sign() == 0 and (c * c - r * r).sign() == 0
+            assert e.compare(Fraction(1, 3) + 5 * r - r * r) == 0
 
     def test_float_conversion(self):
         c = CubicExt.root(Fraction(1, 9))

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from fblab.channel import ChannelParams, make_channel
@@ -60,8 +61,9 @@ def test_empirical_flip_rate(p):
     # querying message 1 sends x = (true != 1), so the flip is y ^ x
     ch = make_channel(str(p), "float")
     steps, trials = 100, 10**4
-    [out] = _array_batches(steps, ch, StrategyRule(kind="fixed", fixed_query=1), 2024, trials)
-    flips = out["ys"] ^ (out["true"] != 1)
+    batches = _array_batches(steps, ch, StrategyRule(kind="fixed", fixed_query=1), 2024, trials)
+    flips = np.concatenate([out["ys"] ^ (out["true"] != 1) for out in batches], axis=1)
+    assert flips.shape == (steps, trials)
     n = steps * trials
     assert abs(flips.mean() - p) <= 4.0 * math.sqrt(p * (1 - p) / n)
 

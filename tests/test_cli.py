@@ -246,6 +246,8 @@ FLOAT_OUTPUT_SHA256 = {
         "abbb9ec865e563af627d4c39cf632a44d82256704a2646931a72377e7fd4dfba",
     "bounds --p 0.1 --n 20 --mode float":
         "a241a421e1df8c55c0bdb11e5a626d8a5ee3bc8f32874e3eda8139c719310b10",
+    "octopus --p 0.1 --depth 3 --mode float":
+        "e643e4df7338bb46a8ad8611ba68b585ed49116b1f3d599d870227e8657f7ee0",
 }
 
 
@@ -295,6 +297,8 @@ RATIONAL_OUTPUT_SHA256 = {
         "7e350b9a556fa4acaae1afd2f0cc98e4946bbaa34a319e580ef526c8709ad93d",
     "bounds --p 1/2 --n 4":
         "4cf5a9173fc8f6152adf44b2296bd73bb0908eaf622156f7fcd055ea6aba11f3",
+    "octopus --p 1/10 --depth 3":
+        "5aaa3552975bf8a385b95a54f0ebc8ea53dcafd94a2cb46f779ea3ee5fc08975",
 }
 
 

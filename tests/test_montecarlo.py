@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from fblab import montecarlo
 from fblab.belief import leaders
 from fblab.channel import make_channel
 from fblab.exact_dp import forward_error_prob
@@ -104,9 +105,26 @@ class TestDeterminism:
     def test_engines_agree_at_horizon_zero(self):
         # no channel use: every decode is a three-way tie drawn from the seed
         for name, rule in ORACLE_RULES.items():
-            batch = trajectory_records(0, CHF, rule, 5, 200)
+            batch = list(trajectory_records(0, CHF, rule, 5, 200))
             assert batch == [simulate_trajectory(0, CHF, rule, 5, t) for t in range(200)], name
             assert {rec.decoded for rec in batch} == {1, 2, 3}
+
+    def test_records_are_made_one_batch_at_a_time(self, monkeypatch):
+        # a dump of three batches runs the engine once for its first record
+        calls = []
+        engine = montecarlo._simulate_batch
+
+        def counted(*args):
+            calls.append(args)
+            return engine(*args)
+
+        monkeypatch.setattr(montecarlo, "_RECORD_STEPS", 100)
+        monkeypatch.setattr(montecarlo, "_simulate_batch", counted)
+        records = iter(trajectory_records(10, CHF, MAX_POSTERIOR, 5, 30))  # 10 trials per batch
+        first = next(records)
+        assert len(calls) == 1
+        assert first == simulate_trajectory(10, CHF, MAX_POSTERIOR, 5, 0)
+        assert len(list(records)) == 29 and len(calls) == 3
 
     def test_rejects_exact_channel(self):
         with pytest.raises(ValueError):
