@@ -6,8 +6,8 @@ codewords, the upper/lower bounds on the three-message error probability
 cubic root giving the optimal 2-loop density in the return-path series,
 and the equal-likelihood event of the three-codeword simplex code.
 
-Identity checks run at 50 significant digits (mpmath) so verdicts never
-hinge on double rounding; plain doubles are used everywhere else.
+Identity checks run at 50 significant digits (stdlib ``decimal``) so verdicts
+never hinge on double rounding; plain doubles are used everywhere else.
 All logarithms are natural.
 """
 
@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from math import comb
 
-import mpmath
 import numpy as np
 
 from .channel import ChannelParams, Number
@@ -85,33 +85,33 @@ def error_lower_bound_exact(n: int, ch: ChannelParams) -> CubicExt:
     return ((c * Fraction(ch.q)) ** n) * ((one + c) ** n) * Fraction(1, 2)
 
 
-def _mp_real_cbrt(x):
-    return mpmath.sign(x) * mpmath.cbrt(abs(x))
+def _real_cbrt(x: Decimal) -> Decimal:  # exp(ln|x| / 3) with the sign of x
+    return (abs(x).ln() / 3).exp().copy_sign(x)
 
 
-def _mp_from(p: Fraction | float):
-    f = Fraction(p)
-    return mpmath.mpf(f.numerator) / mpmath.mpf(f.denominator)
+def _decimal(f: Fraction) -> Decimal:  # rounded to the current context
+    return Decimal(f.numerator) / f.denominator
 
 
 def optimal_loop_density(p: Fraction | float) -> float:
     """Unique root in (0, 1/2) of (27-31p) a^3 + 3 p a - p = 0, as a double.
 
-    This density of length-2 blocks maximizes the return-path count rate.
-    It is the closed form, with sign-preserving real cube roots (the inner
-    radicand is negative), rounded to a double.  The cubic rises on
-    (0, 1/2), so the root lies within one ulp of that double exactly when
-    the cubic, evaluated exactly, is negative one ulp below it and positive
-    one ulp above; otherwise this raises, flagging a branch-handling bug.
+    This density of length-2 blocks maximizes the return-path count rate: the
+    closed form with sign-preserving real cube roots (the inner radicand is
+    negative), rounded to a double.  The cubic rises on (0, 1/2), so the root
+    is within one ulp of that double iff the exact cubic is negative one ulp
+    below it and positive one ulp above; else this raises (a branch bug).
     """
     pf = Fraction(p)
     if not Fraction(0) < pf < Fraction(1, 2):
         raise ValueError(f"p must lie in (0, 1/2), got {p}")
-    with mpmath.workdps(IDENTITY_DPS):
-        pm = _mp_from(pf)
-        disc = mpmath.sqrt(27 * (1 - pm) / (27 - 31 * pm))
-        pref = mpmath.cbrt(pm / (2 * (27 - 31 * pm)))
-        root = float(pref * (_mp_real_cbrt(1 + disc) + _mp_real_cbrt(1 - disc)))
+    with localcontext(Context(prec=IDENTITY_DPS)):
+        pd = _decimal(pf)
+        lead = 27 - 31 * pd
+        disc = (27 * (1 - pd) / lead).sqrt()
+        pref = _real_cbrt(pd / (2 * lead))
+        # 1 - disc as -4p / (lead (1 + disc)): the subtraction loses its digits for tiny p
+        root = float(pref * (_real_cbrt(1 + disc) + _real_cbrt(-4 * pd / (lead * (1 + disc)))))
 
     def cubic(a: float) -> Fraction:
         a = Fraction(a)
@@ -241,23 +241,23 @@ def simplex_asymptote(ch: ChannelParams) -> SimplexAsymptote:
     and as p^(1/3)/(p^(1/3)+q^(1/3)); the two must agree, and the identity
     must hold to 1e-12, else this raises.
     """
-    with mpmath.workdps(IDENTITY_DPS):
-        p = _mp_from(Fraction(ch.p))
+    with localcontext(Context(prec=IDENTITY_DPS)):
+        p = _decimal(Fraction(ch.p))
         q = 1 - p
-        z = p / q
-        u0_a = 1 / (1 + z ** mpmath.mpf("-1/3"))
-        u0_b = p ** mpmath.mpf("1/3") / (p ** mpmath.mpf("1/3") + q ** mpmath.mpf("1/3"))
-        if abs(u0_a - u0_b) > mpmath.mpf(10) ** (-(IDENTITY_DPS - 10)):
-            raise ArithmeticError(f"u0 forms disagree: {u0_a} vs {u0_b}")
-        u0 = u0_a
-        h = -u0 * mpmath.log(u0) - (1 - u0) * mpmath.log(1 - u0)
-        g = h + (1 + u0) * mpmath.log(z) / 3
-        lhs = mpmath.log(q) + g
-        rhs = mpmath.log(p ** mpmath.mpf("1/3") * q ** mpmath.mpf("2/3")
-                         + p ** mpmath.mpf("2/3") * q ** mpmath.mpf("1/3"))
-        if abs(lhs - rhs) > mpmath.mpf("1e-12"):
+        ln_z, ln_q = (p / q).ln(), q.ln()
+        c = (ln_z / 3).exp()  # z^(1/3)
+        u0 = 1 / (1 + 1 / c)
+        p3, q3 = (p.ln() / 3).exp(), (ln_q / 3).exp()
+        u0_b = p3 / (p3 + q3)
+        if abs(u0 - u0_b) > Decimal(10) ** (10 - IDENTITY_DPS):
+            raise ArithmeticError(f"u0 forms disagree: {u0} vs {u0_b}")
+        ln_u, ln_v = u0.ln(), (1 - u0).ln()
+        g = -u0 * ln_u - (1 - u0) * ln_v + (1 + u0) * ln_z / 3
+        lhs = ln_q + g
+        rhs = (q * c * (1 + c)).ln()  # = ln(p^(1/3) q^(2/3) + p^(2/3) q^(1/3)), exactly 0 at p = 1/2
+        if abs(lhs - rhs) > Decimal("1e-12"):
             raise ArithmeticError(f"asymptote identity violated: {lhs} vs {rhs}")
-        gprime = mpmath.log((1 - u0) / u0) + mpmath.log(z) / 3
+        gprime = ln_v - ln_u + ln_z / 3
         return SimplexAsymptote(
             u0=float(u0),
             g_at_u0=float(g),

@@ -147,6 +147,9 @@ class CubicExt:
         return self.compare(other) >= 0
 
     def __float__(self) -> float:
-        lo, hi = cbrt_bounds(self.base, 40)
+        # c >= 2**(-(k + 1)/3) when the base's denominator has k more bits than its
+        # numerator, so k // 9 more digits keep the bracket narrower than 1e-39 * c
+        k = self.base.denominator.bit_length() - self.base.numerator.bit_length()
+        lo, hi = cbrt_bounds(self.base, 40 + max(k, 0) // 9)
         mid = (lo + hi) / 2
         return float(self.x + self.y * mid + self.w * mid * mid)

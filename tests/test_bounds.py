@@ -1,5 +1,6 @@
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -188,6 +189,13 @@ class TestLowerBound:
             exact = float(error_lower_bound_exact(n, CH10))
             assert abs(exact - bound_report(CH10, n).lower) <= 1e-12 * exact
 
+    def test_float_of_exact_bound_is_relative_for_small_p(self):
+        # the cube root is bracketed relative to its size, not to within 1e-40
+        assert float(CubicExt.root(Fraction(1, 10**300))) == 1e-100
+        ch = make_channel("1e-300")
+        exact = float(error_lower_bound_exact(3, ch))
+        assert abs(exact - bound_report(ch, 3).lower) <= 1e-12 * exact
+
     def test_exact_lower_below_exact_upper(self):
         for n in (1, 5, 20):
             assert error_lower_bound_exact(n, CH10) < error_upper_bound_exact(n, CH10)
@@ -219,7 +227,7 @@ class TestLoopDensity:
 
     def test_wrong_cube_root_branch_raises(self, monkeypatch):
         # the principal cube root of the negative inner radicand is not real
-        monkeypatch.setattr(bounds, "_mp_real_cbrt", lambda x: abs(x) ** (1 / 3))
+        monkeypatch.setattr(bounds, "_real_cbrt", lambda x: abs(x) ** (Decimal(1) / 3))
         with pytest.raises(ArithmeticError, match="one ulp"):
             optimal_loop_density(Fraction(1, 10))
 
@@ -326,6 +334,42 @@ class TestSimplexAsymptote:
         asym = simplex_asymptote(CH_HALF)
         assert asym.u0 == pytest.approx(0.5, abs=1e-12)
         assert asym.lnq_plus_g == pytest.approx(0.0, abs=1e-12)
+
+
+# The 50-digit values as doubles, bit for bit, recorded while they were evaluated
+# with mpmath: (u0, g_at_u0, lnq_plus_g, f_fb) of simplex_asymptote, then
+# optimal_loop_density (None at p = 1/2, outside its domain).
+FIFTY_DIGIT_DOUBLES = {
+    ("1/20", "rational"): ("0x1.17240144d3ccep-2", "-0x1.538f610919eb7p-1", "-0x1.6dd27e64e604ap-1",
+                           "0x1.6dd27e64e604ap-1", "0x1.c121350c9c862p-4"),
+    ("1/10", "rational"): ("0x1.4c755f3dca314p-2", "-0x1.5c0425dd0dd6fp-2", "-0x1.c7e7c66136dc6p-2",
+                           "0x1.c7e7c66136dc6p-2", "0x1.155dbc7865410p-3"),
+    ("1/5", "rational"): ("0x1.8bc390b179247p-2", "0x1.b17b89a3c4ca8p-6", "-0x1.92d00b453108dp-3",
+                          "0x1.92d00b453108dp-3", "0x1.588fb66ecc702p-3"),
+    ("3/10", "rational"): ("0x1.b82c8fb39db59p-2", "0x1.1e248d3489059p-2", "-0x1.3c5e94662bbd7p-4",
+                           "0x1.3c5e94662bbd7p-4", "0x1.8a96fcb3361f6p-3"),
+    ("2/5", "rational"): ("0x1.dd73f03111c22p-2", "0x1.f8855db6b1370p-2", "-0x1.2908199715337p-6",
+                          "0x1.2908199715337p-6", "0x1.b6586ef9a058dp-3"),
+    ("49/100", "rational"): ("0x1.fc961544c4ea5p-2", "0x1.58a94fa4bf530p-1", "-0x1.74e61aaf7fcafp-13",
+                             "0x1.74e61aaf7fcafp-13", "0x1.dc095c3a51cacp-3"),
+    ("1/2", "rational"): ("0x1.0000000000000p-1", "0x1.62e42fefa39efp-1", "0x0.0p+0", "0x0.0p+0", None),
+    ("0.1", "float"): ("0x1.4c755f3dca314p-2", "-0x1.5c0425dd0dd6fp-2", "-0x1.c7e7c66136dc6p-2",
+                       "0x1.c7e7c66136dc6p-2", "0x1.155dbc7865411p-3"),
+    ("1e-6", "float"): ("0x1.446f8d5a97466p-7", "-0x1.2618139b79cbap+2", "-0x1.261817cd37d70p+2",
+                        "0x1.261817cd37d70p+2", "0x1.b37352d4368b4p-9"),
+    ("1e-300", "float"): ("0x1.bff2ee48e0530p-333", "-0x1.cc845b54b54f2p+7", "-0x1.cc845b54b54f2p+7",
+                          "0x1.cc845b54b54f2p+7", "0x1.2aa1f430958cbp-334"),
+}
+
+
+@pytest.mark.parametrize("p, mode", sorted(FIFTY_DIGIT_DOUBLES))
+def test_fifty_digit_doubles_are_pinned(p, mode):
+    ch = make_channel(p, mode)
+    asym = simplex_asymptote(ch)
+    root = None if ch.degenerate else optimal_loop_density(ch.p).hex()
+    # float.hex keeps the sign of zero: f_fb at p = 1/2 is 0.0, not -0.0
+    got = (asym.u0.hex(), asym.g_at_u0.hex(), asym.lnq_plus_g.hex(), asym.f_fb.hex(), root)
+    assert got == FIFTY_DIGIT_DOUBLES[p, mode]
 
 
 def test_bound_report_is_complete():

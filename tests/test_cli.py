@@ -299,6 +299,10 @@ RATIONAL_OUTPUT_SHA256 = {
         "4cf5a9173fc8f6152adf44b2296bd73bb0908eaf622156f7fcd055ea6aba11f3",
     "octopus --p 1/10 --depth 3":
         "5aaa3552975bf8a385b95a54f0ebc8ea53dcafd94a2cb46f779ea3ee5fc08975",
+    # the one command whose output rests on the loop-density root; recorded while the
+    # root's closed form was still evaluated with mpmath
+    "paths --p 1/10 --n 30 --series basic --variant closed-form":
+        "1bbe4a9cda119f9b104ce97513cd1fbdf44b455ae94eee324c8ef6e9e66cfe37",
 }
 
 

@@ -50,17 +50,23 @@ def test_the_check_sees_a_private_import():
     assert _private_uses(tree) == ["from .channel import _MASK64", "chain._x"]
 
 
-def test_light_modules_load_without_numpy_or_mpmath():
-    # the package re-exports nothing, so one module loads only what it imports
-    code = (
-        "import sys\n"
-        "import fblab.serialize, fblab.channel, fblab.strategy, fblab.belief, fblab.cubicfield\n"
-        "print(sorted({'numpy', 'mpmath'} & set(sys.modules)))\n"
-    )
+def _loaded_after_import(modules: list[str], names: set[str]) -> list[str]:
+    """Which of names a fresh interpreter holds in sys.modules after importing modules."""
+    code = f"import sys\nimport {', '.join(modules)}\nprint(sorted({names!r} & set(sys.modules)))\n"
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True).stdout
-    assert out == "[]\n"
+    return ast.literal_eval(out)
+
+
+def test_light_modules_load_without_numpy_or_mpmath():
+    # the package re-exports nothing, so one module loads only what it imports
+    light = ["fblab.serialize", "fblab.channel", "fblab.strategy", "fblab.belief", "fblab.cubicfield"]
+    assert _loaded_after_import(light, {"numpy", "mpmath"}) == []
+    # mpmath is not a dependency, though sympy brings it into many environments;
+    # the package's own __init__ loads with any module, and __main__ runs the CLI
+    every = [f"fblab.{p.stem}" for p in MODULES if not p.stem.startswith("__")]
+    assert _loaded_after_import(every, {"mpmath"}) == []
 
 
 # Public names that no fblab module calls, and why each stays in the package.
