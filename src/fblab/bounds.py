@@ -229,7 +229,7 @@ def simplex_event_report(n: int, ch: ChannelParams, method: str = "block-sum") -
 class SimplexAsymptote:
     u0: float             # ones-density that dominates the tie event
     g_at_u0: float
-    lnq_plus_g: float     # ln q + g(u0); equals -f_fb exactly
+    lnq_plus_g: float     # ln q + g(u0), the identity's left side: -f_fb only to 1e-12 absolute
     f_fb: float
     gprime_at_u0: float
 
@@ -254,7 +254,14 @@ def simplex_asymptote(ch: ChannelParams) -> SimplexAsymptote:
         ln_u, ln_v = u0.ln(), (1 - u0).ln()
         g = -u0 * ln_u - (1 - u0) * ln_v + (1 + u0) * ln_z / 3
         lhs = ln_q + g
-        rhs = (q * c * (1 + c)).ln()  # = ln(p^(1/3) q^(2/3) + p^(2/3) q^(1/3)), exactly 0 at p = 1/2
+        # ln(qc(1 + c)) = ln(ab(a + b)) with a = p^(1/3), b = q^(1/3) is ln(1 - x) for
+        # x = 1 - ab(a + b) = (a + b)(a - b)^2, where a - b = (p - q)/(a^2 + ab + b^2) is
+        # free of the cancellation that ab(a + b), next to 1, suffers near p = 1/2
+        x = (p3 + q3) * (_decimal(2 * Fraction(ch.p) - 1) / (p3 * p3 + p3 * q3 + q3 * q3)) ** 2
+        if x > Decimal("1e-12"):  # the direct form keeps over 35 of its 50 digits
+            rhs = (q * c * (1 + c)).ln()
+        else:  # ln(1 - x) to x^3, exactly 0 at p = 1/2
+            rhs = -x * (1 + x / 2 + x * x / 3)
         if abs(lhs - rhs) > Decimal("1e-12"):
             raise ArithmeticError(f"asymptote identity violated: {lhs} vs {rhs}")
         gprime = ln_v - ln_u + ln_z / 3

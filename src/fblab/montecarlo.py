@@ -12,9 +12,11 @@ paper's vote-invariant tallies and ``trajectory_records`` the episode
 records that the CLI dumps.  Both take the arrays in batches of about
 ``_RECORD_STEPS`` trial-steps, and ``trajectory_records`` yields each
 batch's records as they are consumed, so a dump holds one batch in memory
-whatever its length.  The scalar path, ``simulate_trajectory``
-calling ``step`` once per channel use, is kept as the oracle only: tests
-pin the batch engine to it per trial, bit for bit.
+whatever its length.  A record is a plain dict of ints and lists in the
+key order of its JSON line, so ``json``'s C encoder writes it with no
+conversion hook.  The scalar path, ``simulate_trajectory`` calling ``step``
+once per channel use, is kept as the oracle only: it returns the same dict,
+and tests pin the batch engine's records to it per trial with ``==``.
 """
 
 from __future__ import annotations
@@ -404,21 +406,6 @@ def run_trajectory_audit(
     return tallies
 
 
-@dataclass(frozen=True)
-class TrajectoryRecord:
-    """One full episode: per-step choices plus the final vote bookkeeping."""
-
-    n: int
-    true: int
-    queries: tuple[int, ...]
-    ys: tuple[int, ...]
-    vote_history: tuple[tuple[int, int, int], ...]  # cumulative votes after each step
-    votes: tuple[int, int, int]  # final absolute vote counts
-    zero_outputs: int            # m, number of y = 0
-    decoded: int
-    rule_kind: str
-
-
 def step(
     rule: StrategyRule,
     s: MetricState,
@@ -456,7 +443,7 @@ def step(
 
 def simulate_trajectory(
     n: int, ch: ChannelParams, rule: StrategyRule, seed: int, trial: int
-) -> TrajectoryRecord:
+) -> dict:
     """Scalar reference episode; draws match the batch engine bit for bit.
 
     No command calls it; it stays as the oracle for the batch engine, and
@@ -466,7 +453,6 @@ def simulate_trajectory(
     s: MetricState = (0, 0, 0)
     d = [0, 0, 0]
     queries, ys, history = [], [], []
-    zero_outputs = 0
     for t in range(n):
         j, y, s = step(rule, s, ch, true, seed, trial, t)
         if y == 1:
@@ -475,41 +461,33 @@ def simulate_trajectory(
             for i in range(3):
                 if i != j - 1:
                     d[i] += 1
-        zero_outputs += 1 - y
         queries.append(j)
         ys.append(y)
-        history.append(tuple(d))
+        history.append(d.copy())
     lead = leaders(normalize(tuple(d)))
     decoded = sorted(lead)[counter_hash(seed, trial, TAG_DECODE, n) % len(lead)]
-    return TrajectoryRecord(
-        n=n,
-        true=true,
-        queries=tuple(queries),
-        ys=tuple(ys),
-        vote_history=tuple(history),
-        votes=tuple(d),
-        zero_outputs=zero_outputs,
-        decoded=decoded,
-        rule_kind=rule.kind,
-    )
+    return {"n": n, "true": true, "queries": queries, "ys": ys, "vote_history": history,
+            "votes": d, "zero_outputs": n - sum(ys), "decoded": decoded, "rule_kind": rule.kind}
 
 
 def trajectory_records(
     n: int, ch: ChannelParams, rule: StrategyRule, seed: int, count: int
-) -> Iterator[TrajectoryRecord]:
+) -> Iterator[dict]:
     """Records of trials [0, count) from the batch engine, made one batch at a
     time as they are consumed; record t equals
-    ``simulate_trajectory(n, ch, rule, seed, t)``."""
+    ``simulate_trajectory(n, ch, rule, seed, t)``.
+
+    A record is the dict of its JSON line: ``n``, the ``true`` message, each
+    step's ``queries`` and outputs ``ys``, the ``vote_history`` of cumulative
+    votes after each step, the final absolute ``votes``, ``zero_outputs`` m
+    (the number of y = 0), the ``decoded`` message and the ``rule_kind``."""
     ch.require_float("trajectory_records")
     for out in _array_batches(n, ch, rule, seed, count):
         # a generator expression: its column lists go when it is spent, before
         # the next batch is made
         yield from (
-            TrajectoryRecord(
-                n=n, true=true, queries=tuple(qs), ys=tuple(ys),
-                vote_history=tuple(map(tuple, hist)), votes=tuple(votes),
-                zero_outputs=zeros, decoded=decoded, rule_kind=rule.kind,
-            )
+            {"n": n, "true": true, "queries": qs, "ys": ys, "vote_history": hist, "votes": votes,
+             "zero_outputs": zeros, "decoded": decoded, "rule_kind": rule.kind}
             for true, qs, ys, hist, votes, zeros, decoded in zip(
                 out["true"].tolist(),
                 out["queries"].T.tolist(),

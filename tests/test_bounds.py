@@ -1,6 +1,6 @@
 import math
 import random
-from decimal import Decimal
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -334,6 +334,22 @@ class TestSimplexAsymptote:
         asym = simplex_asymptote(CH_HALF)
         assert asym.u0 == pytest.approx(0.5, abs=1e-12)
         assert asym.lnq_plus_g == pytest.approx(0.0, abs=1e-12)
+
+
+# p = 1/2 - k * 10^-e, k in [1, 997], e = 6..43, so delta runs from about 1e-3 to
+# 1e-41: ln(p^(1/3) q^(2/3) + p^(2/3) q^(1/3)) is of order delta^2 while its argument
+# rounds next to 1
+@pytest.mark.parametrize("e", range(6, 44))
+def test_f_fb_is_correctly_rounded_near_one_half(e):
+    p = Fraction(1, 2) - Fraction(1 + e * 7919 % 997, 10**e)
+    with localcontext(Context(prec=200)):
+        pd = Decimal(p.numerator) / p.denominator
+        a, b = (pd.ln() / 3).exp(), ((1 - pd).ln() / 3).exp()
+        want = float(-(a * b * (a + b)).ln())  # over 100 digits survive the cancellation
+    ch = make_channel(str(p))
+    assert simplex_asymptote(ch).f_fb == want
+    if p <= Fraction(1, 2) - Fraction(1, 10**6):  # nearer 1/2 the double exponents may fail
+        assert bound_report(ch).simplex_exponent == want
 
 
 # The 50-digit values as doubles, bit for bit, recorded while they were evaluated

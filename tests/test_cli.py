@@ -13,11 +13,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fblab import exact_dp
+from fblab import exact_dp, serialize
 from fblab.belief import leaders
 from fblab.channel import make_channel
-from fblab.cli import dispatch
+from fblab.cli import _parse_strategy, build_parser, dispatch
 from fblab.exact_dp import bellman_optimum
+from fblab.montecarlo import simulate_trajectory
 
 
 def run_cli(capsys, *argv):
@@ -463,24 +464,47 @@ def test_verify_theorem2_detail_rows(capsys):
 
 
 # sha256 of the dump file of "simulate --p 0.2 --n 20 --trials 300 --seed 5
-# --dump-count 300", recorded while dumps still came from the scalar path
+# --dump-count 300", recorded while dumps still came from the scalar path (fixed:2
+# and round-robin while records were still dataclass objects, before they became dicts)
 DUMP_SHA256 = {
+    "fixed:2": "d76adad268a50abaf7432d67a9f06e248ce8c5a325d166e15653ba067f83a99d",
     "max-posterior": "ab426e509655dca58f61d86ec33e5b348c8a1042f42e482493691bcfd2d38ba5",
+    "round-robin": "0cc2b6c36b276912acdfa751a767b2a1d334336619d2c2f3f86d8cf3acd2800b",
     "table:two-sevenths.json": "0ea5c16931485cc8bb300ad2a7e5bfe447202f1701effcffb33bc02333ef3461",
 }
+DUMP_ARGV = ("simulate", "--p", "0.2", "--n", "20", "--trials", "300", "--seed", "5",
+             "--dump-trajectories", "dump.jsonl", "--dump-count", "300")
 
 
 @pytest.mark.parametrize("strategy", sorted(DUMP_SHA256))
 def test_trajectory_dump_is_pinned(tmp_path, monkeypatch, capsys, strategy):
     monkeypatch.chdir(tmp_path)
     _write_table(tmp_path / "two-sevenths.json", 20, _two_sevenths)
-    code, _, _ = run_cli(
-        capsys, "simulate", "--p", "0.2", "--n", "20", "--trials", "300", "--seed", "5",
-        "--strategy", strategy, "--dump-trajectories", "dump.jsonl", "--dump-count", "300",
-    )
+    code, _, _ = run_cli(capsys, *DUMP_ARGV, "--strategy", strategy)
     assert code == 0
     digest = hashlib.sha256((tmp_path / "dump.jsonl").read_bytes()).hexdigest()
     assert digest == DUMP_SHA256[strategy]
+
+
+@pytest.mark.parametrize("strategy", sorted(DUMP_SHA256))
+def test_trajectory_dump_needs_no_default_hook(tmp_path, monkeypatch, strategy):
+    # a record is JSON's own dict of ints and lists, so json's C encoder writes
+    # every line without serialize._default; the command runs without dispatch,
+    # whose stdout result holds a dataclass
+    def refuse(value):
+        raise AssertionError(f"default hook called on {type(value).__name__}")
+
+    monkeypatch.chdir(tmp_path)
+    _write_table(tmp_path / "two-sevenths.json", 20, _two_sevenths)
+    monkeypatch.setattr(serialize, "_default", refuse)
+    args = build_parser().parse_args([*DUMP_ARGV, "--strategy", strategy])
+    assert args.func(args)["trajectory_dump"]["count"] == 300
+    data = (tmp_path / "dump.jsonl").read_bytes()
+    assert data.count(b"\n") == 300
+    assert hashlib.sha256(data).hexdigest() == DUMP_SHA256[strategy]
+    first = json.loads(data.split(b"\n", 1)[0])
+    rule = _parse_strategy(strategy)
+    assert first == simulate_trajectory(20, make_channel("0.2", "float"), rule, 5, 0)
 
 
 @pytest.mark.parametrize(

@@ -107,7 +107,7 @@ class TestDeterminism:
         for name, rule in ORACLE_RULES.items():
             batch = list(trajectory_records(0, CHF, rule, 5, 200))
             assert batch == [simulate_trajectory(0, CHF, rule, 5, t) for t in range(200)], name
-            assert {rec.decoded for rec in batch} == {1, 2, 3}
+            assert {rec["decoded"] for rec in batch} == {1, 2, 3}
 
     def test_records_are_made_one_batch_at_a_time(self, monkeypatch):
         # a dump of three batches runs the engine once for its first record
@@ -156,7 +156,7 @@ class TestTrajectoryInvariants:
     def test_vote_identity_on_every_record(self):
         for trial in range(200):
             rec = simulate_trajectory(17, CHF, MAX_POSTERIOR, seed=61, trial=trial)
-            assert sum(rec.votes) == rec.n + rec.zero_outputs
+            assert sum(rec["votes"]) == rec["n"] + rec["zero_outputs"]
 
     def test_batch_audit_runs_clean(self):
         audit = run_trajectory_audit(40, CHF, trials=20_000, seed=123)
@@ -257,14 +257,15 @@ def test_audit_tallies_match_scalar_recount(name):
          "error_path_violations"), 0)
     for trial in range(trials):
         rec = simulate_trajectory(n, ch, rule, seed, trial)
-        for votes in rec.vote_history:
+        for votes in rec["vote_history"]:
             lo, mid, hi = sorted(votes)
             expected["chain_violations"] += hi > mid + 1
             expected["spread_violations"] += 3 * mid < sum(votes) - 1
-        m, error = rec.zero_outputs, rec.decoded != rec.true
-        expected["vote_identity_violations"] += sum(rec.votes) != n + m
+        m, error = rec["zero_outputs"], rec["decoded"] != rec["true"]
+        expected["vote_identity_violations"] += sum(rec["votes"]) != n + m
         expected["errors"] += error
-        expected["error_path_violations"] += error and 3 * rec.votes[rec.true - 1] + 1 < n + m
+        e = rec["votes"][rec["true"] - 1]
+        expected["error_path_violations"] += error and 3 * e + 1 < n + m
     assert {k: audit[k] for k in expected} == expected
     assert (expected["chain_violations"] > 0) == breaks_chain
     assert (expected["spread_violations"] > 0) == breaks_chain

@@ -112,6 +112,6 @@ def test_sorted_vote_chain_along_trajectories():
     # greatest vote count stays within one of the middle at every step
     for trial in range(200):
         rec = simulate_trajectory(50, CHF, MAX_POSTERIOR, seed=314, trial=trial)
-        for k, votes in enumerate(rec.vote_history):
+        for k, votes in enumerate(rec["vote_history"]):
             lo, mid, hi = sorted(votes)
             assert hi <= mid + 1, (trial, k, votes)
