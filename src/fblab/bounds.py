@@ -19,11 +19,8 @@ from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from math import comb
 
-import numpy as np
-
-from .channel import ChannelParams, Number
+from .channel import ChannelParams, Number, log_of
 from .cubicfield import CubicExt
-from .exact_dp import log_of
 
 IDENTITY_DPS = 50
 
@@ -176,6 +173,8 @@ def simplex_event_prob(n: int, ch: ChannelParams, method: str = "block-sum") -> 
                 Fraction(comb(b, t)) ** 3 * p ** (b + t) * q ** (2 * b - t)
                 for t in range(b + 1)
             )
+        import numpy as np  # only here: every other path of this module runs without numpy
+
         lp, lq = math.log(p), math.log(q)
         terms = [
             3.0 * math.lgamma(b + 1) - 3.0 * (math.lgamma(t + 1) + math.lgamma(b - t + 1))

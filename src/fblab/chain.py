@@ -17,7 +17,7 @@ from math import comb
 
 import numpy as np
 
-from . import bounds, exact_dp
+from . import bounds, channel, exact_dp
 from .belief import MetricState, apply_outcome
 from .channel import ChannelParams, Number
 from .cubicfield import CubicExt
@@ -81,13 +81,13 @@ def derive_transitions(ch: ChannelParams, depth_bound: int) -> TransitionTable:
     """Build the chain by breadth-first expansion from the all-zero state.
 
     Depth d gives 9d - 2 states, so this raises ResourceCapError before
-    expanding when that exceeds exact_dp.STATE_CAP (read at the call).
+    expanding when that exceeds ``channel.STATE_CAP`` (read at the call).
     """
     if depth_bound < 1:
         raise ValueError("depth bound must be at least 1")
-    if 9 * depth_bound - 2 > exact_dp.STATE_CAP:
-        raise exact_dp.ResourceCapError(
-            f"chain derivation reaches {9 * depth_bound - 2} states, cap is {exact_dp.STATE_CAP}"
+    if 9 * depth_bound - 2 > channel.STATE_CAP:
+        raise channel.ResourceCapError(
+            f"chain derivation reaches {9 * depth_bound - 2} states, cap is {channel.STATE_CAP}"
         )
     entries: dict[ChainState, tuple[Transition, ...]] = {}
     boundary = set()
@@ -181,7 +181,7 @@ def reach_prob(n: int, ch: ChannelParams) -> Number:
     one, dtype = (1, object) if exact else (0.0, float)  # one: 1, or its log
 
     def moves(s: ChainState) -> list[tuple[ChainState, Number, int]]:
-        return [(target, int(prob * scale) if exact else exact_dp.log_of(prob), 0)
+        return [(target, int(prob * scale) if exact else channel.log_of(prob), 0)
                 for target, prob, _ in _raw_transitions(s, ch)]
 
     start, f2 = np.full(1, one, dtype), np.full((1, 1), one, dtype)
@@ -242,7 +242,7 @@ def path_series(n: int, ch: ChannelParams, loops: bool, variant: str):
         lead, blocks = math.log(0.5), n
     else:
         lead, blocks = -math.log(n), n * (1.0 + bounds.optimal_loop_density(ch.p)) / 3.0
-    log_v = lead + (n / 3.0) * exact_dp.log_of(p * q * q) + blocks * math.log1p(z ** (1.0 / 3.0))
+    log_v = lead + (n / 3.0) * channel.log_of(p * q * q) + blocks * math.log1p(z ** (1.0 / 3.0))
     return math.exp(log_v), comps
 
 

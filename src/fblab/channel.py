@@ -5,14 +5,42 @@ float.  The mode is the one arithmetic choice: the dynamic programs and
 closed forms run in rational arithmetic on an exact channel and in
 log-float arithmetic on a float one; Monte Carlo needs a float channel.
 Sampling the channel's noise is ``montecarlo``'s job.
+
+The programs' shared limits live here too, in a module that loads no
+numpy, so the CLI can read them before it imports a kernel: the state cap,
+its error, and ``log_of``, the log of a probability in either mode.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 Number = Fraction | float
+
+# Most states one dynamic program may touch: lattice states over all layers
+# of backward induction, states summed over layers of a forward pass, states
+# the chain derivation reaches.  Every program reads it at the call.
+STATE_CAP = 2_000_000
+
+
+class ResourceCapError(RuntimeError):
+    """Raised when a dynamic program would exceed its configured state cap."""
+
+
+def log_of(value: Number) -> float:
+    """Natural log of a probability: of the exact value for a Fraction.
+
+    A float that underflowed to 0.0 raises FloatingPointError, which the
+    CLI reports as a failed check, never as a log of 0.
+    """
+    if not isinstance(value, float):
+        f = Fraction(value)
+        return math.log(f.numerator) - math.log(f.denominator)
+    if value == 0.0:
+        raise FloatingPointError("float probability underflowed to 0.0, below the smallest double")
+    return math.log(value)
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,10 @@ no place for the configuration.
 Exit codes: 0 success, 2 invalid flags or inputs (an output path that cannot
 be written included), 3 a verification check failed, 4 a resource cap was
 exceeded.  Failures print a machine-readable JSON diagnostic to stderr.
+
+A ``cmd_*`` imports the numpy kernel it runs (``exact_dp``, ``chain`` or
+``montecarlo``) after checking its inputs, so parsing, ``--help``, invalid
+input, ``bounds`` and rational ``simplex`` load no numpy.
 """
 
 from __future__ import annotations
@@ -20,8 +24,8 @@ import sys
 from pathlib import Path
 
 from . import bounds as bounds_mod
-from . import chain, exact_dp, montecarlo, serialize
-from .channel import make_channel
+from . import channel, serialize
+from .channel import ResourceCapError, log_of, make_channel
 from .strategy import MAX_POSTERIOR, StrategyRule, load_table
 
 EXIT_OK = 0
@@ -50,7 +54,7 @@ def _error_result(ch, n: int, strategy: str, pe) -> dict:
         "strategy": strategy,
         "mode": ch.arithmetic,
         "p_e": pe,
-        "exponent": (-exact_dp.log_of(pe) / n) if n else None,
+        "exponent": (-log_of(pe) / n) if n else None,
     }
 
 
@@ -71,6 +75,7 @@ def cmd_bounds(args) -> dict | str:
 def cmd_exact(args) -> dict:
     ch = make_channel(args.p, args.mode)
     rule = _parse_strategy(args.strategy)
+    from . import exact_dp
     pe = exact_dp.forward_error_prob(args.n, ch, rule)
     return _error_result(ch, args.n, args.strategy, pe)
 
@@ -79,6 +84,7 @@ def cmd_bellman(args) -> dict:
     if args.state_cap < 1:
         raise ValueError(f"--state-cap must be at least 1, got {args.state_cap}")
     ch = make_channel(args.p, args.mode)
+    from . import exact_dp
     pe, table = exact_dp.bellman_optimum(args.n, ch, state_cap=args.state_cap)
     unique, two_way, three_way = table.tie_counts()
     return _error_result(ch, args.n, "optimal", pe) | {
@@ -94,6 +100,7 @@ def cmd_bellman(args) -> dict:
 
 def cmd_verify_theorem2(args) -> tuple[dict, bool]:
     ch = make_channel(args.p, args.mode)
+    from . import exact_dp
     report = exact_dp.optimal_query_report(args.n, ch, detail=args.detail)
     return {"report": report}, report["overall"]["all_member"]
 
@@ -102,6 +109,7 @@ def cmd_octopus(args) -> dict | str | tuple[dict, bool]:
     if args.verify and args.format == "dot":
         raise ValueError("--verify needs --format json: DOT output has no place for the verdict report")
     ch = make_channel(args.p, args.mode)
+    from . import chain
     table = chain.derive_transitions(ch, args.depth)
     if args.format == "dot":
         return chain.export_dot(table)
@@ -115,10 +123,11 @@ def cmd_octopus(args) -> dict | str | tuple[dict, bool]:
 def cmd_paths(args) -> dict:
     ch = make_channel(args.p, args.mode)
     loops = args.series == "loops"
+    from . import chain
     value, comps = chain.path_series(args.n, ch, loops, args.variant)
-    exact_dp.log_of(value)  # positive for n >= 2: raises if a double underflowed to 0.0
+    log_of(value)  # positive for n >= 2: raises if a double underflowed to 0.0
     reach = chain.reach_prob(args.n, ch)
-    exact_dp.log_of(reach)
+    log_of(reach)
     exceeds = None
     if loops and args.variant == "closed-form":
         # the divisibility relaxation lets the closed form exceed the exact return probability
@@ -140,6 +149,7 @@ def cmd_simulate(args) -> dict:
         raise ValueError(f"--dump-count must be non-negative, got {args.dump_count}")
     ch = make_channel(args.p, "float")
     rule = _parse_strategy(args.strategy)
+    from . import montecarlo
     stats = montecarlo.run_trials(
         args.n, ch, rule, trials=args.trials, seed=args.seed, workers=args.workers
     )
@@ -162,6 +172,7 @@ def cmd_simplex(args) -> dict:
 def cmd_sweep(args) -> str:
     ch = make_channel(args.p, args.mode)
     rule = "optimal" if args.strategy == "optimal" else _parse_strategy(args.strategy)
+    from . import exact_dp
     return serialize.csv_text([
         {"n": n, "p": float(ch.p), "pe": float(pe), "exponent": exp}
         for n, pe, exp in exact_dp.error_curve(ch, rule, args.n_max)
@@ -201,7 +212,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add("bellman", cmd_bellman, "optimal error by backward induction")
     out(sp)
-    sp.add_argument("--state-cap", type=int, default=exact_dp.STATE_CAP)
+    # channel.STATE_CAP read at each build, as every program reads it at its call
+    sp.add_argument("--state-cap", type=int, default=channel.STATE_CAP)
 
     sp = add("verify-theorem2", cmd_verify_theorem2, "check fewest-votes queries are optimal")
     out(sp)
@@ -259,7 +271,7 @@ def dispatch(argv: list[str] | None = None) -> int:
             if isinstance(result, str):  # a CSV or DOT file has no place for the configuration
                 sys.stdout.write(serialize.dumps(head | {"written": args.out}))
         return EXIT_OK if passed else EXIT_CHECK_FAILED
-    except exact_dp.ResourceCapError as exc:
+    except ResourceCapError as exc:
         sys.stderr.write(serialize.dumps({"error": "resource-cap", "detail": str(exc)}))
         return EXIT_RESOURCE
     except ArithmeticError as exc:

@@ -27,6 +27,10 @@ Z(s) = sum_i z**s_i, a min-recursion of positive terms: for an exact
 channel on Python integers (E scaled by powers of the numerator and
 denominator of p), for a float channel on doubles with a relative error of
 a few machine epsilons per layer.  See backward_layers.
+
+Both passes raise ``channel.ResourceCapError`` past ``channel.STATE_CAP``
+states, which they read at the call; the cap lives in ``channel`` so that
+the CLI can read it without loading numpy.
 """
 
 from __future__ import annotations
@@ -41,32 +45,10 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import channel
 from .belief import MetricState, apply_outcome
 from .channel import ChannelParams, Number
 from .strategy import StrategyRule, select_query, weight_denominator
-
-# Most states one dynamic program may touch: lattice states over all layers
-# of backward induction, states summed over layers of a forward pass.
-STATE_CAP = 2_000_000
-
-
-class ResourceCapError(RuntimeError):
-    """Raised when a dynamic program would exceed its configured state cap."""
-
-
-def log_of(value: Number) -> float:
-    """Natural log of a probability: of the exact value for a Fraction.
-
-    A float that underflowed to 0.0 raises FloatingPointError, which the
-    CLI reports as a failed check, never as a log of 0.
-    """
-    if not isinstance(value, float):
-        f = Fraction(value)
-        return math.log(f.numerator) - math.log(f.denominator)
-    if value == 0.0:
-        raise FloatingPointError("float probability underflowed to 0.0, below the smallest double")
-    return math.log(value)
-
 
 # Most moves out of one state: three queries, two answers each.
 MOVES = 6
@@ -156,7 +138,8 @@ def propagate(
     max-plus-log1p fold bit for bit (tests/test_exact_dp.py holds numpy to
     it), so every double equals that of a scalar loop.
     A state without moves loses its mass.  Raises ResourceCapError once the
-    layers after the start hold more than STATE_CAP states in total.
+    layers after the start hold more than ``channel.STATE_CAP`` states in
+    total (read at the call).
     """
     exact = f2.dtype == object
     graph = _MoveGraph(moves, f2.dtype)
@@ -178,8 +161,10 @@ def propagate(
         np.minimum.at(slot, target, arrival)
         ids = target[slot[target] == arrival]
         touched += ids.size
-        if touched > STATE_CAP:
-            raise ResourceCapError(f"forward pass touches {touched} states, cap is {STATE_CAP}")
+        if touched > channel.STATE_CAP:
+            raise channel.ResourceCapError(
+                f"forward pass touches {touched} states, cap is {channel.STATE_CAP}"
+            )
         slot[ids] = np.arange(ids.size)
         shape = (ids.size, mass.shape[1])
         mass = np.zeros(shape, dtype=object) if exact else np.full(shape, -math.inf)
@@ -428,15 +413,15 @@ def backward_layers(
     each further layer from the one before alone, records it in the table
     and yields it as a BackwardLayer in lattice order.  Raises
     ResourceCapError up front when the layers exceed ``state_cap`` states
-    (by default STATE_CAP, read at the call).
+    (by default ``channel.STATE_CAP``, read at the call).
     """
     if n < 0:
         raise ValueError("horizon must be nonnegative")
     if state_cap is None:
-        state_cap = STATE_CAP
+        state_cap = channel.STATE_CAP
     total_states = sum(_lattice_size(k) for k in range(n + 1))
     if total_states > state_cap:
-        raise ResourceCapError(
+        raise channel.ResourceCapError(
             f"backward induction needs {total_states} state evaluations, cap is {state_cap}"
         )
     exact = ch.exact
@@ -561,7 +546,7 @@ def optimal_query_report(n: int, ch: ChannelParams, detail: bool = False) -> dic
                 for sa, sb, m, d, row, fewest in rows
             )
     pe_star = table.optimal_error()
-    log_of(pe_star)  # raises if a float P_e* underflowed: never report it as 0
+    channel.log_of(pe_star)  # raises if a float P_e* underflowed: never report it as 0
     report: dict = {
         "horizon": n,
         "p": ch.p,
@@ -600,4 +585,4 @@ def error_curve(
         trues = _conditionings(rule)
         layers = itertools.islice(_forward_layers(ch, rule, trues), 1, n_max + 1)
         pes = (_mean_error(layer, trues, ch.exact) for layer in layers)
-    return [(n, pe, -log_of(pe) / n) for n, pe in enumerate(pes, 1)]
+    return [(n, pe, -channel.log_of(pe) / n) for n, pe in enumerate(pes, 1)]

@@ -260,6 +260,8 @@ def _batch_outputs(
     batch; a table rule is compiled once for all of them."""
     if n < 0:
         raise ValueError(f"horizon n must be non-negative, got {n}")
+    if not 0 <= seed <= _MASK64:  # the hash takes seed mod 2**64: two seeds would give one run
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
     table = _TableQueries(rule.table, n) if rule.kind == "table" else None
     for lo in range(0, trials, size):
         yield _simulate_batch(n, ch, rule, table, seed, lo, min(lo + size, trials), return_arrays)
@@ -363,7 +365,7 @@ def run_trials(
     but changes nothing: there is no parallelism, and every draw is a pure
     function of (seed, trial), so neither it nor the batch size can affect
     the result.  The true message is drawn uniformly per trial from the seed
-    stream.
+    stream.  ``seed`` must lie in [0, 2**64), as for ``trajectory_records``.
     """
     ch.require_float("run_trials")
     if trials < 1:

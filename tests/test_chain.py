@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from fblab import chain, exact_dp
+from fblab import chain, channel
 from fblab.bounds import error_exponents
 from fblab.chain import (
     classify,
@@ -83,11 +83,11 @@ def test_state_count_is_nine_per_depth_less_two(pl):
 
 
 def test_state_cap_is_checked_before_expanding(monkeypatch):
-    monkeypatch.setattr(exact_dp, "STATE_CAP", 100)
+    monkeypatch.setattr(channel, "STATE_CAP", 100)
     calls = []
     raw = chain._raw_transitions
     monkeypatch.setattr(chain, "_raw_transitions", lambda *a: calls.append(a) or raw(*a))
-    with pytest.raises(exact_dp.ResourceCapError, match="reaches 268 states, cap is 100"):
+    with pytest.raises(channel.ResourceCapError, match="reaches 268 states, cap is 100"):
         derive_transitions(CH10, 30)
     assert calls == []
     assert len(derive_transitions(CH10, 11).entries) == 97 and calls

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fblab import exact_dp, serialize
+from fblab import channel, serialize
 from fblab.belief import leaders
 from fblab.channel import make_channel
 from fblab.cli import _parse_strategy, build_parser, dispatch
@@ -219,7 +219,7 @@ def test_float_simplex_underflow_is_a_failed_check(capsys):
     ],
 )
 def test_every_program_respects_state_cap(capsys, monkeypatch, argv):
-    monkeypatch.setattr(exact_dp, "STATE_CAP", 100)
+    monkeypatch.setattr(channel, "STATE_CAP", 100)
     code, _, err = run_cli(capsys, *argv)
     assert code == 4
     assert json.loads(err)["error"] == "resource-cap"
@@ -689,8 +689,14 @@ def test_invalid_probability_exit_code(capsys, argv):
          "--state-cap must be at least 1, got 0"),
         (("bellman", "--p", "1/10", "--n", "3", "--state-cap", "-1"),
          "--state-cap must be at least 1, got -1"),
+        # the hash reads a seed mod 2**64, so these would repeat the runs of 2**64 - 1 and 0
+        (("simulate", "--p", "0.2", "--n", "30", "--trials", "100", "--seed", "-1"),
+         "seed must lie in [0, 2**64), got -1"),
+        (("simulate", "--p", "0.2", "--n", "30", "--trials", "100", "--seed", str(1 << 64)),
+         f"seed must lie in [0, 2**64), got {1 << 64}"),
     ],
-    ids=["octopus-dot-verify", "bellman-zero-state-cap", "bellman-negative-state-cap"],
+    ids=["octopus-dot-verify", "bellman-zero-state-cap", "bellman-negative-state-cap",
+         "simulate-negative-seed", "simulate-seed-past-64-bits"],
 )
 def test_invalid_flag_values_are_invalid_input(capsys, argv, detail):
     code, out, err = run_cli(capsys, *argv)
@@ -703,7 +709,7 @@ def test_invalid_flag_values_are_invalid_input(capsys, argv, detail):
 @pytest.mark.parametrize("series", ["basic", "loops"])
 def test_paths_checks_the_series_before_the_return_probability(capsys, monkeypatch, series):
     # both fail: the closed form underflows (exit 3) and the forward pass hits its cap (exit 4)
-    monkeypatch.setattr(exact_dp, "STATE_CAP", 100)
+    monkeypatch.setattr(channel, "STATE_CAP", 100)
     code, _, err = run_cli(capsys, "paths", "--p", "1e-400", "--n", "30",
                            "--series", series, "--variant", "closed-form")
     assert code == 3

@@ -12,9 +12,8 @@ from hypothesis import strategies as st
 from fblab.belief import apply_outcome, leaders, normalize, posteriors
 from fblab.bounds import simplex_event_prob
 from fblab.chain import derive_transitions, reach_prob
-from fblab.channel import make_channel
+from fblab.channel import ResourceCapError, make_channel
 from fblab.exact_dp import (
-    ResourceCapError,
     _lattice_size,
     _successor_tables,
     backward_layers,

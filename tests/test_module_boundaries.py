@@ -50,23 +50,58 @@ def test_the_check_sees_a_private_import():
     assert _private_uses(tree) == ["from .channel import _MASK64", "chain._x"]
 
 
-def _loaded_after_import(modules: list[str], names: set[str]) -> list[str]:
-    """Which of names a fresh interpreter holds in sys.modules after importing modules."""
-    code = f"import sys\nimport {', '.join(modules)}\nprint(sorted({names!r} & set(sys.modules)))\n"
+def _fresh(code: str):
+    """The value a fresh interpreter prints, as a literal, after running code."""
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True).stdout
     return ast.literal_eval(out)
 
 
+def _loaded_after_import(modules: list[str], names: set[str], then: str = "") -> list[str]:
+    """Which of names a fresh interpreter holds in sys.modules after importing
+    modules and running the statement ``then``."""
+    return _fresh(f"import sys\nimport {', '.join(modules)}\n{then}\n"
+                  f"print(sorted({names!r} & set(sys.modules)))\n")
+
+
 def test_light_modules_load_without_numpy_or_mpmath():
     # the package re-exports nothing, so one module loads only what it imports
-    light = ["fblab.serialize", "fblab.channel", "fblab.strategy", "fblab.belief", "fblab.cubicfield"]
+    light = ["fblab.serialize", "fblab.channel", "fblab.strategy", "fblab.belief",
+             "fblab.cubicfield", "fblab.bounds"]
     assert _loaded_after_import(light, {"numpy", "mpmath"}) == []
+    # the CLI imports a numpy kernel only in the subcommand that runs it
+    assert _loaded_after_import(["fblab.cli"], {"numpy"}, "fblab.cli.build_parser()") == []
     # mpmath is not a dependency, though sympy brings it into many environments;
     # the package's own __init__ loads with any module, and __main__ runs the CLI
     every = [f"fblab.{p.stem}" for p in MODULES if not p.stem.startswith("__")]
     assert _loaded_after_import(every, {"mpmath"}) == []
+
+
+@pytest.mark.parametrize(
+    "argv, code, numpy_loaded",
+    [
+        (["bounds", "--p", "1/10", "--n", "60"], 0, False),
+        (["bounds", "--p", "1/20,1/10", "--n", "60", "--format", "csv"], 0, False),
+        (["simplex", "--p", "1/10", "--n", "9", "--mode", "rational"], 0, False),
+        (["--help"], 0, False),
+        (["exact", "--p", "2", "--n", "3"], 2, False),
+        (["exact", "--p", "1/10", "--n", "3"], 0, True),  # so the check is not vacuous
+    ],
+    ids=["bounds-json", "bounds-csv", "simplex-rational", "help", "invalid-p", "exact"],
+)
+def test_only_subcommands_with_a_numpy_kernel_load_numpy(argv, code, numpy_loaded):
+    run = f"""
+import contextlib, io, sys
+from fblab import cli
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    try:
+        code = cli.dispatch({argv!r})
+    except SystemExit as exc:  # --help
+        code = exc.code
+print((code, "numpy" in sys.modules))
+"""
+    assert _fresh(run) == (code, numpy_loaded)
 
 
 # Public names that no fblab module calls, and why each stays in the package.

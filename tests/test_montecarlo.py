@@ -217,6 +217,23 @@ def test_negative_horizon_is_rejected():
         run_trials(-1, CHF, MAX_POSTERIOR, trials=10, seed=0)
 
 
+@pytest.mark.parametrize("seed", [-1, 1 << 64])
+def test_seed_outside_64_bits_is_rejected(seed):
+    # the hash reads a seed mod 2**64: -1 would repeat the run of 2**64 - 1, 2**64 that of 0
+    message = re.escape(f"seed must lie in [0, 2**64), got {seed}")
+    with pytest.raises(ValueError, match=message):
+        run_trials(5, CHF, MAX_POSTERIOR, trials=10, seed=seed)
+    with pytest.raises(ValueError, match=message):
+        next(trajectory_records(5, CHF, MAX_POSTERIOR, seed, 1))
+
+
+def test_largest_seed_runs():
+    seed = (1 << 64) - 1
+    assert run_trials(5, CHF, MAX_POSTERIOR, trials=10, seed=seed).seed == seed
+    record = next(trajectory_records(5, CHF, MAX_POSTERIOR, seed, 1))
+    assert record == simulate_trajectory(5, CHF, MAX_POSTERIOR, seed, 0)
+
+
 # error counts of run_trials(12, p = 0.3, 20,000 trials), recorded before the
 # batch engine became row-wise and took over table rules; a moved count means
 # a draw is taken in a different order; lowest-index ties were a tie policy
