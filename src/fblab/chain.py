@@ -18,10 +18,10 @@ from math import comb
 import numpy as np
 
 from . import bounds, channel, exact_dp
-from .belief import MetricState, apply_outcome
+from .belief import MetricState
 from .channel import ChannelParams, Number
 from .cubicfield import CubicExt
-from .strategy import MAX_POSTERIOR, select_query
+from .strategy import MAX_POSTERIOR
 
 ChainState = MetricState
 
@@ -60,21 +60,17 @@ class TransitionTable:
         return sorted(self.entries, key=lambda s: (depth(s), s))
 
 
-def _raw_transitions(s: ChainState, ch: ChannelParams) -> list[tuple[ChainState, Number, str]]:
-    """One (target, probability, label) row per move (query j, answer y) out of ``s``.
+def _law() -> tuple[exact_dp.Moves, list[Number]]:
+    """The chain's moves at batches of states: (moves, weights).
 
-    A move adds e_j or 1 - e_j to the votes, and no two of these differ by a
-    constant vector, so no two moves reach the same normalised target.
+    ``moves(votes)`` gives ``exact_dp.move_batch``'s max-posterior moves,
+    each state's sorted by target; bit 0 of a move's code says that its
+    answer is the bit that message 1's transmitter sends (the channel
+    factor q, else p).  A move adds e_j or 1 - e_j to the votes, and no two
+    of these differ by a constant vector, so no two moves reach the same
+    normalised target.
     """
-    rows = []
-    for j, w in select_query(MAX_POSTERIOR, s).items():
-        for y in (0, 1):
-            x = 0 if j == 1 else 1  # transmitter's bit when message 1 is true
-            sym, factor = ("q", ch.q) if y == x else ("p", ch.p)
-            prob = w * factor if ch.exact else float(w) * factor
-            label = sym if w == 1 else f"{sym}/{w.denominator}"
-            rows.append((apply_outcome(s, j, y), prob, label))
-    return sorted(rows, key=lambda r: r[0])
+    return exact_dp.move_batch(MAX_POSTERIOR, by_target=True)
 
 
 def derive_transitions(ch: ChannelParams, depth_bound: int) -> TransitionTable:
@@ -89,19 +85,26 @@ def derive_transitions(ch: ChannelParams, depth_bound: int) -> TransitionTable:
         raise channel.ResourceCapError(
             f"chain derivation reaches {9 * depth_bound - 2} states, cap is {channel.STATE_CAP}"
         )
+    moves, weights = _law()
+    # (probability, label) by weight index and agreement
+    edges = [[(w * f if ch.exact else float(w) * f, sym if w == 1 else f"{sym}/{w.denominator}")
+              for sym, f in (("p", ch.p), ("q", ch.q))] for w in weights]
     entries: dict[ChainState, tuple[Transition, ...]] = {}
     boundary = set()
     frontier = [MAIN_STATE]
     seen = {MAIN_STATE}
     while frontier:
         nxt = []
-        for s in frontier:
+        rows = (a.tolist() for a in moves(np.array(frontier, dtype=np.intp)))
+        for s, targets, wids, codes, lives in zip(frontier, *rows):
             kept = []
-            for target, prob, label in _raw_transitions(s, ch):
+            for target, w, code, live in zip(map(tuple, targets), wids, codes, lives):
+                if not live:
+                    continue
                 if depth(target) > depth_bound:
                     boundary.add(s)
                     continue
-                kept.append(Transition(target, prob, label))
+                kept.append(Transition(target, *edges[w][code & 1]))
                 if target not in seen:
                     seen.add(target)
                     nxt.append(target)
@@ -172,17 +175,21 @@ def reach_prob(n: int, ch: ChannelParams) -> Number:
     (every move's probability is p or q times 1, 1/2 or 1/3) and returns a
     Fraction; a float channel propagates log-probabilities and returns a
     float.  The forward programs' kernel, ``exact_dp.propagate``, steps the
-    moves of ``_raw_transitions`` as states are reached.
+    chain's batch law ``_law``, each move's f1 the scaled integer or the log
+    of its probability, computed once per query weight and channel factor.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     exact = ch.exact
     scale = 6 * ch.p.denominator if exact else 1
     one, dtype = (1, object) if exact else (0.0, float)  # one: 1, or its log
+    law, weights = _law()
+    f1 = np.array([[int(w * f * scale) if exact else channel.log_of(float(w) * f)
+                    for f in (ch.p, ch.q)] for w in weights], dtype)
 
-    def moves(s: ChainState) -> list[tuple[ChainState, Number, int]]:
-        return [(target, int(prob * scale) if exact else channel.log_of(prob), 0)
-                for target, prob, _ in _raw_transitions(s, ch)]
+    def moves(votes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        target, wid, code, live = law(votes)
+        return target, f1[wid, code & 1], np.zeros_like(code), live
 
     start, f2 = np.full(1, one, dtype), np.full((1, 1), one, dtype)
     layers = exact_dp.propagate(moves, MAIN_STATE, start, f2)

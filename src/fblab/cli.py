@@ -12,9 +12,10 @@ Exit codes: 0 success, 2 invalid flags or inputs (an output path that cannot
 be written included), 3 a verification check failed, 4 a resource cap was
 exceeded.  Failures print a machine-readable JSON diagnostic to stderr.
 
-A ``cmd_*`` imports the numpy kernel it runs (``exact_dp``, ``chain`` or
-``montecarlo``) after checking its inputs, so parsing, ``--help``, invalid
-input, ``bounds`` and rational ``simplex`` load no numpy.
+A ``cmd_*`` imports the module it runs (``exact_dp``, ``chain``,
+``montecarlo`` or ``bounds``) after checking its inputs, so parsing,
+``--help`` and invalid input load none of them, and ``bounds`` and rational
+``simplex`` load no numpy.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import bounds as bounds_mod
 from . import channel, serialize
 from .channel import ResourceCapError, log_of, make_channel
 from .strategy import MAX_POSTERIOR, StrategyRule, load_table
@@ -60,11 +60,12 @@ def _error_result(ch, n: int, strategy: str, pe) -> dict:
 
 def cmd_bounds(args) -> dict | str:
     chans = [make_channel(lit, args.mode) for lit in args.p.split(",")]
+    from . import bounds
     if args.format == "json":
         if len(chans) != 1:
             raise ValueError("json format takes a single --p literal")
-        return {"report": bounds_mod.bound_report(chans[0], args.n)}
-    reports = [bounds_mod.bound_report(ch, args.n) for ch in chans]
+        return {"report": bounds.bound_report(chans[0], args.n)}
+    reports = [bounds.bound_report(ch, args.n) for ch in chans]
     return serialize.csv_text([
         {"p": float(r.p), "n": r.n, "f_fb": r.f_fb, "e2": r.e2, "e3": r.e3,
          "upper": r.upper, "lower": r.lower}
@@ -166,7 +167,8 @@ def cmd_simulate(args) -> dict:
 
 def cmd_simplex(args) -> dict:
     ch = make_channel(args.p, args.mode)
-    return {"report": bounds_mod.simplex_event_report(args.n, ch, method=args.method)}
+    from . import bounds
+    return {"report": bounds.simplex_event_report(args.n, ch, method=args.method)}
 
 
 def cmd_sweep(args) -> str:

@@ -12,10 +12,14 @@ over the three), in exact integer numerators over one denominator per
 layer or in log-domain floats.  The moves depend on the rule only, so the
 three conditionings share one graph and one pass, with one mass column
 each.  Its layer kernel, ``propagate``, steps an indexed frontier: it
-tabulates the moves in numpy arrays as states are reached, each layer
-lists its states in order of first arrival, and log-float masses meeting
-at a state combine by ``np.logaddexp.at`` in that order, bit for bit as a
-scalar loop would.
+asks for the moves of each layer's new states in one batch call, which
+gives numpy arrays of target votes (k, 6, 3), f1, code and a mask of the
+slots that hold a move (k, 6 each), numbers states by a packed integer key,
+and lists each layer's states in order of first arrival; log-float masses
+meeting at a state combine by ``np.logaddexp.at`` in that order, bit for
+bit as a scalar loop would.  ``move_batch`` builds the vote update and a
+rule's query weights for a batch of states in numpy, each state's moves in
+the order of the per-state law, which is the order in which masses fold.
 The same kernel steps the chain module's return probability.
 
 The backward pass computes the minimum error over all metric-state
@@ -39,7 +43,7 @@ import collections
 import itertools
 import math
 import operator
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -53,71 +57,154 @@ from .strategy import StrategyRule, select_query, weight_denominator
 # Most moves out of one state: three queries, two answers each.
 MOVES = 6
 
-# A state's moves as (target, f1, code); see propagate.
-Moves = Callable[[MetricState], Sequence[tuple[MetricState, Number, int]]]
+# A batch of states' moves as (target votes, f1 or weight index, code, live);
+# see move_batch and propagate.
+Moves = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]
+
+# _VOTES[j, y] is the votes that answer y to query j casts: y = 1 votes
+# against message j, y = 0 against the other two.  _CODES[j, y] is the set of
+# true messages that answer agrees with, bit t-1 for message t.  Row 0 is an
+# empty query slot: no votes, no move.
+_VOTES = np.zeros((4, 2, 3), dtype=np.intp)
+_VOTES[1:, 0], _VOTES[1:, 1] = 1 - np.eye(3, dtype=np.intp), np.eye(3, dtype=np.intp)
+_CODES = np.zeros((4, 2), dtype=np.int8)
+_CODES[1:, 0] = 1, 2, 4
+_CODES[1:, 1] = 7 - _CODES[1:, 0]
+
+# A state's key packs its three counts into 21 bits each.  A pass reaches no
+# count of 2**21: a count grows by at most one per step, and every layer holds
+# a state, so that many steps pass channel.STATE_CAP first.
+_KEY_BITS = 21
+_NO_KEY = np.iinfo(np.int64).max  # above every key: a normalised state has a 0 count
+
+
+def _state_keys(votes: np.ndarray) -> np.ndarray:
+    """int64 keys of the vote triples along the last axis, in the triples' order."""
+    v = votes.astype(np.int64, copy=False)
+    return (v[..., 0] << 2 * _KEY_BITS) | (v[..., 1] << _KEY_BITS) | v[..., 2]
+
+
+def _outcomes(votes: np.ndarray, cast: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The normalised states votes + cast, and how far their minimum rose.
+
+    ``votes`` (k, 3) and ``cast`` (k or 1, m, 3) give (k, m, 3) and (k, m).
+    """
+    v = votes[:, None, :] + cast
+    low = np.minimum(np.minimum(v[..., 0], v[..., 1]), v[..., 2])  # v.min(axis=2) is slower
+    v -= low[..., None]
+    return v, low
+
+
+def move_batch(rule: StrategyRule, by_target: bool = False) -> tuple[Moves, list[Number]]:
+    """``rule``'s moves at batches of normalised states: (moves, weights).
+
+    ``moves(votes)`` gives, for states (k, 3), MOVES slots per state: target
+    votes (k, MOVES, 3), the index in ``weights`` of the move's query weight,
+    its code (the set of true messages its answer agrees with, bit t-1 for
+    message t) and whether the slot holds a move, each (k, MOVES).  State s
+    fills its slots in the order of
+    ``[(apply_outcome(s, j, y), w, code) for j, w in select_query(rule, s).items()
+    for y in (0, 1)]``, so in the order of a table's entry, or with
+    ``by_target`` in the order of their targets.
+
+    The rule is compiled once, here, into select_query's rows at one state
+    per value of a key that decides them: the state for a table rule, the
+    leader set for max-posterior, the vote total mod 3 for round-robin, none
+    for fixed.  ``by_target`` sorts a row's moves by their targets at that
+    state, which needs a key that decides the leader set: a move shifts the
+    votes by a vector that the move and the leader set decide.  A state
+    missing from a table raises select_query's ValueError for the first
+    missing state of the batch.
+    """
+    # the states in key order
+    if rule.kind == "table":
+        assert rule.table is not None
+        states = sorted(s for s in rule.table if max(s) >> _KEY_BITS == 0)  # no pass reaches more
+        key = _state_keys
+    elif rule.kind == "max-posterior":  # its leaders are the messages without votes
+        states = [s for s in itertools.product((1, 0), repeat=3) if 0 in s]
+        key = lambda votes: _state_keys(votes == 0)
+    elif rule.kind == "round-robin":
+        states = [(0, 0, 0), (0, 0, 1), (0, 1, 1)]
+        key = lambda votes: votes.sum(axis=1) % 3
+    else:
+        states = [(0, 0, 0)]
+        key = lambda votes: np.zeros(len(votes), dtype=np.intp)
+    assert not by_target or rule.kind in ("table", "max-posterior")
+    index: dict[Number, int] = {}  # each distinct weight's place in ``weights``
+    slots = []  # (query j, answer y, weight index) of each move
+    for s in states:
+        row = [(j, y, index.setdefault(w, len(index)))
+               for j, w in select_query(rule, s).items() for y in (0, 1)]
+        if by_target:
+            row.sort(key=lambda move: apply_outcome(s, move[0], move[1]))
+        slots.append(row + [(0, 0, 0)] * (MOVES - len(row)))
+    j, y, wid = np.array(slots, dtype=np.intp).reshape(-1, MOVES, 3).transpose(2, 0, 1)
+    cast, code, live = _VOTES[j, y], _CODES[j, y], j > 0
+    keys = np.append(key(np.array(states, dtype=np.intp).reshape(-1, 3)), _NO_KEY)
+
+    def moves(votes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        at = key(votes)
+        row = np.searchsorted(keys, at)
+        missing = keys[row] != at
+        if missing.any():  # select_query raises its error for the state
+            select_query(rule, tuple(votes[missing.argmax()].tolist()))
+        return _outcomes(votes, cast[row])[0], wid[row], code[row], live[row]
+
+    return moves, list(index)
 
 
 class _MoveGraph:
     """States numbered in order of discovery, and their moves in numpy arrays.
 
-    Row i of ``target`` (state numbers), ``factor`` (f1, of ``dtype``:
-    object for integers) and ``code`` holds the moves of state i in
-    ``moves`` order, ``count[i]`` of them; ``count[i]`` is -1 until
-    ``expand`` has called ``moves`` for state i.  ``votes[i]`` is state i.
+    ``number`` maps a state's key to its number i, and ``votes[i]`` is the
+    state.  Row i of ``target`` (state numbers), ``factor`` (f1, of
+    ``dtype``: object for integers), ``code`` and ``live`` holds the moves
+    of state i in ``moves`` order; ``done[i]`` says that ``expand`` has
+    asked ``moves`` for them.
     """
 
     def __init__(self, moves: Moves, dtype: np.dtype) -> None:
         self._moves = moves
-        self.number: dict[MetricState, int] = {}
-        self.states: list[MetricState] = []
+        self.number: dict[int, int] = {}
         self.votes = np.empty((0, 3), dtype=np.intp)
-        self.count = np.empty(0, dtype=np.int8)
+        self.done = np.empty(0, dtype=bool)
+        self.live = np.empty((0, MOVES), dtype=bool)
         self.target = np.empty((0, MOVES), dtype=np.intp)
         self.factor = np.empty((0, MOVES), dtype=dtype)
         self.code = np.empty((0, MOVES), dtype=np.int8)
 
-    def ids(self, states: Iterable[MetricState]) -> np.ndarray:
-        """State numbers of ``states``, numbering the new ones."""
-        first_new = len(self.states)
-        out = []
-        for s in states:
-            i = self.number.get(s)
-            if i is None:
-                i = self.number[s] = len(self.states)
-                self.states.append(s)
-            out.append(i)
-        size = len(self.states)
-        if size > self.count.size:  # grow every table to at least double
-            extra = max(size, 2 * self.count.size) - self.count.size
-            self.votes = _grow(self.votes, extra, 0)
-            self.count = _grow(self.count, extra, -1)
-            self.target, self.factor, self.code = (
-                _grow(a, extra, 0) for a in (self.target, self.factor, self.code)
+    def ids(self, votes: np.ndarray) -> np.ndarray:
+        """State numbers of the rows of ``votes``, numbering the new ones."""
+        if votes.max(initial=0) >> _KEY_BITS:
+            raise channel.ResourceCapError(f"forward pass reaches a vote count of 2**{_KEY_BITS}")
+        number = self.number
+        out = np.array([number.setdefault(k, len(number)) for k in _state_keys(votes).tolist()],
+                       dtype=np.intp)
+        if len(number) > self.done.size:  # grow every table to at least double
+            extra = max(len(number), 2 * self.done.size) - self.done.size
+            self.votes, self.done, self.live, self.target, self.factor, self.code = (
+                _grow(a, extra) for a in
+                (self.votes, self.done, self.live, self.target, self.factor, self.code)
             )
-        if size > first_new:
-            self.votes[first_new:size] = self.states[first_new:]
-        return np.array(out, dtype=np.intp)
+        self.votes[out] = votes
+        return out
 
     def expand(self, ids: np.ndarray) -> None:
         """Tabulate the moves of every state in ``ids`` that has none yet."""
-        new = ids[self.count[ids] < 0]
+        new = ids[~self.done[ids]]
         if not new.size:
             return
-        rows = [self._moves(self.states[i]) for i in new.tolist()]
-        count = np.array([len(row) for row in rows])
-        moves = [move for row in rows for move in row]
-        target = self.ids(t for t, _, _ in moves)  # may grow the tables
-        row, col = np.nonzero(np.arange(MOVES) < count[:, None])
-        cells = (new[row], col)
-        self.target[cells] = target
-        self.factor[cells] = [f for _, f, _ in moves]
-        self.code[cells] = [c for _, _, c in moves]
-        self.count[new] = count
+        target, f1, code, live = self._moves(self.votes[new])
+        number = np.zeros(live.shape, dtype=np.intp)
+        number[live] = self.ids(target[live])  # may grow the tables
+        self.target[new], self.factor[new], self.code[new], self.live[new] = number, f1, code, live
+        self.done[new] = True
 
 
-def _grow(a: np.ndarray, extra: int, fill: int) -> np.ndarray:
-    """``a`` with ``extra`` more rows of ``fill``."""
-    return np.concatenate([a, np.full((extra, *a.shape[1:]), fill, a.dtype)])
+def _grow(a: np.ndarray, extra: int) -> np.ndarray:
+    """``a`` with ``extra`` more rows of zeros."""
+    return np.concatenate([a, np.zeros((extra, *a.shape[1:]), a.dtype)])
 
 
 def propagate(
@@ -125,39 +212,40 @@ def propagate(
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Yield (state votes, masses) of the start layer, then of each further step.
 
-    ``moves(s)`` lists the moves out of state s as (target, f1, code), at
-    most MOVES of them; it is called once per state, as states are reached.
-    Masses have one column per conditioning: ``mass`` is the start state's
-    row, and a move with factor f1 and code c scales column k of its
-    source's row by f1 * f2[c, k] when ``f2`` holds (object) integers and
-    adds f1 + f2[c, k] to it when ``f2`` holds log-floats.  A layer lists
-    its states in order of first arrival: sources in their layer's order,
-    each source's moves in ``moves`` order.  Masses meeting at a target add
-    in that order, exactly for integers and by ``np.logaddexp.at`` for
-    log-floats, which applies updates in array order and matches a scalar
-    max-plus-log1p fold bit for bit (tests/test_exact_dp.py holds numpy to
-    it), so every double equals that of a scalar loop.
+    ``moves(votes)`` takes a batch of states (k, 3), those of one layer
+    that have not been asked for before, and gives their moves in MOVES
+    slots per state: target votes (k, MOVES, 3), f1 (k, MOVES), code
+    (k, MOVES) and a mask (k, MOVES) of the slots that hold a move.  Masses
+    have one column per conditioning: ``mass`` is the start state's row, and
+    a move with factor f1 and code c scales column k of its source's row by
+    f1 * f2[c, k] when ``f2`` holds (object) integers and adds f1 + f2[c, k]
+    to it when ``f2`` holds log-floats.  A layer lists its states in order
+    of first arrival: sources in their layer's order, each source's moves in
+    slot order.  Masses meeting at a target add in that order, exactly for
+    integers and by ``np.logaddexp.at`` for log-floats, which applies
+    updates in array order and matches a scalar max-plus-log1p fold bit for
+    bit (tests/test_exact_dp.py holds numpy to it), so every double equals
+    that of a scalar loop.
     A state without moves loses its mass.  Raises ResourceCapError once the
     layers after the start hold more than ``channel.STATE_CAP`` states in
     total (read at the call).
     """
     exact = f2.dtype == object
     graph = _MoveGraph(moves, f2.dtype)
-    ids, mass = graph.ids([start]), mass[None, :]
+    ids, mass = graph.ids(np.array([start], dtype=np.intp)), mass[None, :]
     touched = 0
     while True:
         yield graph.votes.take(ids, axis=0), mass  # take gathers rows faster than votes[ids]
         graph.expand(ids)
-        count = graph.count[ids]
-        live = np.arange(MOVES) < count[:, None]
+        live = graph.live.take(ids, axis=0)
         target = graph.target.take(ids, axis=0)[live]
-        step = mass[np.repeat(np.arange(ids.size), count)]
+        step = mass[np.nonzero(live)[0]]
         combine = np.multiply if exact else np.add  # (mass . f1) . f2, in place
         combine(step, graph.factor.take(ids, axis=0)[live][:, None], out=step)
         combine(step, f2[graph.code.take(ids, axis=0)[live]], out=step)
         # the targets in order of first arrival, and each move's row among them
         arrival = np.arange(target.size)
-        slot = np.full(len(graph.states), target.size)
+        slot = np.full(len(graph.number), target.size)
         np.minimum.at(slot, target, arrival)
         ids = target[slot[target] == arrival]
         touched += ids.size
@@ -192,6 +280,27 @@ _LOG_ERROR[[3, 4, 6]] = math.log(1.0 - 1.0 / 2), math.log(1.0 - 1.0 / 3), math.l
 Layer = tuple[np.ndarray, np.ndarray, int]
 
 
+def _forward_moves(ch: ChannelParams, rule: StrategyRule) -> Moves:
+    """``move_batch``'s moves of ``rule`` with f1 in the channel's arithmetic.
+
+    The f1 of a move with query weight w is w*L, for L the least common
+    denominator of the rule's weights (exact), or ln w, -inf for w = 0
+    (log-float), computed once per distinct weight.
+    """
+    batch, weights = move_batch(rule)
+    if ch.exact:
+        scale = weight_denominator(rule)
+        factors = np.array([w.numerator * (scale // w.denominator) for w in weights], object)
+    else:
+        factors = np.array([math.log(float(w)) if w else -math.inf for w in weights], float)
+
+    def moves(votes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        target, wid, code, live = batch(votes)
+        return target, factors[wid], code, live
+
+    return moves
+
+
 def _forward_layers(ch: ChannelParams, rule: StrategyRule, trues: Sequence[int]) -> Iterator[Layer]:
     """Layers after 0, 1, 2, ... uses, one mass column per true message in ``trues``.
 
@@ -206,31 +315,12 @@ def _forward_layers(ch: ChannelParams, rule: StrategyRule, trues: Sequence[int])
     logs (a zero weight moves -inf) and the denominator stays 1.
     """
     if ch.exact:
-        scale = weight_denominator(rule)
         a, c = ch.p.numerator, ch.p.denominator
-        fp, fq, start, step, dtype = a, c - a, 1, scale * c, object
-
-        def factor(w: Fraction) -> int:
-            return w.numerator * (scale // w.denominator)
-
+        fp, fq, start, step, dtype = a, c - a, 1, weight_denominator(rule) * c, object
     else:
-
-        def factor(w: Number) -> float:
-            return math.log(float(w)) if w else -math.inf
-
-        fp, fq, start, step, dtype = factor(ch.p), factor(ch.q), 0.0, 1, float
-
-    def moves(s: MetricState) -> list[tuple[MetricState, Number, int]]:
-        out = []
-        for j, w in select_query(rule, s).items():
-            f1 = factor(w)
-            for y in (0, 1):
-                agree = 1 << (j - 1) if y == 0 else 7 ^ (1 << (j - 1))
-                out.append((apply_outcome(s, j, y), f1, agree))
-        return out
-
+        fp, fq, start, step, dtype = math.log(ch.p), math.log(ch.q), 0.0, 1, float
     f2 = np.array([[fq if code >> (t - 1) & 1 else fp for t in trues] for code in range(8)], dtype)
-    layers = propagate(moves, (0, 0, 0), np.full(len(trues), start, dtype), f2)
+    layers = propagate(_forward_moves(ch, rule), (0, 0, 0), np.full(len(trues), start, dtype), f2)
     dens = itertools.accumulate(itertools.repeat(step), operator.mul, initial=1)
     return ((votes, mass, den) for (votes, mass), den in zip(layers, dens))
 
@@ -318,21 +408,15 @@ def _successor_tables(kmax: int) -> tuple[np.ndarray, np.ndarray]:
     kmax serve every smaller lattice by slicing.
     """
     a, b = _lattice_coords(kmax)
-    votes = np.stack([np.zeros_like(a), a, b])
-    succ = np.empty((3, 2, a.size), dtype=np.intp)
-    shift = np.empty((3, 2, a.size), dtype=bool)
-    for j in range(3):
-        for y in (0, 1):
-            v = votes.copy()
-            if y == 1:
-                v[j] += 1
-            else:
-                v[np.arange(3) != j] += 1
-            low = v.min(axis=0)
-            v = np.sort(v - low, axis=0)
-            succ[j, y] = v[2] * (v[2] + 1) // 2 + v[1]
-            shift[j, y] = low > 0
-    return succ, shift
+    votes = np.stack([np.zeros_like(a), a, b], axis=1)
+    succ = np.empty((6, a.size), dtype=np.intp)
+    shift = np.empty((6, a.size), dtype=bool)
+    for i, cast in enumerate(_VOTES[1:].reshape(6, 1, 3)):  # one (j, y) at a time holds less
+        v, low = _outcomes(votes, cast)
+        x, y, z = v[:, 0, 0], v[:, 0, 1], v[:, 0, 2]
+        hi = np.maximum(np.maximum(x, y), z)  # sorted, the successor is (0, x + y + z - hi, hi)
+        succ[i], shift[i] = hi * (hi + 1) // 2 + x + y + z - hi, low[:, 0] > 0
+    return succ.reshape(3, 2, -1), shift.reshape(3, 2, -1)
 
 
 FLOAT_TIE_TOL = 1e-12

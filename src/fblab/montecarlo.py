@@ -247,6 +247,11 @@ def _cuts(weights: dict, choices: list[int]) -> tuple[list[int], list[int]]:
     return [t for t, _ in cuts], [c - 1 for _, c in cuts] + [last - 1]
 
 
+def _check_seed(seed: int) -> None:
+    if not 0 <= seed <= _MASK64:  # the hash takes seed mod 2**64: two seeds would give one run
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+
+
 def _batch_outputs(
     n: int,
     ch: ChannelParams,
@@ -260,8 +265,7 @@ def _batch_outputs(
     batch; a table rule is compiled once for all of them."""
     if n < 0:
         raise ValueError(f"horizon n must be non-negative, got {n}")
-    if not 0 <= seed <= _MASK64:  # the hash takes seed mod 2**64: two seeds would give one run
-        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+    _check_seed(seed)
     table = _TableQueries(rule.table, n) if rule.kind == "table" else None
     for lo in range(0, trials, size):
         yield _simulate_batch(n, ch, rule, table, seed, lo, min(lo + size, trials), return_arrays)
@@ -448,9 +452,12 @@ def simulate_trajectory(
 ) -> dict:
     """Scalar reference episode; draws match the batch engine bit for bit.
 
+    ``seed`` must lie in [0, 2**64), as for the batch engine.
+
     No command calls it; it stays as the oracle for the batch engine, and
     ``perfbench/tracing.py`` patches it (and ``step``) as a module attribute."""
     ch.require_float("simulate_trajectory")
+    _check_seed(seed)
     true = counter_hash(seed, trial, TAG_TRUE, 0) % 3 + 1
     s: MetricState = (0, 0, 0)
     d = [0, 0, 0]

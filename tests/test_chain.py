@@ -85,8 +85,8 @@ def test_state_count_is_nine_per_depth_less_two(pl):
 def test_state_cap_is_checked_before_expanding(monkeypatch):
     monkeypatch.setattr(channel, "STATE_CAP", 100)
     calls = []
-    raw = chain._raw_transitions
-    monkeypatch.setattr(chain, "_raw_transitions", lambda *a: calls.append(a) or raw(*a))
+    law = chain._law
+    monkeypatch.setattr(chain, "_law", lambda *a: calls.append(a) or law(*a))
     with pytest.raises(channel.ResourceCapError, match="reaches 268 states, cap is 100"):
         derive_transitions(CH10, 30)
     assert calls == []

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -9,11 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fblab import chain, exact_dp
 from fblab.belief import apply_outcome, leaders, normalize, posteriors
 from fblab.bounds import simplex_event_prob
 from fblab.chain import derive_transitions, reach_prob
 from fblab.channel import ResourceCapError, make_channel
 from fblab.exact_dp import (
+    _forward_moves,
     _lattice_size,
     _successor_tables,
     backward_layers,
@@ -24,7 +27,7 @@ from fblab.exact_dp import (
     optimal_query_report,
     sorted_lattice,
 )
-from fblab.strategy import MAX_POSTERIOR, StrategyRule, select_query
+from fblab.strategy import MAX_POSTERIOR, StrategyRule, select_query, weight_denominator
 from witnesses import HALF_CONSTANT_WITNESSES
 
 P_GRID = ["1/20", "1/10", "1/5", "3/10", "2/5"]
@@ -330,6 +333,91 @@ def test_float_reach_prob_matches_scalar_loop_bit_for_bit(p):
                     nxt[tr.target] = logaddexp(nxt.get(tr.target, -math.inf), pr + math.log(tr.prob))
             dist = nxt
         assert reach_prob(n, ch) == math.exp(dist.get((0, 0, 0), -math.inf))
+
+
+# every normalised state with counts up to 10; a table that lists its
+# distribution keys out of order and puts weight 0 on a query
+STATES_10 = [s for s in itertools.product(range(11), repeat=3) if min(s) == 0]
+UNORDERED = StrategyRule(
+    kind="table",
+    table={
+        s: [
+            {3: Fraction(0), 1: Fraction(1, 3), 2: Fraction(2, 3)},
+            {2: Fraction(1, 2), 1: Fraction(1, 2)},
+            {leaders(s)[-1]: Fraction(1)},
+        ][sum(s) % 3]
+        for s in STATES_10
+    },
+)
+MOVE_ORDER_RULES = FORWARD_RULES + [
+    StrategyRule(kind="fixed", fixed_query=1),
+    StrategyRule(kind="fixed", fixed_query=3),
+    UNORDERED,
+]
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+def test_move_order_matches_scalar_law(mode):
+    # the batch move table holds each state's moves as the per-state law lists them;
+    # that order is the order in which log-float masses fold
+    ch = make_channel("1/10", mode)
+    for rule in MOVE_ORDER_RULES:
+        scale = weight_denominator(rule)
+
+        def factor(w):
+            if ch.exact:
+                return w.numerator * (scale // w.denominator)
+            return math.log(float(w)) if w else -math.inf
+
+        rows = zip(*(a.tolist() for a in _forward_moves(ch, rule)(np.array(STATES_10))))
+        for s, (targets, f1s, codes, lives) in zip(STATES_10, rows):
+            got = [(tuple(t), f, c) for t, f, c, live in zip(targets, f1s, codes, lives) if live]
+            want = [
+                (apply_outcome(s, j, y), factor(w), 1 << (j - 1) if y == 0 else 7 ^ (1 << (j - 1)))
+                for j, w in select_query(rule, s).items()
+                for y in (0, 1)
+            ]
+            assert got == want, (rule.kind, s)
+
+
+def test_chain_move_order_is_scalar_law_sorted_by_target():
+    law, weights = chain._law()
+    rows = zip(*(a.tolist() for a in law(np.array(STATES_10))))
+    for s, (targets, wids, codes, lives) in zip(STATES_10, rows):
+        got = [(tuple(t), weights[w], c & 1) for t, w, c, live in zip(targets, wids, codes, lives)
+               if live]
+        # bit 0 of the code: the answer is the bit that message 1's transmitter sends
+        want = [(apply_outcome(s, j, y), w, int(y == (0 if j == 1 else 1)))
+                for j, w in select_query(MAX_POSTERIOR, s).items() for y in (0, 1)]
+        assert got == sorted(want, key=lambda row: row[0]), s
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+def test_missing_table_states_name_the_first_to_arrive(mode):
+    # (4, 3, 0) and (0, 3, 4) are first reached after four uses, in that order, though
+    # (0, 3, 4) sorts first; the pass names the first of a layer's missing states to arrive
+    layers = [list(forward_distribution(n, CH10, MAX_POSTERIOR)) for n in range(5)]
+    assert not {(4, 3, 0), (0, 3, 4)} & {s for layer in layers[:4] for s in layer}
+    assert layers[4].index((4, 3, 0)) < layers[4].index((0, 3, 4))
+    table = {s: {j: Fraction(1, len(leaders(s))) for j in leaders(s)}
+             for s in STATES_10 if s not in ((4, 3, 0), (0, 3, 4))}
+    rule = StrategyRule(kind="table", table=table)
+    ch = make_channel("1/10", mode)
+    message = re.escape("table strategy has no entry for reachable state (4, 3, 0)")
+    with pytest.raises(ValueError, match=message):
+        forward_error_prob(8, ch, rule)
+    with pytest.raises(ValueError, match=message):
+        error_curve(ch, rule, 8)
+
+
+def test_vote_counts_past_the_key_width_hit_the_cap(monkeypatch):
+    # a state's key holds each count in _KEY_BITS bits; a wider count stops the pass
+    rule = StrategyRule(kind="fixed", fixed_query=1)
+    want = forward_error_prob(7, CH10, rule)
+    monkeypatch.setattr(exact_dp, "_KEY_BITS", 3)
+    assert forward_error_prob(7, CH10, rule) == want  # counts up to 7
+    with pytest.raises(ResourceCapError, match=re.escape("vote count of 2**3")):
+        forward_error_prob(8, CH10, rule)
 
 
 def _bits(values):

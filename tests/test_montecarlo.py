@@ -225,6 +225,8 @@ def test_seed_outside_64_bits_is_rejected(seed):
         run_trials(5, CHF, MAX_POSTERIOR, trials=10, seed=seed)
     with pytest.raises(ValueError, match=message):
         next(trajectory_records(5, CHF, MAX_POSTERIOR, seed, 1))
+    with pytest.raises(ValueError, match=message):
+        simulate_trajectory(5, CHF, MAX_POSTERIOR, seed, 0)
 
 
 def test_largest_seed_runs():
