@@ -561,6 +561,11 @@ def bellman_optimum(
     return table.optimal_error(), table
 
 
+# a query set as a 3-bit mask, bit j - 1 for query j, and the queries of each mask
+_QUERY_BITS = np.array([1, 2, 4])
+_QUERY_SETS = [tuple(j for j in (1, 2, 3) if mask >> (j - 1) & 1) for mask in range(8)]
+
+
 def optimal_query_report(n: int, ch: ChannelParams, detail: bool = False) -> dict:
     """Check, state by state, that some fewest-votes query is Bellman-optimal.
 
@@ -617,17 +622,17 @@ def optimal_query_report(n: int, ch: ChannelParams, detail: bool = False) -> dic
             for k, d in zip(hit, lost):
                 deficits[k] = d
             rows = zip(a.tolist(), b.tolist(), member.tolist(), deficits,
-                       opt.T.tolist(), lead.T.tolist())
+                       (_QUERY_BITS @ opt).tolist(), (_QUERY_BITS @ lead).tolist())
             per_state.extend(
                 {
                     "t": t,
                     "state": (0, sa, sb),
                     "verdict": "member" if m else "outside",
                     "deficit": d,
-                    "argmax": [j for j, o in zip((1, 2, 3), row) if o],
-                    "fewest_votes": [j for j, o in zip((1, 2, 3), fewest) if o],
+                    "argmax": [*_QUERY_SETS[best_set]],
+                    "fewest_votes": [*_QUERY_SETS[fewest]],
                 }
-                for sa, sb, m, d, row, fewest in rows
+                for sa, sb, m, d, best_set, fewest in rows
             )
     pe_star = table.optimal_error()
     channel.log_of(pe_star)  # raises if a float P_e* underflowed: never report it as 0

@@ -292,6 +292,9 @@ RATIONAL_OUTPUT_SHA256 = {
         "a96961def8711dcab094e623afae2e8a55faa079e231174c25f2b473267903e4",
     "verify-theorem2 --p 1/2 --n 6 --detail":
         "6f4cdafbd26b557a3324f322dc7ee718a569d7941fe4534b70435afa0593e687",
+    # p = 1/2 ties every query; here the argmax and fewest-votes sets of the rows vary
+    "verify-theorem2 --p 1/5 --n 12 --detail":
+        "2c73d2f6371de5974de30d08cad17b8e9929e8baf2ea440ccccd9551f7f1da83",
     "verify-theorem2 --p 3/10 --n 24":
         "511eaece2e9988d08989b06f119de1e039be5d04ff926b7b5348bc09b5aecf08",
     "bounds --p 1/10 --n 20":

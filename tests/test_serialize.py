@@ -75,6 +75,19 @@ def _containers(children):
 _VALUES = st.recursive(_SCALARS, _containers, max_leaves=8)
 
 
+# equal (or, for lists and tuples, item-for-item equal) values whose texts differ
+_EQUAL_LEAVES = [1, True, 1.0, Fraction(1), [1], (1,), [1, 1], (1, 1), [True], [1.0], "1",
+                 Fraction(1, 2), [1, 2], Fraction(-1)]
+
+# tables: two or more rows over a few shared keys, whose values repeat across rows
+_CELLS = st.sampled_from(_EQUAL_LEAVES) | _VALUES
+_TABLES = st.lists(
+    st.dictionaries(st.sampled_from(["a", "b", 'c"%s']), _CELLS, max_size=3)
+    | st.dictionaries(st.sampled_from([0, 1, True, 1.0, None]), _CELLS, max_size=2),
+    min_size=2, max_size=6,
+)
+
+
 def _stdlib(value):
     """The reference: ``json``'s own indented encoder, with fblab's default hook."""
     return json.dumps(value, indent=2, ensure_ascii=False, default=_default) + "\n"
@@ -89,12 +102,20 @@ def test_emitter_matches_reference_tree(value):
     assert dumps_line(value) == json.dumps(tree, separators=(",", ":"), ensure_ascii=False) + "\n"
 
 
+@settings(max_examples=300, deadline=None)
+@given(_TABLES | st.lists(_TABLES, min_size=1, max_size=2).map(lambda ts: [{"rows": t} for t in ts]))
+def test_emitter_matches_stdlib_on_tables(value):
+    assert dumps(value) == _stdlib(value)
+
+
 @pytest.mark.parametrize(
     "value",
     [object(), {"a": [1, object()]}, _Pair(1, {2: object()}), {(1, 2): 3},
-     np.int64(1), [1, {"a": np.int64(2)}], {"a": {frozenset(): 1}}],
+     np.int64(1), [1, {"a": np.int64(2)}], {"a": {frozenset(): 1}},
+     [{"a": 1}, {"a": object()}], [{(1, 2): 3}, {(1, 2): 4}]],
     ids=["object", "nested-object", "object-in-dataclass", "tuple-key",
-         "numpy-int64", "nested-numpy-int64", "frozenset-key"],
+         "numpy-int64", "nested-numpy-int64", "frozenset-key",
+         "object-in-table", "tuple-key-in-table"],
 )
 def test_unsupported_value_raises_type_error(value):
     with pytest.raises(TypeError):
@@ -186,6 +207,24 @@ _EDGES = {
     "scalars": [None, True, False, 0, -(10**40), 1e-320, "", Fraction(-7, 3), Fraction(0)],
     "top-level-scalar": Fraction(5, 2),
     "set-and-dataclass": _Pair({3, 1, 2}, frozenset({"b", "a"})),
+    # lists of plain dicts are written as tables: one template per key tuple and
+    # memoised leaf texts, so equal values of different types must keep their own text
+    "table-key-orders": [{"a": 1, "b": [2]}, {"b": [2], "a": 1}, {"a": 3, "b": [2]}],
+    "table-equal-leaves": [{"v": v} for v in _EQUAL_LEAVES * 2],
+    "table-quoted-keys": [{'%s': 1, 'a"b%%': [2]}, {'%s': Fraction(1, 3), 'a"b%%': [2]}],
+    "table-empty-rows": [{}, {"a": Fraction(0)}, {}, {"a": Fraction(0)}],
+    "table-dict-subclass": [[{"a": (1, 2)}, _Dict(a=(1, 2))], [_Dict(a=1), _Dict(a=1)]],
+    "table-non-str-keys": [{1: [3], False: "x", None: 0.5}, {1: [3], False: "y", None: 1.5}],
+    "table-equal-keys": [{1: 0}, {True: 0}, {1.0: 0}, {_Int(1): 0}, {"1": 0}, {1: 0}],
+    "table-nested": [
+        {"f": Fraction(1, 3), "rows": [{"f": Fraction(1, 3), "s": (0, 1)}, {"f": [1]}]},
+        {"f": Fraction(1, 3), "rows": [], "s": (0, 1)},
+    ],
+    "table-tuple-of-dicts": ({"a": [1, 2]}, {"a": [1, 2]}),
+    "table-other-values": [
+        {"p": _Pair(1, [2]), "s": {3, 1}, "x": np.float64(0.5), "n": None, "f": math.nan,
+         "l": [1, "1"], "e": [], "d": {"k": [1]}, "i": _Int(4), "r": _Ratio(1, 3)},
+    ] * 2,
 }
 
 
