@@ -6,8 +6,16 @@ results and pinned counts depend on it), and no result depends on the batch
 size.  One row-wise batch engine, ``_simulate_batch``, mirrors it bit for
 bit and runs every rule kind, table rules included.  Like ``step``, it hashes
 the tie substream only for the trials whose query or decode has two or more
-candidates, so a draw nobody uses is never made.  It gives ``run_trials``
-its counts, and its per-step arrays give ``run_trajectory_audit`` the
+candidates, so a draw nobody uses is never made.  A run allocates one
+workspace, the five uint64 streams of a batch, and every batch refills it.
+The engine gives ``run_trials`` its counts.  There a trial retires as soon
+as its fewest-votes leader is ahead of every other message by more than
+the uses left: one use closes the gap between any two messages by at most
+one, so its decode is fixed, and its error is counted then.  Draws are pure
+functions of (seed, trial), so the counts are those of running every step.
+The records and the audit run every step of every trial, and so does a
+table rule, so that a state missing from its table raises wherever a trial
+reaches it.  The engine's per-step arrays give ``run_trajectory_audit`` the
 paper's vote-invariant tallies and ``trajectory_records`` the episode
 records that the CLI dumps.  Both take the arrays in batches of about
 ``_RECORD_STEPS`` trial-steps, and ``trajectory_records`` yields each
@@ -70,6 +78,7 @@ _U = np.uint64
 _WILSON_Z99 = 2.5758293035489004  # two-sided 99% normal quantile
 _RECORD_STEPS = 1 << 17  # trial-steps per batch of trajectory records
 _BATCH = 1 << 16  # most trials per batch of run_trials
+_PROBE = 1 << 10  # live trials that tell whether a batch of run_trials compacts
 
 
 def _mix_into(x: np.ndarray, tmp: np.ndarray) -> np.ndarray:
@@ -129,13 +138,13 @@ def _tie_ranks() -> np.ndarray:
 _TIE_RANKS = _tie_ranks()
 
 
-def _mod6(h: np.ndarray) -> np.ndarray:
-    """h % 6 of uint64 words, as uint8.  numpy divides by a scalar far faster
-    than it takes a remainder, so the remainder h - 6 * (h // 6) is formed
-    from the quotient; it is below 6, so uint8 wraparound arithmetic gives it
-    exactly."""
+def _mod(h: np.ndarray, m: int, tmp: np.ndarray | None = None) -> np.ndarray:
+    """h % m of uint64 words, as uint8, for 0 < m < 256 (``tmp``, if given, is
+    uint64 scratch of h's shape).  numpy divides by a scalar far faster than
+    it takes a remainder, so the remainder h - m * (h // m) is formed from the
+    quotient; it is below m, so uint8 wraparound arithmetic gives it exactly."""
     r = h.astype(np.uint8)
-    r -= (h // _U(6)).astype(np.uint8) * np.uint8(6)
+    r -= np.floor_divide(h, _U(m), out=tmp).astype(np.uint8) * np.uint8(m)
     return r
 
 
@@ -160,7 +169,7 @@ def _pick_fewest(d: np.ndarray, draw) -> np.ndarray:
     tied = np.flatnonzero(k > 1)
     if len(tied):
         pattern = e0[tied] | q[tied] << 1
-        q[tied] = _TIE_RANKS[pattern.astype(np.intp) * 6 + _mod6(draw(tied))]
+        q[tied] = _TIE_RANKS[pattern.astype(np.intp) * 6 + _mod(draw(tied), 6)]
     return q
 
 
@@ -215,7 +224,7 @@ class _TableQueries:
         rows = np.flatnonzero(self.multi[pos])
         if len(rows):
             at, h = pos[rows], draw(rows)
-            pick = np.take(self.ranks.ravel(), at * 6 + _mod6(h))
+            pick = np.take(self.ranks.ravel(), at * 6 + _mod(h, 6))
             sel = np.flatnonzero(self.by_cut[at])
             if len(sel):
                 at, h = at[sel], h[sel]
@@ -262,13 +271,17 @@ def _batch_outputs(
     return_arrays: bool = False,
 ):
     """``_simulate_batch`` outputs for trials [0, trials), at most ``size`` per
-    batch; a table rule is compiled once for all of them."""
+    batch; a table rule is compiled once for all of them, and one workspace,
+    the five uint64 streams of a batch, is allocated once and refilled by
+    every batch."""
     if n < 0:
         raise ValueError(f"horizon n must be non-negative, got {n}")
     _check_seed(seed)
     table = _TableQueries(rule.table, n) if rule.kind == "table" else None
+    workspace = np.empty((5, max(1, min(size, trials))), dtype=np.uint64)
     for lo in range(0, trials, size):
-        yield _simulate_batch(n, ch, rule, table, seed, lo, min(lo + size, trials), return_arrays)
+        hi = min(lo + size, trials)
+        yield _simulate_batch(n, ch, rule, table, seed, lo, hi, return_arrays, workspace)
 
 
 def _array_batches(n: int, ch: ChannelParams, rule: StrategyRule, seed: int, trials: int):
@@ -279,6 +292,23 @@ def _array_batches(n: int, ch: ChannelParams, rule: StrategyRule, seed: int, tri
     )
 
 
+def _contenders(d: np.ndarray, left: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(near, lim)`` per trial: ``lim`` is the fewest votes plus ``left``
+    (int32), and ``near`` counts the messages with at most ``lim`` votes
+    (uint8, 1 to 3), the only ones that ``left`` more uses could leave with
+    the fewest votes.
+
+    One use puts a vote on the query or on each of the other two messages,
+    so it closes the gap between any two messages by at most one.  A trial
+    with one contender therefore decodes to its present leader, with no tie
+    draw, whatever its remaining uses give."""
+    lim = np.minimum(np.minimum(d[0], d[1]), d[2])
+    lim += left
+    near = (d[0] <= lim).view(np.uint8) + (d[1] <= lim).view(np.uint8)
+    near += (d[2] <= lim).view(np.uint8)
+    return near, lim
+
+
 def _simulate_batch(
     n: int,
     ch: ChannelParams,
@@ -287,35 +317,44 @@ def _simulate_batch(
     seed: int,
     trial_lo: int,
     trial_hi: int,
-    return_arrays: bool = False,
+    return_arrays: bool,
+    workspace: np.ndarray,
 ) -> dict:
     """Run trials [trial_lo, trial_hi) of any rule kind (``table`` is the
     compiled table of a table rule); returns the error count, and with
     ``return_arrays`` the per-trial arrays, per-step queries, outputs and
-    vote history included.
+    vote history included.  ``workspace`` is uint64 scratch of shape
+    (5, at least the batch size), overwritten here; no output aliases it.
 
     Votes are three int32 rows, one per message.  Each draw is the scalar
     path's ``counter_hash(seed, trial, tag, step)``, vectorised over the
     trials that take it: the noise draw over all of them, a tie or decode
     draw over those with two or more candidates only, as in ``step``.
+
+    Without ``return_arrays`` and for a rule other than a table, decided
+    trials retire as ``run_trials`` describes; a retired trial errs when its
+    true message is no contender (``_contenders``).
     """
     count = trial_hi - trial_lo
-    base = np.arange(trial_lo, trial_hi, dtype=np.uint64)
-    base *= _U(_PHI64)
+    base, scratch, noise, h, tie = workspace[:, :count]
+    np.multiply(np.arange(trial_lo, trial_hi, dtype=np.uint64), _U(_PHI64), out=base)
     base ^= _U(mix64(seed))
-    scratch = np.empty_like(base)
     _mix_into(base, scratch)
     # only the noise and tie streams stay resident; the true message and the
     # decode draw are hashed from ``base`` where they are used
-    noise = _rehash(base.copy(), TAG_NOISE, scratch)
-    h = _rehash(_rehash(base.copy(), TAG_TRUE, scratch), 0, scratch)
-    true = (h % _U(3)).astype(np.uint8)
+    np.copyto(noise, base)
+    _rehash(noise, TAG_NOISE, scratch)
+    np.copyto(h, base)
+    true = _mod(_rehash(_rehash(h, TAG_TRUE, scratch), 0, scratch), 3, scratch)
     # the scalar flip (h >> 11) < floor(p * 2**53), as one comparison of h
     flip_below = _U(math.floor(ch.p * 2.0**53) << 11)
-    tie = None
     if rule.kind in ("max-posterior", "table"):
-        tie = _rehash(base.copy(), TAG_TIE, scratch)
+        np.copyto(tie, base)
+        _rehash(tie, TAG_TIE, scratch)
     d = np.zeros((3, count), dtype=np.int32)
+    # a lead of more than n - k needs more than k uses, so none retires before
+    retire_from = n if return_arrays or table is not None else n // 2 + 1
+    errors = 0
     if return_arrays:
         queries = np.empty((n, count), dtype=np.uint8)
         ys = np.empty((n, count), dtype=np.uint8)
@@ -325,6 +364,24 @@ def _simulate_batch(
         return _rehash(tie[rows], k)
 
     for k in range(n):
+        if k >= retire_from:
+            # compacting costs about a step over the live trials: it waits until
+            # a quarter of them, and a share 1/(uses left), have retired, as
+            # counted on the first _PROBE of them (trials are independent)
+            sample = _contenders(d[:, :_PROBE], n - k)[0]
+            if np.count_nonzero(sample == 1) * min(n - k, 4) >= len(sample):
+                near, lim = _contenders(d, n - k)
+                gone = np.flatnonzero(near == 1)
+                true_votes = d.ravel().take(true[gone].astype(np.intp) * count + gone)
+                errors += int(np.count_nonzero(true_votes > lim.take(gone)))
+                live = np.flatnonzero(near > 1)
+                count = len(live)
+                d, true = d.take(live, axis=1), true.take(live)
+                for x in (base, noise, tie) if rule.kind == "max-posterior" else (base, noise):
+                    x[:count] = x.take(live)
+                base, scratch, noise, h, tie = workspace[:, :count]
+                if count == 0:
+                    break
         if table is not None:
             q = table.queries(d, tie_draw)
         elif rule.kind == "max-posterior":
@@ -344,7 +401,7 @@ def _simulate_batch(
             ys[k] = y
             history[k] = d
     decoded = _pick_fewest(d, lambda rows: _rehash(_rehash(base[rows], TAG_DECODE), n))
-    out = {"trials": count, "errors": int(np.count_nonzero(decoded != true))}
+    out = {"trials": trial_hi - trial_lo, "errors": errors + int(np.count_nonzero(decoded != true))}
     if return_arrays:
         out.update(
             true=true + 1, decoded=decoded + 1, votes=d,
@@ -365,11 +422,22 @@ def run_trials(
     """Estimate the error probability from ``trials`` simulated episodes.
 
     Every rule kind runs on the batch engine, in bounded batches of one loop
-    over trials [0, trials) in this process.  ``workers`` must be positive
-    but changes nothing: there is no parallelism, and every draw is a pure
-    function of (seed, trial), so neither it nor the batch size can affect
-    the result.  The true message is drawn uniformly per trial from the seed
-    stream.  ``seed`` must lie in [0, 2**64), as for ``trajectory_records``.
+    over trials [0, trials) in this process, which refill one workspace.
+    ``workers`` must be positive but changes nothing: there is no
+    parallelism, and every draw is a pure function of (seed, trial), so
+    neither it nor the batch size can affect the result.  The true message is
+    drawn uniformly per trial from the seed stream.  ``seed`` must lie in
+    [0, 2**64), as for ``trajectory_records``.
+
+    From step k > n/2 on, a trial whose leader leads every other message by
+    more than the n - k uses left retires: one use closes a gap by at most
+    one, so it decodes to that leader with no tie draw, and it counts as an
+    error if its true message has more votes than the fewest.  Draws are
+    pure functions of (seed, trial), so the count is the one that running
+    every step gives.  The live trials are compacted once, among the first
+    ``_PROBE`` of them, at least a quarter and at least 1/(uses left) have
+    retired.  A table rule runs every step, so that a state missing from its
+    table raises wherever a trial reaches it.
     """
     ch.require_float("run_trials")
     if trials < 1:

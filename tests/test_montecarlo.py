@@ -123,8 +123,36 @@ class TestDeterminism:
         records = iter(trajectory_records(10, CHF, MAX_POSTERIOR, 5, 30))  # 10 trials per batch
         first = next(records)
         assert len(calls) == 1
-        assert first == simulate_trajectory(10, CHF, MAX_POSTERIOR, 5, 0)
-        assert len(list(records)) == 29 and len(calls) == 3
+        rest = list(records)
+        assert len(rest) == 29 and len(calls) == 3
+        # every batch refills one workspace: a record that aliased it would
+        # hold a later batch's draws
+        want = [simulate_trajectory(10, CHF, MAX_POSTERIOR, 5, t) for t in range(30)]
+        assert [first, *rest] == want
+
+    @pytest.mark.parametrize("name", ["max-posterior", "fixed:2", "round-robin"])
+    def test_retiring_counts_equal_the_full_path(self, name, monkeypatch):
+        # run_trials retires a trial once its leader leads by more than the
+        # uses left; the record path runs every step of every trial
+        monkeypatch.setattr(montecarlo, "_BATCH", 40)  # ten batches, some of which retire whole
+        monkeypatch.setattr(montecarlo, "_PROBE", 16)  # a batch compacts on a sample's share
+        rule = ORACLE_RULES[name]
+        for p, n, seed in itertools.product(("0.05", "0.3", "0.5"), (0, 1, 2, 7, 30), (0, 1, 2)):
+            ch = make_channel(p, "float")
+            full = sum(out["errors"] for out in montecarlo._array_batches(n, ch, rule, seed, 400))
+            assert run_trials(n, ch, rule, 400, seed).errors == full, (p, n, seed)
+
+    def test_table_rules_never_retire(self):
+        # entries stop at 6, so a state with 7 votes on a message has no entry;
+        # a fewest-votes rule reaches one only as (0, 6, 7) or (0, 7, 7) up to
+        # order, after 7 or more uses, with a lead above the 5 or fewer uses
+        # left, and still the engine must look the state up and raise
+        rule = table_rule(6, lowest_leader)
+        for seed in (0, 1, 2):
+            with pytest.raises(ValueError, match="no entry for reachable state") as err:
+                run_trials(12, make_channel("0.05", "float"), rule, 4000, seed)
+            state = sorted(int(v) for v in re.findall(r"\d+", str(err.value)))
+            assert state in ([0, 6, 7], [0, 7, 7]), str(err.value)
 
     def test_rejects_exact_channel(self):
         with pytest.raises(ValueError):
