@@ -60,24 +60,18 @@ class TransitionTable:
         return sorted(self.entries, key=lambda s: (depth(s), s))
 
 
-def _law() -> tuple[exact_dp.Moves, list[Number]]:
-    """The chain's moves at batches of states: (moves, weights).
-
-    ``moves(votes)`` gives ``exact_dp.move_batch``'s max-posterior moves,
-    each state's sorted by target; bit 0 of a move's code says that its
-    answer is the bit that message 1's transmitter sends (the channel
-    factor q, else p).  A move adds e_j or 1 - e_j to the votes, and no two
-    of these differ by a constant vector, so no two moves reach the same
-    normalised target.
-    """
-    return exact_dp.move_batch(MAX_POSTERIOR, by_target=True)
-
-
 def derive_transitions(ch: ChannelParams, depth_bound: int) -> TransitionTable:
     """Build the chain by breadth-first expansion from the all-zero state.
 
     Depth d gives 9d - 2 states, so this raises ResourceCapError before
     expanding when that exceeds ``channel.STATE_CAP`` (read at the call).
+
+    The moves are ``exact_dp.move_batch``'s max-posterior moves, each
+    state's sorted by target; bit 0 of a move's code says that its answer
+    is the bit that message 1's transmitter sends (the channel factor q,
+    else p).  A move adds e_j or 1 - e_j to the votes, and no two of these
+    differ by a constant vector, so no two moves reach the same normalised
+    target.
     """
     if depth_bound < 1:
         raise ValueError("depth bound must be at least 1")
@@ -85,7 +79,7 @@ def derive_transitions(ch: ChannelParams, depth_bound: int) -> TransitionTable:
         raise channel.ResourceCapError(
             f"chain derivation reaches {9 * depth_bound - 2} states, cap is {channel.STATE_CAP}"
         )
-    moves, weights = _law()
+    moves, weights = exact_dp.move_batch(MAX_POSTERIOR, by_target=True)
     # (probability, label) by weight index and agreement
     edges = [[(w * f if ch.exact else float(w) * f, sym if w == 1 else f"{sym}/{w.denominator}")
               for sym, f in (("p", ch.p), ("q", ch.q))] for w in weights]
@@ -175,24 +169,20 @@ def reach_prob(n: int, ch: ChannelParams) -> Number:
     (every move's probability is p or q times 1, 1/2 or 1/3) and returns a
     Fraction; a float channel propagates log-probabilities and returns a
     float.  The forward programs' kernel, ``exact_dp.propagate``, steps the
-    chain's batch law ``_law``, each move's f1 the scaled integer or the log
-    of its probability, computed once per query weight and channel factor.
+    chain's moves (those of ``derive_transitions``), with f1[w, code] the
+    scaled integer or the log of the probability of a move of query weight
+    w whose code's bit 0 picks q, else p, and f2 all ones.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     exact = ch.exact
     scale = 6 * ch.p.denominator if exact else 1
     one, dtype = (1, object) if exact else (0.0, float)  # one: 1, or its log
-    law, weights = _law()
+    moves, weights = exact_dp.move_batch(MAX_POSTERIOR, by_target=True)
     f1 = np.array([[int(w * f * scale) if exact else channel.log_of(float(w) * f)
-                    for f in (ch.p, ch.q)] for w in weights], dtype)
-
-    def moves(votes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        target, wid, code, live = law(votes)
-        return target, f1[wid, code & 1], np.zeros_like(code), live
-
-    start, f2 = np.full(1, one, dtype), np.full((1, 1), one, dtype)
-    layers = exact_dp.propagate(moves, MAIN_STATE, start, f2)
+                    for f in (ch.p, ch.q) * 4] for w in weights], dtype)  # by code & 1
+    start, f2 = np.full(1, one, dtype), np.full((8, 1), one, dtype)
+    layers = exact_dp.propagate(moves, f1, MAIN_STATE, start, f2)
     votes, mass = next(itertools.islice(layers, n, None))
     at_hub = mass[(votes == 0).all(axis=1), 0].tolist()
     if exact:

@@ -12,15 +12,19 @@ over the three), in exact integer numerators over one denominator per
 layer or in log-domain floats.  The moves depend on the rule only, so the
 three conditionings share one graph and one pass, with one mass column
 each.  Its layer kernel, ``propagate``, steps an indexed frontier: it
-asks for the moves of each layer's new states in one batch call, which
-gives numpy arrays of target votes (k, 6, 3), f1, code and a mask of the
-slots that hold a move (k, 6 each), numbers states by a packed integer key,
-and lists each layer's states in order of first arrival; log-float masses
-meeting at a state combine by ``np.logaddexp.at`` in that order, bit for
-bit as a scalar loop would.  ``move_batch`` builds the vote update and a
-rule's query weights for a batch of states in numpy, each state's moves in
-the order of the per-state law, which is the order in which masses fold.
-The same kernel steps the chain module's return probability.
+asks ``move_batch`` for the moves of each layer's new states in one batch
+call, which gives numpy arrays of target votes (k, 6, 3), weight index,
+code and a mask of the slots that hold a move (k, 6 each), reads each
+move's factor from a table f1[weight index, code], numbers states by a
+packed integer key, and lists each layer's states in order of first
+arrival; log-float masses meeting at a state combine by
+``np.logaddexp.at`` in that order, bit for bit as a scalar loop would.
+``compile_rule`` turns a rule into ``select_query``'s rows and a numpy map
+from vote triples to rows; it is the one place that maps a rule kind to a
+row key, and the Monte Carlo engine draws its queries from the same rows.
+``move_batch`` builds each row's moves in the order of the per-state law,
+which is the order in which masses fold.  The same kernel steps the chain
+module's return probability.
 
 The backward pass computes the minimum error over all metric-state
 strategies under the bayes transition law.  The value function is
@@ -52,13 +56,13 @@ import numpy as np
 from . import channel
 from .belief import MetricState, apply_outcome
 from .channel import ChannelParams, Number
-from .strategy import StrategyRule, select_query, weight_denominator
+from .strategy import QueryWeights, StrategyRule, select_query, weight_denominator
 
 # Most moves out of one state: three queries, two answers each.
 MOVES = 6
 
-# A batch of states' moves as (target votes, f1 or weight index, code, live);
-# see move_batch and propagate.
+# A batch of states' moves as (target votes, weight index, code, live); see
+# move_batch and propagate.
 Moves = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]
 
 # _VOTES[j, y] is the votes that answer y to query j casts: y = 1 votes
@@ -78,10 +82,10 @@ _KEY_BITS = 21
 _NO_KEY = np.iinfo(np.int64).max  # above every key: a normalised state has a 0 count
 
 
-def _state_keys(votes: np.ndarray) -> np.ndarray:
-    """int64 keys of the vote triples along the last axis, in the triples' order."""
-    v = votes.astype(np.int64, copy=False)
-    return (v[..., 0] << 2 * _KEY_BITS) | (v[..., 1] << _KEY_BITS) | v[..., 2]
+def _state_keys(v1: np.ndarray, v2: np.ndarray, v3: np.ndarray) -> np.ndarray:
+    """int64 keys of the vote triples (v1[i], v2[i], v3[i]), in their order."""
+    v1, v2, v3 = (v.astype(np.int64, copy=False) for v in (v1, v2, v3))
+    return v1 << 2 * _KEY_BITS | v2 << _KEY_BITS | v3
 
 
 def _outcomes(votes: np.ndarray, cast: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -93,6 +97,64 @@ def _outcomes(votes: np.ndarray, cast: np.ndarray) -> tuple[np.ndarray, np.ndarr
     low = np.minimum(np.minimum(v[..., 0], v[..., 1]), v[..., 2])  # v.min(axis=2) is slower
     v -= low[..., None]
     return v, low
+
+
+def compile_rule(
+    rule: StrategyRule,
+) -> tuple[list[MetricState], list[QueryWeights], Callable[..., np.ndarray]]:
+    """``rule`` as select_query's rows at one state per value of a key that
+    decides them: (states, rows, row_of), rows[i] = select_query(rule, states[i]).
+
+    ``row_of(v1, v2, v3)`` gives the row of each triple (v1[i], v2[i], v3[i])
+    of integer arrays (the rows of (3, k) votes or the columns of (k, 3)),
+    taken up to a common shift.  The key is the leader set for max-posterior
+    (row = uint8 bit mask - 1, bit i-1 for message i), the vote total mod 3
+    for round-robin, none for fixed, and for a table the normalised state's
+    packed key, found by binary search.  A triple missing from a table
+    raises select_query's ValueError for the first one; a count of
+    2**_KEY_BITS or more has no key and raises that error, or
+    ResourceCapError if the table holds the state.
+    """
+    if rule.kind == "max-posterior":
+        states = [tuple(int(not mask >> i & 1) for i in range(3)) for mask in range(1, 8)]
+
+        def row_of(v1: np.ndarray, v2: np.ndarray, v3: np.ndarray) -> np.ndarray:
+            lo = np.minimum(np.minimum(v1, v2), v3)
+            mask = (v1 == lo).view(np.uint8) | (v2 == lo).view(np.uint8) << 1
+            mask |= (v3 == lo).view(np.uint8) << 2
+            mask -= 1
+            return mask
+    elif rule.kind == "round-robin":
+        states = [(0, 0, 0), (0, 0, 1), (0, 1, 1)]
+
+        def row_of(v1: np.ndarray, v2: np.ndarray, v3: np.ndarray) -> np.ndarray:
+            total = v1 + v2
+            total += v3
+            total -= total // 3 * 3  # numpy divides by a scalar far faster than % does
+            return total
+    elif rule.kind == "fixed":
+        states = [(0, 0, 0)]
+        row_of = lambda v1, v2, v3: np.zeros(len(v1), dtype=np.uint8)
+    else:
+        assert rule.table is not None
+        states = sorted(s for s in rule.table if max(s) >> _KEY_BITS == 0)
+        keys = np.append(_state_keys(*np.array(states, dtype=np.int64).reshape(-1, 3).T), _NO_KEY)
+
+        def row_of(v1: np.ndarray, v2: np.ndarray, v3: np.ndarray) -> np.ndarray:
+            lo = np.minimum(np.minimum(v1, v2), v3)
+            m = [np.subtract(v, lo, dtype=np.int64) for v in (v1, v2, v3)]
+            key = _state_keys(*m)
+            row = np.searchsorted(keys, key)
+            missing = keys[row] != key
+            missing |= (m[0] | m[1] | m[2]) >> _KEY_BITS != 0  # such a key aliases another's
+            if missing.any():
+                at = missing.argmax()
+                select_query(rule, tuple(int(c[at]) for c in m))  # raises if the table lacks it
+                raise channel.ResourceCapError(f"a vote count of 2**{_KEY_BITS} has no table key")
+            return row
+
+        return states, [rule.table[s] for s in states], row_of  # the rule checked its states
+    return states, [select_query(rule, s) for s in states], row_of
 
 
 def move_batch(rule: StrategyRule, by_target: bool = False) -> tuple[Moves, list[Number]]:
@@ -107,48 +169,26 @@ def move_batch(rule: StrategyRule, by_target: bool = False) -> tuple[Moves, list
     for y in (0, 1)]``, so in the order of a table's entry, or with
     ``by_target`` in the order of their targets.
 
-    The rule is compiled once, here, into select_query's rows at one state
-    per value of a key that decides them: the state for a table rule, the
-    leader set for max-posterior, the vote total mod 3 for round-robin, none
-    for fixed.  ``by_target`` sorts a row's moves by their targets at that
-    state, which needs a key that decides the leader set: a move shifts the
-    votes by a vector that the move and the leader set decide.  A state
-    missing from a table raises select_query's ValueError for the first
-    missing state of the batch.
+    The slots are built once, here, per row of ``compile_rule``.
+    ``by_target`` sorts a row's moves by their targets at the row's state,
+    which needs a key that decides the leader set (a table's or
+    max-posterior's): a move shifts the votes by a vector that the move and
+    the leader set decide.
     """
-    # the states in key order
-    if rule.kind == "table":
-        assert rule.table is not None
-        states = sorted(s for s in rule.table if max(s) >> _KEY_BITS == 0)  # no pass reaches more
-        key = _state_keys
-    elif rule.kind == "max-posterior":  # its leaders are the messages without votes
-        states = [s for s in itertools.product((1, 0), repeat=3) if 0 in s]
-        key = lambda votes: _state_keys(votes == 0)
-    elif rule.kind == "round-robin":
-        states = [(0, 0, 0), (0, 0, 1), (0, 1, 1)]
-        key = lambda votes: votes.sum(axis=1) % 3
-    else:
-        states = [(0, 0, 0)]
-        key = lambda votes: np.zeros(len(votes), dtype=np.intp)
+    states, rows, row_of = compile_rule(rule)
     assert not by_target or rule.kind in ("table", "max-posterior")
     index: dict[Number, int] = {}  # each distinct weight's place in ``weights``
     slots = []  # (query j, answer y, weight index) of each move
-    for s in states:
-        row = [(j, y, index.setdefault(w, len(index)))
-               for j, w in select_query(rule, s).items() for y in (0, 1)]
+    for s, weights in zip(states, rows):
+        row = [(j, y, index.setdefault(w, len(index))) for j, w in weights.items() for y in (0, 1)]
         if by_target:
             row.sort(key=lambda move: apply_outcome(s, move[0], move[1]))
         slots.append(row + [(0, 0, 0)] * (MOVES - len(row)))
     j, y, wid = np.array(slots, dtype=np.intp).reshape(-1, MOVES, 3).transpose(2, 0, 1)
     cast, code, live = _VOTES[j, y], _CODES[j, y], j > 0
-    keys = np.append(key(np.array(states, dtype=np.intp).reshape(-1, 3)), _NO_KEY)
 
     def moves(votes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        at = key(votes)
-        row = np.searchsorted(keys, at)
-        missing = keys[row] != at
-        if missing.any():  # select_query raises its error for the state
-            select_query(rule, tuple(votes[missing.argmax()].tolist()))
+        row = row_of(*votes.T)
         return _outcomes(votes, cast[row])[0], wid[row], code[row], live[row]
 
     return moves, list(index)
@@ -158,20 +198,20 @@ class _MoveGraph:
     """States numbered in order of discovery, and their moves in numpy arrays.
 
     ``number`` maps a state's key to its number i, and ``votes[i]`` is the
-    state.  Row i of ``target`` (state numbers), ``factor`` (f1, of
-    ``dtype``: object for integers), ``code`` and ``live`` holds the moves
-    of state i in ``moves`` order; ``done[i]`` says that ``expand`` has
-    asked ``moves`` for them.
+    state.  Row i of ``target`` (state numbers), ``factor`` (the move's
+    ``f1[w, code]``, of f1's dtype: object for integers), ``code`` and
+    ``live`` holds the moves of state i in ``moves`` order; ``done[i]`` says
+    that ``expand`` has asked ``moves`` for them.
     """
 
-    def __init__(self, moves: Moves, dtype: np.dtype) -> None:
-        self._moves = moves
+    def __init__(self, moves: Moves, f1: np.ndarray) -> None:
+        self._moves, self._f1 = moves, f1
         self.number: dict[int, int] = {}
         self.votes = np.empty((0, 3), dtype=np.intp)
         self.done = np.empty(0, dtype=bool)
         self.live = np.empty((0, MOVES), dtype=bool)
         self.target = np.empty((0, MOVES), dtype=np.intp)
-        self.factor = np.empty((0, MOVES), dtype=dtype)
+        self.factor = np.empty((0, MOVES), dtype=f1.dtype)
         self.code = np.empty((0, MOVES), dtype=np.int8)
 
     def ids(self, votes: np.ndarray) -> np.ndarray:
@@ -179,8 +219,8 @@ class _MoveGraph:
         if votes.max(initial=0) >> _KEY_BITS:
             raise channel.ResourceCapError(f"forward pass reaches a vote count of 2**{_KEY_BITS}")
         number = self.number
-        out = np.array([number.setdefault(k, len(number)) for k in _state_keys(votes).tolist()],
-                       dtype=np.intp)
+        keys = _state_keys(*votes.T).tolist()
+        out = np.array([number.setdefault(k, len(number)) for k in keys], dtype=np.intp)
         if len(number) > self.done.size:  # grow every table to at least double
             extra = max(len(number), 2 * self.done.size) - self.done.size
             self.votes, self.done, self.live, self.target, self.factor, self.code = (
@@ -195,10 +235,11 @@ class _MoveGraph:
         new = ids[~self.done[ids]]
         if not new.size:
             return
-        target, f1, code, live = self._moves(self.votes[new])
+        target, wid, code, live = self._moves(self.votes[new])
         number = np.zeros(live.shape, dtype=np.intp)
         number[live] = self.ids(target[live])  # may grow the tables
-        self.target[new], self.factor[new], self.code[new], self.live[new] = number, f1, code, live
+        self.target[new], self.factor[new] = number, self._f1[wid, code]
+        self.code[new], self.live[new] = code, live
         self.done[new] = True
 
 
@@ -208,30 +249,30 @@ def _grow(a: np.ndarray, extra: int) -> np.ndarray:
 
 
 def propagate(
-    moves: Moves, start: MetricState, mass: np.ndarray, f2: np.ndarray
+    moves: Moves, f1: np.ndarray, start: MetricState, mass: np.ndarray, f2: np.ndarray
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Yield (state votes, masses) of the start layer, then of each further step.
 
-    ``moves(votes)`` takes a batch of states (k, 3), those of one layer
-    that have not been asked for before, and gives their moves in MOVES
-    slots per state: target votes (k, MOVES, 3), f1 (k, MOVES), code
-    (k, MOVES) and a mask (k, MOVES) of the slots that hold a move.  Masses
-    have one column per conditioning: ``mass`` is the start state's row, and
-    a move with factor f1 and code c scales column k of its source's row by
-    f1 * f2[c, k] when ``f2`` holds (object) integers and adds f1 + f2[c, k]
-    to it when ``f2`` holds log-floats.  A layer lists its states in order
-    of first arrival: sources in their layer's order, each source's moves in
-    slot order.  Masses meeting at a target add in that order, exactly for
-    integers and by ``np.logaddexp.at`` for log-floats, which applies
-    updates in array order and matches a scalar max-plus-log1p fold bit for
-    bit (tests/test_exact_dp.py holds numpy to it), so every double equals
-    that of a scalar loop.
+    ``moves`` is ``move_batch``'s: given a batch of states (k, 3), those of
+    one layer that have not been asked for before, it gives their moves in
+    MOVES slots per state: target votes (k, MOVES, 3), weight index w, code
+    c (k, MOVES each) and a mask (k, MOVES) of the slots that hold a move.
+    Masses have one column per conditioning: ``mass`` is the start state's
+    row, and a move scales column k of its source's row by
+    f1[w, c] * f2[c, k] when ``f2`` holds (object) integers and adds
+    f1[w, c] + f2[c, k] to it when ``f2`` holds log-floats.  A layer lists
+    its states in order of first arrival: sources in their layer's order,
+    each source's moves in slot order.  Masses meeting at a target add in
+    that order, exactly for integers and by ``np.logaddexp.at`` for
+    log-floats, which applies updates in array order and matches a scalar
+    max-plus-log1p fold bit for bit (tests/test_exact_dp.py holds numpy to
+    it), so every double equals that of a scalar loop.
     A state without moves loses its mass.  Raises ResourceCapError once the
     layers after the start hold more than ``channel.STATE_CAP`` states in
     total (read at the call).
     """
     exact = f2.dtype == object
-    graph = _MoveGraph(moves, f2.dtype)
+    graph = _MoveGraph(moves, f1)
     ids, mass = graph.ids(np.array([start], dtype=np.intp)), mass[None, :]
     touched = 0
     while True:
@@ -280,27 +321,6 @@ _LOG_ERROR[[3, 4, 6]] = math.log(1.0 - 1.0 / 2), math.log(1.0 - 1.0 / 3), math.l
 Layer = tuple[np.ndarray, np.ndarray, int]
 
 
-def _forward_moves(ch: ChannelParams, rule: StrategyRule) -> Moves:
-    """``move_batch``'s moves of ``rule`` with f1 in the channel's arithmetic.
-
-    The f1 of a move with query weight w is w*L, for L the least common
-    denominator of the rule's weights (exact), or ln w, -inf for w = 0
-    (log-float), computed once per distinct weight.
-    """
-    batch, weights = move_batch(rule)
-    if ch.exact:
-        scale = weight_denominator(rule)
-        factors = np.array([w.numerator * (scale // w.denominator) for w in weights], object)
-    else:
-        factors = np.array([math.log(float(w)) if w else -math.inf for w in weights], float)
-
-    def moves(votes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        target, wid, code, live = batch(votes)
-        return target, factors[wid], code, live
-
-    return moves
-
-
 def _forward_layers(ch: ChannelParams, rule: StrategyRule, trues: Sequence[int]) -> Iterator[Layer]:
     """Layers after 0, 1, 2, ... uses, one mass column per true message in ``trues``.
 
@@ -314,13 +334,17 @@ def _forward_layers(ch: ChannelParams, rule: StrategyRule, trues: Sequence[int])
     truth and w*L times a when it does not.  Log-float masses are natural
     logs (a zero weight moves -inf) and the denominator stays 1.
     """
+    moves, weights = move_batch(rule)
     if ch.exact:
-        a, c = ch.p.numerator, ch.p.denominator
-        fp, fq, start, step, dtype = a, c - a, 1, weight_denominator(rule) * c, object
+        a, c, scale = ch.p.numerator, ch.p.denominator, weight_denominator(rule)
+        fp, fq, start, step, dtype = a, c - a, 1, scale * c, object
+        f1 = [w.numerator * (scale // w.denominator) for w in weights]
     else:
         fp, fq, start, step, dtype = math.log(ch.p), math.log(ch.q), 0.0, 1, float
+        f1 = [math.log(float(w)) if w else -math.inf for w in weights]
+    f1 = np.array([[f] * 8 for f in f1], dtype).reshape(-1, 8)  # one factor per weight, any code
     f2 = np.array([[fq if code >> (t - 1) & 1 else fp for t in trues] for code in range(8)], dtype)
-    layers = propagate(_forward_moves(ch, rule), (0, 0, 0), np.full(len(trues), start, dtype), f2)
+    layers = propagate(moves, f1, (0, 0, 0), np.full(len(trues), start, dtype), f2)
     dens = itertools.accumulate(itertools.repeat(step), operator.mul, initial=1)
     return ((votes, mass, den) for (votes, mass), den in zip(layers, dens))
 

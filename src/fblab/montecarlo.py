@@ -4,9 +4,13 @@ Every random draw is ``counter_hash(seed, trial, tag, step)``, a SplitMix64
 chain with one purpose tag per substream.  The layout is frozen (stored
 results and pinned counts depend on it), and no result depends on the batch
 size.  One row-wise batch engine, ``_simulate_batch``, mirrors it bit for
-bit and runs every rule kind, table rules included.  Like ``step``, it hashes
-the tie substream only for the trials whose query or decode has two or more
-candidates, so a draw nobody uses is never made.  A run allocates one
+bit and runs every rule kind, table rules included.  A max-posterior query
+and every decode take the fewest-votes message (``_pick_fewest``); any other
+rule draws its query from ``exact_dp.compile_rule``'s rows, the rows of
+``select_query`` that the forward pass also steps.  Like ``step``, the
+engine hashes the tie substream only for the trials whose query or decode
+has two or more candidates, so a draw nobody uses is never made, and a rule
+none of whose rows has two choices never hashes it.  A run allocates one
 workspace, the five uint64 streams of a batch, and every batch refills it.
 The engine gives ``run_trials`` its counts.  There a trial retires as soon
 as its fewest-votes leader is ahead of every other message by more than
@@ -38,6 +42,7 @@ import numpy as np
 
 from .belief import MetricState, apply_outcome, leaders, normalize
 from .channel import ChannelParams
+from .exact_dp import compile_rule
 from .strategy import MAX_POSTERIOR, StrategyRule, select_query
 
 _MASK64 = (1 << 64) - 1
@@ -121,23 +126,6 @@ class SimulationStats:
         return max(0.0, center - half), min(1.0, center + half)
 
 
-def _tie_ranks() -> np.ndarray:
-    """Flat lookup, index 6 * pattern + r: the 0-based message of rank r % k
-    among the k messages whose bits are set in ``pattern``.
-
-    With r = h % 6 this is the scalar path's ``sorted(leaders)[h % k]``
-    exactly, because k in {1, 2, 3} divides 6, so h % k == (h % 6) % k.
-    """
-    ranks = np.zeros((8, 6), dtype=np.uint8)
-    for pattern in range(1, 8):
-        members = [i for i in range(3) if pattern >> i & 1]
-        ranks[pattern] = [members[r % len(members)] for r in range(6)]
-    return ranks.ravel()
-
-
-_TIE_RANKS = _tie_ranks()
-
-
 def _mod(h: np.ndarray, m: int, tmp: np.ndarray | None = None) -> np.ndarray:
     """h % m of uint64 words, as uint8, for 0 < m < 256 (``tmp``, if given, is
     uint64 scratch of h's shape).  numpy divides by a scalar far faster than
@@ -168,60 +156,48 @@ def _pick_fewest(d: np.ndarray, draw) -> np.ndarray:
     k += e2
     tied = np.flatnonzero(k > 1)
     if len(tied):
-        pattern = e0[tied] | q[tied] << 1
-        q[tied] = _TIE_RANKS[pattern.astype(np.intp) * 6 + _mod(draw(tied), 6)]
+        pattern = e0[tied] | q[tied] << 1  # the leader set's mask, whose row is pattern - 1
+        q[tied] = _TIE_RANKS[pattern.astype(np.intp) * 6 + _mod(draw(tied), 6) - 6]
     return q
 
 
-class _TableQueries:
-    """A table rule compiled for the batch engine.
+class _Queries:
+    """A rule compiled for the batch engine: ``exact_dp.compile_rule``'s rows.
 
-    States are looked up by a sorted key of the normalised vote triple.  Per
-    state the query is drawn as ``step`` draws it: the one choice when there
-    is one (no draw), a rank lookup ``sorted(choices)[h % k]`` when the
+    Per row the query is drawn as ``step`` draws it: the one choice when
+    there is one (no draw), a rank lookup ``sorted(choices)[h % k]`` when the
     weights are equal, otherwise the first choice whose cumulative weight acc
     satisfies h < acc * 2**64, i.e. h <= ceil(acc * 2**64) - 1, computed
-    exactly from the weights.  Entries were checked when the rule was built,
-    and only states with entries up to n can occur; a missing state raises
-    ValueError when a trial visits it.
+    exactly from the weights.  ``draws`` says that some row has two or more
+    choices.  A state missing from a table raises ValueError when a trial
+    visits it.
     """
 
-    def __init__(self, table: dict, n: int):
-        entries = sorted((s, w) for s, w in table.items() if max(s) <= n)
-        self.radix = 2 + max((max(s) for s, _ in entries), default=0)
-        if self.radix**3 >= 1 << 63:
-            raise ValueError("table strategy states are too large for the batch engine")
-        size = len(entries)
-        # sorted keys, then a sentinel above every key, so a lookup always lands
-        keys = [(s[0] * self.radix + s[1]) * self.radix + s[2] for s, _ in entries]
-        self.keys = np.array(keys + [self.radix**3], dtype=np.int64)
-        self.ranks = np.zeros((size, 6), dtype=np.uint8)
-        self.multi = np.zeros(size, dtype=bool)
-        self.cut = np.zeros((size, 2), dtype=np.uint64)
-        self.pick = np.zeros((size, 3), dtype=np.uint8)
-        self.by_cut = np.zeros(size, dtype=bool)
-        for i, (_, weights) in enumerate(entries):
-            choices = sorted(weights)
-            self.multi[i] = len(choices) > 1
-            if all(weights[c] == weights[choices[0]] for c in choices):
-                self.ranks[i] = [choices[r % len(choices)] - 1 for r in range(6)]
-            else:
+    def __init__(self, rule: StrategyRule):
+        _, rows, self.row_of = compile_rule(rule)
+        choice_sets = [tuple(sorted(weights)) for weights in rows]
+        # column r: the 0-based query of rank r % k among a row's k choices
+        ranks = {c: [c[r % len(c)] - 1 for r in range(6)] for c in set(choice_sets)}
+        self.ranks = np.array([ranks[c] for c in choice_sets], dtype=np.uint8).reshape(-1, 6)
+        self.multi = np.array([len(c) > 1 for c in choice_sets], dtype=bool)
+        self.cut = np.zeros((len(rows), 2), dtype=np.uint64)
+        self.pick = np.zeros((len(rows), 3), dtype=np.uint8)
+        self.by_cut = np.zeros(len(rows), dtype=bool)
+        for i in np.flatnonzero(self.multi).tolist():
+            weights, choices = rows[i], choice_sets[i]
+            if any(weights[c] != weights[choices[0]] for c in choices):
                 self.by_cut[i] = True
                 self.cut[i], self.pick[i] = _cuts(weights, choices)
+        self.first = self.ranks[:, 0].copy()
+        self.draws = bool(self.multi.any())
 
     def queries(self, d: np.ndarray, draw) -> np.ndarray:
         """0-based query per trial; ``draw(rows)`` hashes h for the rows whose
         state has two or more choices, the only ones ``step`` draws for."""
-        m = d - np.minimum(np.minimum(d[0], d[1]), d[2])
-        c = np.minimum(m, self.radix - 1).astype(np.int64)
-        key = (c[0] * self.radix + c[1]) * self.radix + c[2]
-        pos = np.searchsorted(self.keys, key)
-        found = self.keys[pos] == key
-        if not found.all():
-            state = tuple(m[:, np.argmin(found)].tolist())
-            raise ValueError(f"table strategy has no entry for reachable state {state}")
-        q = self.ranks[pos, 0]
-        rows = np.flatnonzero(self.multi[pos])
+        pos = self.row_of(*d)
+        # with one row every trial takes its query, and np.full is far faster than take
+        q = self.first.take(pos) if len(self.first) > 1 else np.full(len(pos), self.first[0])
+        rows = np.flatnonzero(self.multi.take(pos)) if self.draws else ()
         if len(rows):
             at, h = pos[rows], draw(rows)
             pick = np.take(self.ranks.ravel(), at * 6 + _mod(h, 6))
@@ -234,6 +210,12 @@ class _TableQueries:
                 )
             q[rows] = pick
         return q
+
+
+# the decode's and max-posterior's tie lookup, index 6 * row + h % 6: the
+# message of rank h % k among the row's k leaders (k divides 6, so
+# h % k == (h % 6) % k)
+_TIE_RANKS = _Queries(MAX_POSTERIOR).ranks.ravel()
 
 
 def _cuts(weights: dict, choices: list[int]) -> tuple[list[int], list[int]]:
@@ -271,17 +253,17 @@ def _batch_outputs(
     return_arrays: bool = False,
 ):
     """``_simulate_batch`` outputs for trials [0, trials), at most ``size`` per
-    batch; a table rule is compiled once for all of them, and one workspace,
-    the five uint64 streams of a batch, is allocated once and refilled by
-    every batch."""
+    batch; a rule other than max-posterior is compiled once for all of them,
+    and one workspace, the five uint64 streams of a batch, is allocated once
+    and refilled by every batch."""
     if n < 0:
         raise ValueError(f"horizon n must be non-negative, got {n}")
     _check_seed(seed)
-    table = _TableQueries(rule.table, n) if rule.kind == "table" else None
+    queries = None if rule.kind == "max-posterior" else _Queries(rule)
     workspace = np.empty((5, max(1, min(size, trials))), dtype=np.uint64)
     for lo in range(0, trials, size):
         hi = min(lo + size, trials)
-        yield _simulate_batch(n, ch, rule, table, seed, lo, hi, return_arrays, workspace)
+        yield _simulate_batch(n, ch, rule, queries, seed, lo, hi, return_arrays, workspace)
 
 
 def _array_batches(n: int, ch: ChannelParams, rule: StrategyRule, seed: int, trials: int):
@@ -313,15 +295,16 @@ def _simulate_batch(
     n: int,
     ch: ChannelParams,
     rule: StrategyRule,
-    table: _TableQueries | None,
+    queries: _Queries | None,
     seed: int,
     trial_lo: int,
     trial_hi: int,
     return_arrays: bool,
     workspace: np.ndarray,
 ) -> dict:
-    """Run trials [trial_lo, trial_hi) of any rule kind (``table`` is the
-    compiled table of a table rule); returns the error count, and with
+    """Run trials [trial_lo, trial_hi) of any rule kind (``queries`` is the
+    compiled rule, None for max-posterior, which picks the fewest-votes
+    message by ``_pick_fewest``); returns the error count, and with
     ``return_arrays`` the per-trial arrays, per-step queries, outputs and
     vote history included.  ``workspace`` is uint64 scratch of shape
     (5, at least the batch size), overwritten here; no output aliases it.
@@ -348,15 +331,16 @@ def _simulate_batch(
     true = _mod(_rehash(_rehash(h, TAG_TRUE, scratch), 0, scratch), 3, scratch)
     # the scalar flip (h >> 11) < floor(p * 2**53), as one comparison of h
     flip_below = _U(math.floor(ch.p * 2.0**53) << 11)
-    if rule.kind in ("max-posterior", "table"):
+    ties = queries is None or queries.draws  # whether a query can draw from the tie stream
+    if ties:
         np.copyto(tie, base)
         _rehash(tie, TAG_TIE, scratch)
     d = np.zeros((3, count), dtype=np.int32)
     # a lead of more than n - k needs more than k uses, so none retires before
-    retire_from = n if return_arrays or table is not None else n // 2 + 1
+    retire_from = n if return_arrays or rule.kind == "table" else n // 2 + 1
     errors = 0
     if return_arrays:
-        queries = np.empty((n, count), dtype=np.uint8)
+        qs = np.empty((n, count), dtype=np.uint8)
         ys = np.empty((n, count), dtype=np.uint8)
         history = np.empty((n, 3, count), dtype=np.int32)
 
@@ -377,19 +361,12 @@ def _simulate_batch(
                 live = np.flatnonzero(near > 1)
                 count = len(live)
                 d, true = d.take(live, axis=1), true.take(live)
-                for x in (base, noise, tie) if rule.kind == "max-posterior" else (base, noise):
+                for x in (base, noise, tie) if ties else (base, noise):
                     x[:count] = x.take(live)
                 base, scratch, noise, h, tie = workspace[:, :count]
                 if count == 0:
                     break
-        if table is not None:
-            q = table.queries(d, tie_draw)
-        elif rule.kind == "max-posterior":
-            q = _pick_fewest(d, tie_draw)
-        elif rule.kind == "fixed":
-            q = np.full(count, rule.fixed_query - 1, dtype=np.uint8)
-        else:  # round-robin on the vote total, whose residue the normalised state keeps
-            q = (d.sum(axis=0) % 3).astype(np.uint8)
+        q = _pick_fewest(d, tie_draw) if queries is None else queries.queries(d, tie_draw)
         np.bitwise_xor(noise, _word(k), out=h)
         flip = _mix_into(h, scratch) < flip_below
         y = (q != true) ^ flip
@@ -397,7 +374,7 @@ def _simulate_batch(
         for i in range(3):
             d[i] += (q == i) == y
         if return_arrays:
-            queries[k] = q + 1
+            qs[k] = q + 1
             ys[k] = y
             history[k] = d
     decoded = _pick_fewest(d, lambda rows: _rehash(_rehash(base[rows], TAG_DECODE), n))
@@ -406,7 +383,7 @@ def _simulate_batch(
         out.update(
             true=true + 1, decoded=decoded + 1, votes=d,
             zero_outputs=n - ys.sum(axis=0, dtype=np.int64),
-            queries=queries, ys=ys, history=history,
+            queries=qs, ys=ys, history=history,
         )
     return out
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from fblab import chain, channel
+from fblab import chain, channel, exact_dp
 from fblab.bounds import error_exponents
 from fblab.chain import (
     classify,
@@ -85,8 +85,8 @@ def test_state_count_is_nine_per_depth_less_two(pl):
 def test_state_cap_is_checked_before_expanding(monkeypatch):
     monkeypatch.setattr(channel, "STATE_CAP", 100)
     calls = []
-    law = chain._law
-    monkeypatch.setattr(chain, "_law", lambda *a: calls.append(a) or law(*a))
+    law = exact_dp.move_batch
+    monkeypatch.setattr(exact_dp, "move_batch", lambda *a, **kw: calls.append(a) or law(*a, **kw))
     with pytest.raises(channel.ResourceCapError, match="reaches 268 states, cap is 100"):
         derive_transitions(CH10, 30)
     assert calls == []

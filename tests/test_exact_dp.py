@@ -10,13 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fblab import chain, exact_dp
+from fblab import exact_dp
 from fblab.belief import apply_outcome, leaders, normalize, posteriors
 from fblab.bounds import simplex_event_prob
 from fblab.chain import derive_transitions, reach_prob
 from fblab.channel import ResourceCapError, make_channel
 from fblab.exact_dp import (
-    _forward_moves,
     _lattice_size,
     _successor_tables,
     backward_layers,
@@ -24,6 +23,7 @@ from fblab.exact_dp import (
     error_curve,
     forward_distribution,
     forward_error_prob,
+    move_batch,
     optimal_query_report,
     sorted_lattice,
 )
@@ -369,9 +369,11 @@ def test_move_order_matches_scalar_law(mode):
                 return w.numerator * (scale // w.denominator)
             return math.log(float(w)) if w else -math.inf
 
-        rows = zip(*(a.tolist() for a in _forward_moves(ch, rule)(np.array(STATES_10))))
-        for s, (targets, f1s, codes, lives) in zip(STATES_10, rows):
-            got = [(tuple(t), f, c) for t, f, c, live in zip(targets, f1s, codes, lives) if live]
+        moves, weights = move_batch(rule)
+        rows = zip(*(a.tolist() for a in moves(np.array(STATES_10))))
+        for s, (targets, wids, codes, lives) in zip(STATES_10, rows):
+            got = [(tuple(t), factor(weights[w]), c)
+                   for t, w, c, live in zip(targets, wids, codes, lives) if live]
             want = [
                 (apply_outcome(s, j, y), factor(w), 1 << (j - 1) if y == 0 else 7 ^ (1 << (j - 1)))
                 for j, w in select_query(rule, s).items()
@@ -381,7 +383,7 @@ def test_move_order_matches_scalar_law(mode):
 
 
 def test_chain_move_order_is_scalar_law_sorted_by_target():
-    law, weights = chain._law()
+    law, weights = move_batch(MAX_POSTERIOR, by_target=True)
     rows = zip(*(a.tolist() for a in law(np.array(STATES_10))))
     for s, (targets, wids, codes, lives) in zip(STATES_10, rows):
         got = [(tuple(t), weights[w], c & 1) for t, w, c, live in zip(targets, wids, codes, lives)
@@ -390,6 +392,38 @@ def test_chain_move_order_is_scalar_law_sorted_by_target():
         want = [(apply_outcome(s, j, y), w, int(y == (0 if j == 1 else 1)))
                 for j, w in select_query(MAX_POSTERIOR, s).items() for y in (0, 1)]
         assert got == sorted(want, key=lambda row: row[0]), s
+
+
+def test_compile_rule_rows_are_select_query_at_shifted_triples():
+    # row_of reads a triple up to a common shift, in either layout: the columns of
+    # (k, 3) votes, as the forward pass holds them, and the rows of (3, k) int32
+    # votes, as the Monte Carlo engine does
+    shift = np.random.default_rng(29).integers(0, 50, len(STATES_10))
+    votes = np.array(STATES_10) + shift[:, None]
+    for rule in MOVE_ORDER_RULES + [StrategyRule(kind="fixed", fixed_query=3)]:
+        states, rows, row_of = exact_dp.compile_rule(rule)
+        assert [list(select_query(rule, s).items()) for s in states] == [
+            list(w.items()) for w in rows]
+        want = [list(select_query(rule, s).items()) for s in STATES_10]
+        for got in (row_of(*votes.T), row_of(*votes.T.astype(np.int32))):
+            assert [list(rows[r].items()) for r in got.tolist()] == want, rule.kind
+
+
+def test_compile_rule_names_the_first_missing_table_state():
+    table = {s: {1: Fraction(1)} for s in STATES_10 if s not in ((0, 3, 4), (4, 3, 0))}
+    row_of = exact_dp.compile_rule(StrategyRule(kind="table", table=table))[2]
+    v = np.array([[1, 1, 1], [9, 8, 5], [2, 5, 6], [5, 8, 9]]).T  # (0, 3, 4) sorts first
+    with pytest.raises(ValueError, match=re.escape("reachable state (4, 3, 0)")):
+        row_of(*v)
+    # a count of 2**21 has no key: packed in 21 bits, (0, 2**21, 0) would read (1, 0, 0)
+    assert (1, 0, 0) in table
+    wide = [np.array([0]), np.array([1 << 21]), np.array([0])]
+    with pytest.raises(ValueError, match=re.escape("reachable state (0, 2097152, 0)")):
+        row_of(*wide)
+    table[(0, 1 << 21, 0)] = {2: Fraction(1)}
+    row_of = exact_dp.compile_rule(StrategyRule(kind="table", table=table))[2]
+    with pytest.raises(ResourceCapError, match=re.escape("vote count of 2**21")):
+        row_of(*(v + 7 for v in wide))
 
 
 @pytest.mark.parametrize("mode", ["rational", "float"])
