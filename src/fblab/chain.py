@@ -165,8 +165,8 @@ def verify_reference_transitions(ch: ChannelParams) -> dict:
 def reach_prob(n: int, ch: ChannelParams) -> Number:
     """Probability of sitting at the all-zero state at time n, from time 0.
 
-    An exact channel propagates integer masses over (6c)**t for p = a/c
-    (every move's probability is p or q times 1, 1/2 or 1/3) and returns a
+    An exact channel propagates integer masses over (L*c)**t for p = a/c, L
+    the lcm of the denominators of ``move_batch``'s weights, and returns a
     Fraction; a float channel propagates log-probabilities and returns a
     float.  The forward programs' kernel, ``exact_dp.propagate``, steps the
     chain's moves (those of ``derive_transitions``), with f1[w, code] the
@@ -176,9 +176,9 @@ def reach_prob(n: int, ch: ChannelParams) -> Number:
     if n < 0:
         raise ValueError("n must be nonnegative")
     exact = ch.exact
-    scale = 6 * ch.p.denominator if exact else 1
-    one, dtype = (1, object) if exact else (0.0, float)  # one: 1, or its log
     moves, weights = exact_dp.move_batch(MAX_POSTERIOR, by_target=True)
+    scale = math.lcm(*(w.denominator for w in weights)) * ch.p.denominator if exact else 1
+    one, dtype = (1, object) if exact else (0.0, float)  # one: 1, or its log
     f1 = np.array([[int(w * f * scale) if exact else channel.log_of(float(w) * f)
                     for f in (ch.p, ch.q) * 4] for w in weights], dtype)  # by code & 1
     start, f2 = np.full(1, one, dtype), np.full((8, 1), one, dtype)

@@ -19,9 +19,9 @@ move's factor from a table f1[weight index, code], numbers states by a
 packed integer key, and lists each layer's states in order of first
 arrival; log-float masses meeting at a state combine by
 ``np.logaddexp.at`` in that order, bit for bit as a scalar loop would.
-``compile_rule`` turns a rule into ``select_query``'s rows and a numpy map
-from vote triples to rows; it is the one place that maps a rule kind to a
-row key, and the Monte Carlo engine draws its queries from the same rows.
+``compile_rule`` turns a rule into its distinct ``select_query`` rows and
+a map from vote triples to rows; it is the one place that maps a rule kind
+to a row key, and the Monte Carlo engine draws its queries from the same rows.
 ``move_batch`` builds each row's moves in the order of the per-state law,
 which is the order in which masses fold.  The same kernel steps the chain
 module's return probability.
@@ -56,7 +56,7 @@ import numpy as np
 from . import channel
 from .belief import MetricState, apply_outcome
 from .channel import ChannelParams, Number
-from .strategy import QueryWeights, StrategyRule, select_query, weight_denominator
+from .strategy import QueryWeights, StrategyRule, select_query
 
 # Most moves out of one state: three queries, two answers each.
 MOVES = 6
@@ -102,18 +102,20 @@ def _outcomes(votes: np.ndarray, cast: np.ndarray) -> tuple[np.ndarray, np.ndarr
 def compile_rule(
     rule: StrategyRule,
 ) -> tuple[list[MetricState], list[QueryWeights], Callable[..., np.ndarray]]:
-    """``rule`` as select_query's rows at one state per value of a key that
-    decides them: (states, rows, row_of), rows[i] = select_query(rule, states[i]).
+    """``rule`` as its distinct select_query rows, each at one state that has
+    it: (states, rows, row_of), rows[i] = select_query(rule, states[i]).
 
     ``row_of(v1, v2, v3)`` gives the row of each triple (v1[i], v2[i], v3[i])
     of integer arrays (the rows of (3, k) votes or the columns of (k, 3)),
     taken up to a common shift.  The key is the leader set for max-posterior
     (row = uint8 bit mask - 1, bit i-1 for message i), the vote total mod 3
     for round-robin, none for fixed, and for a table the normalised state's
-    packed key, found by binary search.  A triple missing from a table
-    raises select_query's ValueError for the first one; a count of
-    2**_KEY_BITS or more has no key and raises that error, or
-    ResourceCapError if the table holds the state.
+    packed key, found by binary search, whose position maps to its row: one
+    per distinct ordered list of (query, weight) items, at the first state
+    in key order that has it (weights listed in another order fold in
+    another order).  A triple missing from a table raises select_query's
+    ValueError for the first one; a count of 2**_KEY_BITS or more has no
+    key and raises that error, or ResourceCapError if the table holds it.
     """
     if rule.kind == "max-posterior":
         states = [tuple(int(not mask >> i & 1) for i in range(3)) for mask in range(1, 8)]
@@ -137,23 +139,27 @@ def compile_rule(
         row_of = lambda v1, v2, v3: np.zeros(len(v1), dtype=np.uint8)
     else:
         assert rule.table is not None
-        states = sorted(s for s in rule.table if max(s) >> _KEY_BITS == 0)
-        keys = np.append(_state_keys(*np.array(states, dtype=np.int64).reshape(-1, 3).T), _NO_KEY)
+        listed = sorted(s for s in rule.table if max(s) >> _KEY_BITS == 0)
+        keys = np.append(_state_keys(*np.array(listed, dtype=np.int64).reshape(-1, 3).T), _NO_KEY)
+        # a row is numbered by its items as ints, which hash faster than Fractions
+        items = [tuple([(j, w.numerator, w.denominator) for j, w in rule.table[s].items()])
+                 for s in listed]
+        ids: dict[tuple, int] = {}
+        row_at = np.array([ids.setdefault(row, len(ids)) for row in items], dtype=np.intp)
+        states = [listed[i] for i in np.unique(row_at, return_index=True)[1].tolist()]
 
         def row_of(v1: np.ndarray, v2: np.ndarray, v3: np.ndarray) -> np.ndarray:
             lo = np.minimum(np.minimum(v1, v2), v3)
             m = [np.subtract(v, lo, dtype=np.int64) for v in (v1, v2, v3)]
             key = _state_keys(*m)
-            row = np.searchsorted(keys, key)
-            missing = keys[row] != key
+            pos = np.searchsorted(keys, key)
+            missing = keys[pos] != key
             missing |= (m[0] | m[1] | m[2]) >> _KEY_BITS != 0  # such a key aliases another's
             if missing.any():
                 at = missing.argmax()
                 select_query(rule, tuple(int(c[at]) for c in m))  # raises if the table lacks it
                 raise channel.ResourceCapError(f"a vote count of 2**{_KEY_BITS} has no table key")
-            return row
-
-        return states, [rule.table[s] for s in states], row_of  # the rule checked its states
+            return row_at.take(pos)
     return states, [select_query(rule, s) for s in states], row_of
 
 
@@ -171,12 +177,12 @@ def move_batch(rule: StrategyRule, by_target: bool = False) -> tuple[Moves, list
 
     The slots are built once, here, per row of ``compile_rule``.
     ``by_target`` sorts a row's moves by their targets at the row's state,
-    which needs a key that decides the leader set (a table's or
-    max-posterior's): a move shifts the votes by a vector that the move and
-    the leader set decide.
+    which needs rows that the leader set decides, so it takes max-posterior
+    only: a move shifts the votes by a vector that the move and the leader
+    set decide.
     """
     states, rows, row_of = compile_rule(rule)
-    assert not by_target or rule.kind in ("table", "max-posterior")
+    assert not by_target or rule.kind == "max-posterior"
     index: dict[Number, int] = {}  # each distinct weight's place in ``weights``
     slots = []  # (query j, answer y, weight index) of each move
     for s, weights in zip(states, rows):
@@ -329,14 +335,14 @@ def _forward_layers(ch: ChannelParams, rule: StrategyRule, trues: Sequence[int])
     true messages its answer agrees with (bit t-1 for message t), and f2 is
     the channel factor for agreement or not.  Rational masses are integers
     over one denominator per layer, (L*c)**t after t uses, for p = a/c and L
-    the least common denominator of the rule's query weights: querying j
+    the least common denominator of ``move_batch``'s weights: querying j
     with weight w moves w*L times b = c - a when the answer agrees with the
     truth and w*L times a when it does not.  Log-float masses are natural
     logs (a zero weight moves -inf) and the denominator stays 1.
     """
     moves, weights = move_batch(rule)
     if ch.exact:
-        a, c, scale = ch.p.numerator, ch.p.denominator, weight_denominator(rule)
+        a, c, scale = ch.p.numerator, ch.p.denominator, math.lcm(*(w.denominator for w in weights))
         fp, fq, start, step, dtype = a, c - a, 1, scale * c, object
         f1 = [w.numerator * (scale // w.denominator) for w in weights]
     else:

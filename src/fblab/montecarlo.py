@@ -162,7 +162,7 @@ def _pick_fewest(d: np.ndarray, draw) -> np.ndarray:
 
 
 class _Queries:
-    """A rule compiled for the batch engine: ``exact_dp.compile_rule``'s rows.
+    """A rule compiled for the batch engine: ``exact_dp.compile_rule``'s distinct rows.
 
     Per row the query is drawn as ``step`` draws it: the one choice when
     there is one (no draw), a rank lookup ``sorted(choices)[h % k]`` when the
@@ -175,10 +175,10 @@ class _Queries:
 
     def __init__(self, rule: StrategyRule):
         _, rows, self.row_of = compile_rule(rule)
-        choice_sets = [tuple(sorted(weights)) for weights in rows]
+        choice_sets = [sorted(weights) for weights in rows]
         # column r: the 0-based query of rank r % k among a row's k choices
-        ranks = {c: [c[r % len(c)] - 1 for r in range(6)] for c in set(choice_sets)}
-        self.ranks = np.array([ranks[c] for c in choice_sets], dtype=np.uint8).reshape(-1, 6)
+        self.ranks = np.array([[c[r % len(c)] - 1 for r in range(6)] for c in choice_sets],
+                              dtype=np.uint8).reshape(-1, 6)
         self.multi = np.array([len(c) > 1 for c in choice_sets], dtype=bool)
         self.cut = np.zeros((len(rows), 2), dtype=np.uint64)
         self.pick = np.zeros((len(rows), 3), dtype=np.uint8)
@@ -260,10 +260,13 @@ def _batch_outputs(
         raise ValueError(f"horizon n must be non-negative, got {n}")
     _check_seed(seed)
     queries = None if rule.kind == "max-posterior" else _Queries(rule)
+    # a lead of more than n - k needs more than k uses, so none retires before; a
+    # table rule never retires, so that a state it lacks raises wherever it is reached
+    retire_from = n if return_arrays or rule.kind == "table" else n // 2 + 1
     workspace = np.empty((5, max(1, min(size, trials))), dtype=np.uint64)
     for lo in range(0, trials, size):
         hi = min(lo + size, trials)
-        yield _simulate_batch(n, ch, rule, queries, seed, lo, hi, return_arrays, workspace)
+        yield _simulate_batch(n, ch, queries, seed, lo, hi, return_arrays, retire_from, workspace)
 
 
 def _array_batches(n: int, ch: ChannelParams, rule: StrategyRule, seed: int, trials: int):
@@ -294,12 +297,12 @@ def _contenders(d: np.ndarray, left: int) -> tuple[np.ndarray, np.ndarray]:
 def _simulate_batch(
     n: int,
     ch: ChannelParams,
-    rule: StrategyRule,
     queries: _Queries | None,
     seed: int,
     trial_lo: int,
     trial_hi: int,
     return_arrays: bool,
+    retire_from: int,
     workspace: np.ndarray,
 ) -> dict:
     """Run trials [trial_lo, trial_hi) of any rule kind (``queries`` is the
@@ -314,9 +317,9 @@ def _simulate_batch(
     trials that take it: the noise draw over all of them, a tie or decode
     draw over those with two or more candidates only, as in ``step``.
 
-    Without ``return_arrays`` and for a rule other than a table, decided
-    trials retire as ``run_trials`` describes; a retired trial errs when its
-    true message is no contender (``_contenders``).
+    From step ``retire_from`` on, decided trials retire as ``run_trials``
+    describes; a retired trial errs when its true message is no contender
+    (``_contenders``).  ``retire_from`` must be n when ``return_arrays``.
     """
     count = trial_hi - trial_lo
     base, scratch, noise, h, tie = workspace[:, :count]
@@ -336,8 +339,6 @@ def _simulate_batch(
         np.copyto(tie, base)
         _rehash(tie, TAG_TIE, scratch)
     d = np.zeros((3, count), dtype=np.int32)
-    # a lead of more than n - k needs more than k uses, so none retires before
-    retire_from = n if return_arrays or rule.kind == "table" else n // 2 + 1
     errors = 0
     if return_arrays:
         qs = np.empty((n, count), dtype=np.uint8)

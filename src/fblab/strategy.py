@@ -4,7 +4,6 @@
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -24,10 +23,10 @@ class StrategyRule:
     the state up in an explicit map, as any other tie-break must.
 
     A rule is checked once, here.  Every table key must be a normalised
-    state of three ints, and every value nonnegative weights on messages
-    1..3 that sum to exactly 1.  A state missing from the table fails only
-    when a program reaches it, since which states occur depends on the
-    horizon.
+    state of three ints, and every value nonnegative int or Fraction
+    weights on messages 1..3 that sum to exactly 1.  A state missing from
+    the table fails only when a program reaches it, since which states
+    occur depends on the horizon.
     """
 
     kind: str = "max-posterior"
@@ -60,6 +59,8 @@ def _check_entry(s: MetricState, weights: QueryWeights) -> None:
         raise ValueError(
             f"table entry for state {s} queries {sorted(weights)}: message index must be 1..3"
         )
+    if any(type(w) not in (int, Fraction) for w in weights.values()):
+        raise ValueError(f"table weights for state {s} must be ints or Fractions")
     if sum(weights.values()) != 1 or min(weights.values()) < 0:
         raise ValueError(f"table weights for state {s} must be nonnegative and sum to 1")
 
@@ -88,16 +89,6 @@ def select_query(rule: StrategyRule, s: MetricState) -> QueryWeights:
         return rule.table[s]
     except KeyError:
         raise ValueError(f"table strategy has no entry for reachable state {s}") from None
-
-
-def weight_denominator(rule: StrategyRule) -> int:
-    """Least common multiple of the denominators of every query weight ``rule`` gives."""
-    if rule.kind == "table":
-        assert rule.table is not None
-        return math.lcm(*(w.denominator for ws in rule.table.values() for w in ws.values()))
-    if rule.kind == "max-posterior":
-        return 6  # ties split evenly over 1, 2 or 3 leaders
-    return 1
 
 
 def _json_int(v: object, what: str) -> int:

@@ -27,7 +27,8 @@ from fblab.exact_dp import (
     optimal_query_report,
     sorted_lattice,
 )
-from fblab.strategy import MAX_POSTERIOR, StrategyRule, select_query, weight_denominator
+from fblab.montecarlo import run_trials
+from fblab.strategy import MAX_POSTERIOR, StrategyRule, select_query
 from witnesses import HALF_CONSTANT_WITNESSES
 
 P_GRID = ["1/20", "1/10", "1/5", "3/10", "2/5"]
@@ -349,10 +350,18 @@ UNORDERED = StrategyRule(
         for s in STATES_10
     },
 )
+# equal weights listed in two orders: the states compile to two rows, whose moves
+# fold in opposite orders
+HALF = Fraction(1, 2)
+SWAPPED = StrategyRule(
+    kind="table",
+    table={s: {3: HALF, 1: HALF} if sum(s) % 2 else {1: HALF, 3: HALF} for s in STATES_10},
+)
 MOVE_ORDER_RULES = FORWARD_RULES + [
     StrategyRule(kind="fixed", fixed_query=1),
     StrategyRule(kind="fixed", fixed_query=3),
     UNORDERED,
+    SWAPPED,
 ]
 
 
@@ -362,14 +371,14 @@ def test_move_order_matches_scalar_law(mode):
     # that order is the order in which log-float masses fold
     ch = make_channel("1/10", mode)
     for rule in MOVE_ORDER_RULES:
-        scale = weight_denominator(rule)
+        moves, weights = move_batch(rule)
+        scale = math.lcm(*(w.denominator for w in weights))
 
         def factor(w):
             if ch.exact:
                 return w.numerator * (scale // w.denominator)
             return math.log(float(w)) if w else -math.inf
 
-        moves, weights = move_batch(rule)
         rows = zip(*(a.tolist() for a in moves(np.array(STATES_10))))
         for s, (targets, wids, codes, lives) in zip(STATES_10, rows):
             got = [(tuple(t), factor(weights[w]), c)
@@ -407,6 +416,22 @@ def test_compile_rule_rows_are_select_query_at_shifted_triples():
         want = [list(select_query(rule, s).items()) for s in STATES_10]
         for got in (row_of(*votes.T), row_of(*votes.T.astype(np.int32))):
             assert [list(rows[r].items()) for r in got.tolist()] == want, rule.kind
+
+
+def test_compile_rule_gives_a_table_one_row_per_distinct_row():
+    # the uniform-tie max-posterior table over every normalised state with counts
+    # up to 30 has seven distinct rows, one per leader set, and runs as the rule does
+    states = [s for s in itertools.product(range(31), repeat=3) if min(s) == 0]
+    table = {s: {j: Fraction(1, len(leaders(s))) for j in leaders(s)} for s in states}
+    rule = StrategyRule(kind="table", table=table)
+    assert len(table) == 2791
+    first, rows, _ = exact_dp.compile_rule(rule)
+    assert len(rows) == 7
+    assert rows == [select_query(rule, s) for s in first]
+    assert forward_error_prob(12, CH10, rule) == forward_error_prob(12, CH10, MAX_POSTERIOR)
+    ch = make_channel("0.2", "float")
+    counts = [run_trials(12, ch, r, 2000, 7).errors for r in (rule, MAX_POSTERIOR)]
+    assert counts[0] == counts[1]
 
 
 def test_compile_rule_names_the_first_missing_table_state():

@@ -66,6 +66,7 @@ def test_table_rule_and_missing_state(tmp_path):
         ((0, 0, 0), {4: Fraction(1)}, "message index must be 1..3"),
         ((0, 0, 0), {1: Fraction(2), 2: Fraction(-1)}, "nonnegative and sum to 1"),
         ((0, 0, 0), {1: Fraction(1, 2)}, "nonnegative and sum to 1"),
+        ((0, 0, 0), {1: 0.5, 2: 0.5}, "must be ints or Fractions"),
     ],
 )
 def test_table_rule_is_checked_when_built(state, weights, message):
