@@ -47,6 +47,7 @@ import collections
 import itertools
 import math
 import operator
+import sys
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -100,7 +101,7 @@ def _outcomes(votes: np.ndarray, cast: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 
 def compile_rule(
-    rule: StrategyRule,
+    rule: StrategyRule, horizon: int | None = None
 ) -> tuple[list[MetricState], list[QueryWeights], Callable[..., np.ndarray]]:
     """``rule`` as its distinct select_query rows, each at one state that has
     it: (states, rows, row_of), rows[i] = select_query(rule, states[i]).
@@ -116,6 +117,10 @@ def compile_rule(
     another order).  A triple missing from a table raises select_query's
     ValueError for the first one; a count of 2**_KEY_BITS or more has no
     key and raises that error, or ResourceCapError if the table holds it.
+
+    ``horizon``, when the caller knows it, is the most uses before any triple
+    it asks about: a table then compiles only its states with counts up to
+    ``horizon``, since one use raises a count by at most one.
     """
     if rule.kind == "max-posterior":
         states = [tuple(int(not mask >> i & 1) for i in range(3)) for mask in range(1, 8)]
@@ -130,7 +135,10 @@ def compile_rule(
         states = [(0, 0, 0), (0, 0, 1), (0, 1, 1)]
 
         def row_of(v1: np.ndarray, v2: np.ndarray, v3: np.ndarray) -> np.ndarray:
-            total = v1 + v2
+            # three unsigned counts sum below 4 times their type's range, so the next
+            # wider signed type holds the total (int16 for uint8 rows); signed rows,
+            # the forward pass's intp, keep their type
+            total = np.add(v1, v2, dtype=np.promote_types(v1.dtype, np.int16))
             total += v3
             total -= total // 3 * 3  # numpy divides by a scalar far faster than % does
             return total
@@ -139,7 +147,9 @@ def compile_rule(
         row_of = lambda v1, v2, v3: np.zeros(len(v1), dtype=np.uint8)
     else:
         assert rule.table is not None
-        listed = sorted(s for s in rule.table if max(s) >> _KEY_BITS == 0)
+        top = (1 << _KEY_BITS) - 1  # the largest count a key holds
+        top = top if horizon is None else min(horizon, top)
+        listed = sorted(s for s in rule.table if max(s) <= top)
         keys = np.append(_state_keys(*np.array(listed, dtype=np.int64).reshape(-1, 3).T), _NO_KEY)
         # a row is numbered by its items as ints, which hash faster than Fractions
         items = [tuple([(j, w.numerator, w.denominator) for j, w in rule.table[s].items()])
@@ -163,7 +173,9 @@ def compile_rule(
     return states, [select_query(rule, s) for s in states], row_of
 
 
-def move_batch(rule: StrategyRule, by_target: bool = False) -> tuple[Moves, list[Number]]:
+def move_batch(
+    rule: StrategyRule, by_target: bool = False, horizon: int | None = None
+) -> tuple[Moves, list[Number]]:
     """``rule``'s moves at batches of normalised states: (moves, weights).
 
     ``moves(votes)`` gives, for states (k, 3), MOVES slots per state: target
@@ -175,13 +187,14 @@ def move_batch(rule: StrategyRule, by_target: bool = False) -> tuple[Moves, list
     for y in (0, 1)]``, so in the order of a table's entry, or with
     ``by_target`` in the order of their targets.
 
-    The slots are built once, here, per row of ``compile_rule``.
+    The slots are built once, here, per row of ``compile_rule``, which
+    takes ``horizon``.
     ``by_target`` sorts a row's moves by their targets at the row's state,
     which needs rows that the leader set decides, so it takes max-posterior
     only: a move shifts the votes by a vector that the move and the leader
     set decide.
     """
-    states, rows, row_of = compile_rule(rule)
+    states, rows, row_of = compile_rule(rule, horizon)
     assert not by_target or rule.kind == "max-posterior"
     index: dict[Number, int] = {}  # each distinct weight's place in ``weights``
     slots = []  # (query j, answer y, weight index) of each move
@@ -327,8 +340,12 @@ _LOG_ERROR[[3, 4, 6]] = math.log(1.0 - 1.0 / 2), math.log(1.0 - 1.0 / 3), math.l
 Layer = tuple[np.ndarray, np.ndarray, int]
 
 
-def _forward_layers(ch: ChannelParams, rule: StrategyRule, trues: Sequence[int]) -> Iterator[Layer]:
-    """Layers after 0, 1, 2, ... uses, one mass column per true message in ``trues``.
+def _forward_layers(
+    ch: ChannelParams, rule: StrategyRule, trues: Sequence[int], horizon: int
+) -> Iterator[Layer]:
+    """Layers after 0, 1, 2, ... uses, one mass column per true message in ``trues``;
+    the moves are compiled for the layers up to ``horizon`` uses, the last one
+    a caller may take.
 
     The moves and the order of first arrival depend on the rule only, so
     every conditioning steps on one graph; a move's code is the set of
@@ -340,7 +357,7 @@ def _forward_layers(ch: ChannelParams, rule: StrategyRule, trues: Sequence[int])
     truth and w*L times a when it does not.  Log-float masses are natural
     logs (a zero weight moves -inf) and the denominator stays 1.
     """
-    moves, weights = move_batch(rule)
+    moves, weights = move_batch(rule, horizon=horizon)
     if ch.exact:
         a, c, scale = ch.p.numerator, ch.p.denominator, math.lcm(*(w.denominator for w in weights))
         fp, fq, start, step, dtype = a, c - a, 1, scale * c, object
@@ -358,7 +375,7 @@ def _forward_layers(ch: ChannelParams, rule: StrategyRule, trues: Sequence[int])
 def _forward_layer(n: int, ch: ChannelParams, rule: StrategyRule, trues: Sequence[int]) -> Layer:
     if n < 0:
         raise ValueError("horizon must be nonnegative")
-    return next(itertools.islice(_forward_layers(ch, rule, trues), n, None))
+    return next(itertools.islice(_forward_layers(ch, rule, trues, n), n, None))
 
 
 def _conditionings(rule: StrategyRule) -> tuple[int, ...]:
@@ -450,6 +467,11 @@ def _successor_tables(kmax: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 FLOAT_TIE_TOL = 1e-12
+# Below the smallest normal double the spacing of doubles is fixed (2**-1074), so
+# float ties also allow FLOAT_TIE_TOL of that double: each layer rounds a subnormal
+# mass by at most 1.5 of those ulps, and this allows about 4,500 of them.  Above
+# about 2e-304 the term is below half an ulp of the relative bound and adds nothing.
+_SUBNORMAL_TIE = FLOAT_TIE_TOL * sys.float_info.min
 
 # One backward layer: (query error masses (3, states), their minimum, tie mask)
 BackwardLayer = tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -521,7 +543,8 @@ def backward_layers(
     p = 0.001, n = 150) while P_e* stays far above the smallest double.
     Leaf masses that underflow at the lattice edge add only absolute error
     below it.  Float ties are the queries within a relative FLOAT_TIE_TOL
-    of the minimum mass.
+    of the minimum mass plus FLOAT_TIE_TOL of the smallest normal double,
+    since a subnormal mass keeps only an absolute precision.
 
     Returns the ValueTable, holding layer 0, and an iterator that computes
     each further layer from the one before alone, records it in the table
@@ -568,7 +591,7 @@ def backward_layers(
             to, w = succ[:, :, :size], weights[:, :, :size]
             vals = w[:, 0] * prev[to[:, 0]] + w[:, 1] * prev[to[:, 1]]
             prev = np.minimum(np.minimum(vals[0], vals[1]), vals[2])
-            ties = vals == prev if exact else vals <= prev * (1 + FLOAT_TIE_TOL)
+            ties = vals == prev if exact else vals <= prev * (1 + FLOAT_TIE_TOL) + _SUBNORMAL_TIE
             table.origin.append(prev[0])
             table.ties += np.bincount(ties.sum(axis=0), minlength=4)
             yield vals, prev, ties
@@ -702,6 +725,6 @@ def error_curve(
     else:
         assert isinstance(rule, StrategyRule)
         trues = _conditionings(rule)
-        layers = itertools.islice(_forward_layers(ch, rule, trues), 1, n_max + 1)
+        layers = itertools.islice(_forward_layers(ch, rule, trues, n_max), 1, n_max + 1)
         pes = (_mean_error(layer, trues, ch.exact) for layer in layers)
     return [(n, pe, -channel.log_of(pe) / n) for n, pe in enumerate(pes, 1)]

@@ -12,11 +12,15 @@ engine hashes the tie substream only for the trials whose query or decode
 has two or more candidates, so a draw nobody uses is never made, and a rule
 none of whose rows has two choices never hashes it.  A run allocates one
 workspace, the five uint64 streams of a batch, and every batch refills it.
-The engine gives ``run_trials`` its counts.  There a trial retires as soon
-as its fewest-votes leader is ahead of every other message by more than
-the uses left: one use closes the gap between any two messages by at most
-one, so its decode is fixed, and its error is counted then.  Draws are pure
-functions of (seed, trial), so the counts are those of running every step.
+Votes are held in the narrowest unsigned type that holds the horizon n
+(``np.min_scalar_type(n)``, uint8 up to n = 255): one use adds at most one
+vote to a message, so no count passes n, and every per-step pass over the
+votes reads one byte per count.  The engine gives ``run_trials`` its
+counts.  There a trial retires as soon as its fewest-votes leader is ahead
+of every other message by more than the uses left: one use closes the gap
+between any two messages by at most one, so its decode is fixed, and its
+error is counted then.  Draws are pure functions of (seed, trial), so the
+counts are those of running every step.
 The records and the audit run every step of every trial, and so does a
 table rule, so that a state missing from its table raises wherever a trial
 reaches it.  The engine's per-step arrays give ``run_trajectory_audit`` the
@@ -162,7 +166,9 @@ def _pick_fewest(d: np.ndarray, draw) -> np.ndarray:
 
 
 class _Queries:
-    """A rule compiled for the batch engine: ``exact_dp.compile_rule``'s distinct rows.
+    """A rule compiled for the batch engine: ``exact_dp.compile_rule``'s
+    distinct rows up to horizon ``n`` (a table's states with counts up to n,
+    the only ones n uses reach).
 
     Per row the query is drawn as ``step`` draws it: the one choice when
     there is one (no draw), a rank lookup ``sorted(choices)[h % k]`` when the
@@ -173,8 +179,8 @@ class _Queries:
     visits it.
     """
 
-    def __init__(self, rule: StrategyRule):
-        _, rows, self.row_of = compile_rule(rule)
+    def __init__(self, rule: StrategyRule, n: int):
+        _, rows, self.row_of = compile_rule(rule, n)
         choice_sets = [sorted(weights) for weights in rows]
         # column r: the 0-based query of rank r % k among a row's k choices
         self.ranks = np.array([[c[r % len(c)] - 1 for r in range(6)] for c in choice_sets],
@@ -215,7 +221,7 @@ class _Queries:
 # the decode's and max-posterior's tie lookup, index 6 * row + h % 6: the
 # message of rank h % k among the row's k leaders (k divides 6, so
 # h % k == (h % 6) % k)
-_TIE_RANKS = _Queries(MAX_POSTERIOR).ranks.ravel()
+_TIE_RANKS = _Queries(MAX_POSTERIOR, 0).ranks.ravel()
 
 
 def _cuts(weights: dict, choices: list[int]) -> tuple[list[int], list[int]]:
@@ -259,7 +265,7 @@ def _batch_outputs(
     if n < 0:
         raise ValueError(f"horizon n must be non-negative, got {n}")
     _check_seed(seed)
-    queries = None if rule.kind == "max-posterior" else _Queries(rule)
+    queries = None if rule.kind == "max-posterior" else _Queries(rule, n)
     # a lead of more than n - k needs more than k uses, so none retires before; a
     # table rule never retires, so that a state it lacks raises wherever it is reached
     retire_from = n if return_arrays or rule.kind == "table" else n // 2 + 1
@@ -279,7 +285,8 @@ def _array_batches(n: int, ch: ChannelParams, rule: StrategyRule, seed: int, tri
 
 def _contenders(d: np.ndarray, left: int) -> tuple[np.ndarray, np.ndarray]:
     """``(near, lim)`` per trial: ``lim`` is the fewest votes plus ``left``
-    (int32), and ``near`` counts the messages with at most ``lim`` votes
+    (in the votes' type: after k uses the fewest votes are at most k, so lim
+    is at most n), and ``near`` counts the messages with at most ``lim`` votes
     (uint8, 1 to 3), the only ones that ``left`` more uses could leave with
     the fewest votes.
 
@@ -312,10 +319,12 @@ def _simulate_batch(
     vote history included.  ``workspace`` is uint64 scratch of shape
     (5, at least the batch size), overwritten here; no output aliases it.
 
-    Votes are three int32 rows, one per message.  Each draw is the scalar
-    path's ``counter_hash(seed, trial, tag, step)``, vectorised over the
-    trials that take it: the noise draw over all of them, a tie or decode
-    draw over those with two or more candidates only, as in ``step``.
+    Votes are three rows of ``np.min_scalar_type(n)``, one per message, and
+    leave as int32 (``votes``, ``history``), so that the audit's 3e + 1 does
+    not wrap.  Each draw is the scalar path's ``counter_hash(seed, trial,
+    tag, step)``, vectorised over the trials that take it: the noise draw
+    over all of them, a tie or decode draw over those with two or more
+    candidates only, as in ``step``.
 
     From step ``retire_from`` on, decided trials retire as ``run_trials``
     describes; a retired trial errs when its true message is no contender
@@ -331,14 +340,15 @@ def _simulate_batch(
     np.copyto(noise, base)
     _rehash(noise, TAG_NOISE, scratch)
     np.copyto(h, base)
-    true = _mod(_rehash(_rehash(h, TAG_TRUE, scratch), 0, scratch), 3, scratch)
+    # the step-0 link mix64(h ^ 0 * PHI) is mix64(h): no xor
+    true = _mod(_mix_into(_rehash(h, TAG_TRUE, scratch), scratch), 3, scratch)
     # the scalar flip (h >> 11) < floor(p * 2**53), as one comparison of h
     flip_below = _U(math.floor(ch.p * 2.0**53) << 11)
     ties = queries is None or queries.draws  # whether a query can draw from the tie stream
     if ties:
         np.copyto(tie, base)
         _rehash(tie, TAG_TIE, scratch)
-    d = np.zeros((3, count), dtype=np.int32)
+    d = np.zeros((3, count), dtype=np.min_scalar_type(n))  # no count exceeds the n uses
     errors = 0
     if return_arrays:
         qs = np.empty((n, count), dtype=np.uint8)
@@ -373,7 +383,7 @@ def _simulate_batch(
         y = (q != true) ^ flip
         # y = 1 puts one vote on the query, y = 0 one on each other message
         for i in range(3):
-            d[i] += (q == i) == y
+            d[i] += ((q == i) == y).view(np.uint8)
         if return_arrays:
             qs[k] = q + 1
             ys[k] = y
@@ -382,7 +392,7 @@ def _simulate_batch(
     out = {"trials": trial_hi - trial_lo, "errors": errors + int(np.count_nonzero(decoded != true))}
     if return_arrays:
         out.update(
-            true=true + 1, decoded=decoded + 1, votes=d,
+            true=true + 1, decoded=decoded + 1, votes=d.astype(np.int32),
             zero_outputs=n - ys.sum(axis=0, dtype=np.int64),
             queries=qs, ys=ys, history=history,
         )

@@ -10,7 +10,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fblab import channel, serialize
@@ -802,6 +802,11 @@ def edge_tables(tmp_path_factory):
     verify=st.booleans(),
     method=st.sampled_from(["block-sum", "enumeration"]),
 )
+# the masses of p = 1e-104 go subnormal: one query at (0, 3, 3), t = 1, rounds one
+# subnormal ulp above the fewest-votes one, which a purely relative tie test calls a deficit
+@example(cmd="verify-theorem2", p="1e-104", n=4, mode="float", series="basic",
+         variant="restricted", detail=False, trials=1, strategy="max-posterior",
+         bounds_format="json", octopus_format="json", verify=False, method="block-sum")
 def test_numeric_edges_exit_with_a_contract_code(
     edge_tables, cmd, p, n, mode, series, variant, detail, trials, strategy,
     bounds_format, octopus_format, verify, method,

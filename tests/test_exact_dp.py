@@ -405,17 +405,25 @@ def test_chain_move_order_is_scalar_law_sorted_by_target():
 
 def test_compile_rule_rows_are_select_query_at_shifted_triples():
     # row_of reads a triple up to a common shift, in either layout: the columns of
-    # (k, 3) votes, as the forward pass holds them, and the rows of (3, k) int32
-    # votes, as the Monte Carlo engine does
-    shift = np.random.default_rng(29).integers(0, 50, len(STATES_10))
-    votes = np.array(STATES_10) + shift[:, None]
+    # (k, 3) intp votes, as the forward pass holds them, and the rows of (3, k)
+    # votes, as the Monte Carlo engine holds them in the narrowest unsigned type
+    # that holds n; there the shifts take counts up to the type's top, so that
+    # round-robin's total of three counts passes it
+    rng = np.random.default_rng(29)
+    shifted = {
+        dtype: np.array(STATES_10) + rng.integers(0, top, len(STATES_10))[:, None]
+        for dtype, top in ((np.intp, 50), (np.int32, 50), (np.uint8, 245), (np.uint16, 65525))
+    }
+    layouts = [shifted[np.intp].T] + [v.T.astype(t) for t, v in shifted.items() if t != np.intp]
+    assert all(v.sum(axis=0, dtype=np.int64).max() > np.iinfo(v.dtype).max for v in layouts[2:])
     for rule in MOVE_ORDER_RULES + [StrategyRule(kind="fixed", fixed_query=3)]:
         states, rows, row_of = exact_dp.compile_rule(rule)
         assert [list(select_query(rule, s).items()) for s in states] == [
             list(w.items()) for w in rows]
         want = [list(select_query(rule, s).items()) for s in STATES_10]
-        for got in (row_of(*votes.T), row_of(*votes.T.astype(np.int32))):
-            assert [list(rows[r].items()) for r in got.tolist()] == want, rule.kind
+        for votes in layouts:
+            got = row_of(*votes)
+            assert [list(rows[r].items()) for r in got.tolist()] == want, (rule.kind, votes.dtype)
 
 
 def test_compile_rule_gives_a_table_one_row_per_distinct_row():
@@ -428,6 +436,8 @@ def test_compile_rule_gives_a_table_one_row_per_distinct_row():
     first, rows, _ = exact_dp.compile_rule(rule)
     assert len(rows) == 7
     assert rows == [select_query(rule, s) for s in first]
+    # with a horizon it compiles the states with counts up to it, the only ones reached
+    assert exact_dp.compile_rule(rule, 0)[0] == [(0, 0, 0)]
     assert forward_error_prob(12, CH10, rule) == forward_error_prob(12, CH10, MAX_POSTERIOR)
     ch = make_channel("0.2", "float")
     counts = [run_trials(12, ch, r, 2000, 7).errors for r in (rule, MAX_POSTERIOR)]
@@ -673,6 +683,21 @@ class TestQueryRuleReport:
             rep = optimal_query_report(6, make_channel(pl))
             assert rep["overall"]["all_member"]
             assert rep["overall"]["max_deficit"] == 0
+
+    def test_subnormal_float_masses_tie(self):
+        # from p near 1e-103 on, some error masses are subnormal, where doubles keep a
+        # fixed spacing of 2**-1074; queries that tie exactly differ there by a rounding
+        # of one such ulp (at p = 1e-104, n = 4, state (0, 3, 3), t = 1), and a purely
+        # relative tie test called 42 of these (p, n) points outside
+        reports = 0
+        for k, n in itertools.product(range(100, 166), range(4, 9)):
+            try:
+                rep = optimal_query_report(n, make_channel(f"1e-{k}", "float"))
+            except FloatingPointError:  # P_e* itself underflows: no report, exit 2
+                continue
+            reports += 1
+            assert rep["overall"]["all_member"], (k, n)
+        assert reports == 261
 
     def test_degenerate_channel_all_tied(self):
         rep = optimal_query_report(4, make_channel("1/2"))

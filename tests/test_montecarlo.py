@@ -290,20 +290,12 @@ def test_error_counts_are_pinned(seed, name):
     assert stats.errors == PINNED_ERRORS[seed, name]
 
 
-@pytest.mark.parametrize("name", ["fixed:2", "round-robin", "table-5/7-2/7", "max-posterior"])
-def test_audit_tallies_match_scalar_recount(name):
-    # every rule here but max-posterior can query off the fewest-votes set,
-    # and so breaks the sorted-vote chain
-    breaks_chain = name != "max-posterior"
-    ch = make_channel("0.2", "float")
-    n, trials, seed = 15, 1000, 11
-    rule = table_rule(n, two_sevenths) if name.startswith("table") else ORACLE_RULES[name]
-    audit = run_trajectory_audit(n, ch, trials, seed, rule=rule)
+def scalar_tallies(n, records):
+    """``run_trajectory_audit``'s tallies, recounted from scalar records."""
     expected = dict.fromkeys(
         ("errors", "chain_violations", "spread_violations", "vote_identity_violations",
          "error_path_violations"), 0)
-    for trial in range(trials):
-        rec = simulate_trajectory(n, ch, rule, seed, trial)
+    for rec in records:
         for votes in rec["vote_history"]:
             lo, mid, hi = sorted(votes)
             expected["chain_violations"] += hi > mid + 1
@@ -313,6 +305,38 @@ def test_audit_tallies_match_scalar_recount(name):
         expected["errors"] += error
         e = rec["votes"][rec["true"] - 1]
         expected["error_path_violations"] += error and 3 * e + 1 < n + m
+    return expected
+
+
+@pytest.mark.parametrize("name", ["fixed:2", "round-robin", "table-5/7-2/7", "max-posterior"])
+def test_audit_tallies_match_scalar_recount(name):
+    # every rule here but max-posterior can query off the fewest-votes set,
+    # and so breaks the sorted-vote chain
+    breaks_chain = name != "max-posterior"
+    ch = make_channel("0.2", "float")
+    n, trials, seed = 15, 1000, 11
+    rule = table_rule(n, two_sevenths) if name.startswith("table") else ORACLE_RULES[name]
+    audit = run_trajectory_audit(n, ch, trials, seed, rule=rule)
+    expected = scalar_tallies(n, (simulate_trajectory(n, ch, rule, seed, t) for t in range(trials)))
     assert {k: audit[k] for k in expected} == expected
     assert (expected["chain_violations"] > 0) == breaks_chain
     assert (expected["spread_violations"] > 0) == breaks_chain
+
+
+@pytest.mark.parametrize("n", [130, 255, 256, 300])
+@pytest.mark.parametrize("name", ["max-posterior", "fixed:2", "round-robin"])
+@pytest.mark.parametrize("p", ["0.05", "0.5"])
+def test_narrow_vote_rows_agree_with_the_oracle(p, name, n):
+    # the engine holds votes in the narrowest unsigned type that holds n: uint8 up
+    # to n = 255, uint16 from 256 on.  From n = 128 on, round-robin's total of the
+    # three counts passes 255; at p = 0.05 fixed:2 puts about 0.95n votes on its
+    # query, past 255 at n = 300; at p = 0.5 trials err with about n/2 votes on
+    # the true message, so the audit's 3e + 1 passes 255
+    ch, rule, seed = make_channel(p, "float"), ORACLE_RULES[name], 3
+    full = sum(out["errors"] for out in montecarlo._array_batches(n, ch, rule, seed, 300))
+    assert run_trials(n, ch, rule, 300, seed).errors == full
+    records = [simulate_trajectory(n, ch, rule, seed, t) for t in range(12)]
+    assert list(trajectory_records(n, ch, rule, seed, 12)) == records
+    audit = run_trajectory_audit(n, ch, 12, seed, rule=rule)
+    expected = scalar_tallies(n, records)
+    assert {k: audit[k] for k in expected} == expected
