@@ -10,7 +10,9 @@ no place for the configuration.
 
 Exit codes: 0 success, 2 invalid flags or inputs (an output path that cannot
 be written included), 3 a verification check failed, 4 a resource cap was
-exceeded.  Failures print a machine-readable JSON diagnostic to stderr.
+exceeded.  A report whose check fails (exit 3) is written as a passing one
+is; every other failure prints a machine-readable JSON diagnostic to stderr
+and nothing to stdout.
 
 A ``cmd_*`` imports the module it runs (``exact_dp``, ``chain``,
 ``montecarlo`` or ``bounds``) after checking its inputs, so parsing,

@@ -24,7 +24,12 @@ a map from vote triples to rows; it is the one place that maps a rule kind
 to a row key, and the Monte Carlo engine draws its queries from the same rows.
 ``move_batch`` builds each row's moves in the order of the per-state law,
 which is the order in which masses fold.  The same kernel steps the chain
-module's return probability.
+module's return probability, with every state carried to the end.
+
+An exact forward pass of a rule other than a table drops each state once
+its decode is fixed (``contenders``, the predicate by which the Monte Carlo
+engine retires trials) and keeps its error mass in one integer sum, so the
+error is the same Fraction; see _forward_layers.
 
 The backward pass computes the minimum error over all metric-state
 strategies under the bayes transition law.  The value function is
@@ -37,7 +42,8 @@ denominator of p), for a float channel on doubles with a relative error of
 a few machine epsilons per layer.  See backward_layers.
 
 Both passes raise ``channel.ResourceCapError`` past ``channel.STATE_CAP``
-states, which they read at the call; the cap lives in ``channel`` so that
+states, which they read at the call (the forward pass counts the states it
+carries on, not those it drops); the cap lives in ``channel`` so that
 the CLI can read it without loading numpy.
 """
 
@@ -46,7 +52,6 @@ from __future__ import annotations
 import collections
 import itertools
 import math
-import operator
 import sys
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
@@ -268,7 +273,12 @@ def _grow(a: np.ndarray, extra: int) -> np.ndarray:
 
 
 def propagate(
-    moves: Moves, f1: np.ndarray, start: MetricState, mass: np.ndarray, f2: np.ndarray
+    moves: Moves,
+    f1: np.ndarray,
+    start: MetricState,
+    mass: np.ndarray,
+    f2: np.ndarray,
+    settle: Callable[[int, np.ndarray, np.ndarray], np.ndarray | None] | None = None,
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Yield (state votes, masses) of the start layer, then of each further step.
 
@@ -286,16 +296,20 @@ def propagate(
     log-floats, which applies updates in array order and matches a scalar
     max-plus-log1p fold bit for bit (tests/test_exact_dp.py holds numpy to
     it), so every double equals that of a scalar loop.
-    A state without moves loses its mass.  Raises ResourceCapError once the
-    layers after the start hold more than ``channel.STATE_CAP`` states in
-    total (read at the call).
+    A state without moves loses its mass.  ``settle``, when given, is called
+    with each layer after the start as (uses k, state votes, masses) before
+    it is yielded, and returns None or a mask of the states to carry on: the
+    others leave the pass, which neither yields nor expands them.  Raises
+    ResourceCapError once the layers after the start carry more than
+    ``channel.STATE_CAP`` states in total (read at the call).
     """
     exact = f2.dtype == object
     graph = _MoveGraph(moves, f1)
-    ids, mass = graph.ids(np.array([start], dtype=np.intp)), mass[None, :]
+    votes = np.array([start], dtype=np.intp)
+    ids, mass = graph.ids(votes), mass[None, :]
     touched = 0
-    while True:
-        yield graph.votes.take(ids, axis=0), mass  # take gathers rows faster than votes[ids]
+    for k in itertools.count(1):
+        yield votes, mass
         graph.expand(ids)
         live = graph.live.take(ids, axis=0)
         target = graph.target.take(ids, axis=0)[live]
@@ -308,15 +322,41 @@ def propagate(
         slot = np.full(len(graph.number), target.size)
         np.minimum.at(slot, target, arrival)
         ids = target[slot[target] == arrival]
+        slot[ids] = np.arange(ids.size)
+        shape = (ids.size, mass.shape[1])
+        mass = np.zeros(shape, dtype=object) if exact else np.full(shape, -math.inf)
+        (np.add if exact else np.logaddexp).at(mass, slot[target], step)
+        votes = graph.votes.take(ids, axis=0)  # take gathers rows faster than votes[ids]
+        keep = None if settle is None else settle(k, votes, mass)
+        if keep is not None:
+            ids, votes, mass = ids[keep], votes[keep], mass[keep]
         touched += ids.size
         if touched > channel.STATE_CAP:
             raise channel.ResourceCapError(
                 f"forward pass touches {touched} states, cap is {channel.STATE_CAP}"
             )
-        slot[ids] = np.arange(ids.size)
-        shape = (ids.size, mass.shape[1])
-        mass = np.zeros(shape, dtype=object) if exact else np.full(shape, -math.inf)
-        (np.add if exact else np.logaddexp).at(mass, slot[target], step)
+
+
+def contenders(d: np.ndarray, left: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(near, lim)`` per vote triple (d[0][i], d[1][i], d[2][i]): ``lim`` is
+    the fewest votes plus ``left``, in the votes' type, and ``near`` counts
+    the messages with at most ``lim`` votes (uint8, 1 to 3), the only ones
+    that ``left`` more uses could leave with the fewest votes.
+
+    One use puts a vote on the query or on each of the other two messages,
+    so it closes the gap between any two messages by at most one.  A triple
+    with one contender is decided: it decodes to its present leader, with no
+    tie, whatever its remaining uses give.  After k uses no gap exceeds k,
+    so no triple is decided while k <= ``left``.  The Monte Carlo engine
+    reads (3, trials) rows of the narrowest unsigned type that holds the
+    horizon, in which lim (at most the horizon) fits; the forward pass reads
+    the transposed (states, 3) intp votes.
+    """
+    lim = np.minimum(np.minimum(d[0], d[1]), d[2])
+    lim += left
+    near = (d[0] <= lim).view(np.uint8) + (d[1] <= lim).view(np.uint8)
+    near += (d[2] <= lim).view(np.uint8)
+    return near, lim
 
 
 def _error_sixths(votes: np.ndarray, trues: Sequence[int]) -> np.ndarray:
@@ -336,28 +376,33 @@ def _error_sixths(votes: np.ndarray, trues: Sequence[int]) -> np.ndarray:
 _LOG_ERROR = np.full(7, math.nan)
 _LOG_ERROR[[3, 4, 6]] = math.log(1.0 - 1.0 / 2), math.log(1.0 - 1.0 / 3), math.log(1.0)
 
-# (state votes, masses with one column per true message, denominator)
-Layer = tuple[np.ndarray, np.ndarray, int]
+# (state votes, masses with one column per true message, denominator, settled):
+# settled is the retired states' error mass over the same denominator (see
+# _forward_layers), 0 for a pass that retires none
+Layer = tuple[np.ndarray, np.ndarray, int, int]
 
 
-def _forward_layers(
-    ch: ChannelParams, rule: StrategyRule, trues: Sequence[int], horizon: int
-) -> Iterator[Layer]:
-    """Layers after 0, 1, 2, ... uses, one mass column per true message in ``trues``;
-    the moves are compiled for the layers up to ``horizon`` uses, the last one
-    a caller may take.
+def _error_mass(votes: np.ndarray, mass: np.ndarray, trues: Sequence[int]) -> int:
+    """The integer sum of mass * 6 * error over integer masses of states ``votes``."""
+    return (mass * _error_sixths(votes, trues).astype(object)).sum()
 
-    The moves and the order of first arrival depend on the rule only, so
-    every conditioning steps on one graph; a move's code is the set of
-    true messages its answer agrees with (bit t-1 for message t), and f2 is
-    the channel factor for agreement or not.  Rational masses are integers
-    over one denominator per layer, (L*c)**t after t uses, for p = a/c and L
-    the least common denominator of ``move_batch``'s weights: querying j
-    with weight w moves w*L times b = c - a when the answer agrees with the
-    truth and w*L times a when it does not.  Log-float masses are natural
-    logs (a zero weight moves -inf) and the denominator stays 1.
+
+def _forward_factors(
+    ch: ChannelParams, weights: list[Number], trues: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """``propagate``'s factor tables for ``move_batch``'s ``weights``, with the
+    start state's masses and the denominator's factor per use: (f1, f2,
+    start masses, step).
+
+    A move's code is the set of true messages its answer agrees with (bit
+    t-1 for message t), and f2 is the channel factor for agreement or not.
+    Rational masses are integers over one denominator per layer, (L*c)**t
+    after t uses, for p = a/c and L the least common denominator of the
+    weights: querying j with weight w moves w*L times b = c - a when the
+    answer agrees with the truth and w*L times a when it does not.
+    Log-float masses are natural logs (a zero weight moves -inf) and the
+    denominator stays 1.
     """
-    moves, weights = move_batch(rule, horizon=horizon)
     if ch.exact:
         a, c, scale = ch.p.numerator, ch.p.denominator, math.lcm(*(w.denominator for w in weights))
         fp, fq, start, step, dtype = a, c - a, 1, scale * c, object
@@ -367,9 +412,50 @@ def _forward_layers(
         f1 = [math.log(float(w)) if w else -math.inf for w in weights]
     f1 = np.array([[f] * 8 for f in f1], dtype).reshape(-1, 8)  # one factor per weight, any code
     f2 = np.array([[fq if code >> (t - 1) & 1 else fp for t in trues] for code in range(8)], dtype)
-    layers = propagate(moves, f1, (0, 0, 0), np.full(len(trues), start, dtype), f2)
-    dens = itertools.accumulate(itertools.repeat(step), operator.mul, initial=1)
-    return ((votes, mass, den) for (votes, mass), den in zip(layers, dens))
+    return f1, f2, np.full(len(trues), start, dtype), step
+
+
+def _forward_layers(
+    ch: ChannelParams, rule: StrategyRule, trues: Sequence[int], horizon: int
+) -> Iterator[Layer]:
+    """Layers after 0, 1, 2, ... uses, one mass column per true message in
+    ``trues``, up to ``horizon`` uses, the last one a caller may take; the
+    moves and the decided states are those of that horizon.
+
+    The moves and the order of first arrival depend on the rule only, so
+    every conditioning steps on one graph, with ``_forward_factors``' masses.
+    An exact pass of a rule other than a table drops each decided state
+    (``contenders`` with horizon - k uses left after k uses) from the layer
+    in which it is decided: its decode is fixed, and such a rule's rows
+    pass every mass on whole, so its mass reaches the horizon.  Its integer
+    mass * 6 * error joins the layer's ``settled`` sum, which every later
+    layer scales by L*c with the denominator, so each layer's error counts
+    the states retired before it.  No state is decided before
+    k = horizon // 2 + 1.
+    A float pass keeps every state, so that its doubles fold in the same
+    order, and so does a table, so that a state missing from it raises
+    wherever a pass reaches it.
+    """
+    moves, weights = move_batch(rule, horizon=horizon)
+    f1, f2, start, step = _forward_factors(ch, weights, trues)
+    settled = 0
+
+    def settle(k: int, votes: np.ndarray, mass: np.ndarray) -> np.ndarray | None:
+        nonlocal settled
+        settled *= step
+        if k <= horizon // 2:
+            return None
+        gone = contenders(votes.T, horizon - k)[0] == 1
+        if not gone.any():
+            return None
+        settled += _error_mass(votes[gone], mass[gone], trues)
+        return ~gone
+
+    retire = ch.exact and rule.kind != "table"
+    den = 1
+    for votes, mass in propagate(moves, f1, (0, 0, 0), start, f2, settle if retire else None):
+        yield votes, mass, den, settled
+        den *= step
 
 
 def _forward_layer(n: int, ch: ChannelParams, rule: StrategyRule, trues: Sequence[int]) -> Layer:
@@ -382,34 +468,18 @@ def _conditionings(rule: StrategyRule) -> tuple[int, ...]:
     return (1,) if rule.equivariant else (1, 2, 3)
 
 
-def forward_distribution(
-    n: int, ch: ChannelParams, rule: StrategyRule, true: int = 1
-) -> dict[MetricState, Number]:
-    """State distribution after n uses given the true message.
-
-    An exact channel gives exact probabilities; a float channel gives
-    natural-log probabilities.  Keys are in order of first arrival.  No
-    command calls it; it stays as the layer view that the oracle tests and
-    the chain's hub-mass cross-check compare against.
-    """
-    votes, mass, den = _forward_layer(n, ch, rule, (true,))
-    dist = zip(map(tuple, votes.tolist()), mass[:, 0].tolist())
-    if ch.exact:
-        return {s: Fraction(m, den) for s, m in dist}
-    return dict(dist)
-
-
 def _mean_error(layer: Layer, trues: Sequence[int], exact: bool) -> Number:
     """Terminal error of a layer given true message ``trues`` (one or all three).
 
-    Exact: one Fraction from the integer sum of mass * 6 * error.
+    Exact: one Fraction from the integer sum of mass * 6 * error, the
+    retired states' ``settled`` sum included.
     Log-float: per conditioning, the error states' masses folded in layer
     order by ``np.logaddexp.accumulate``, which folds sequentially.
     """
-    votes, mass, den = layer
-    sixths = _error_sixths(votes, trues)
+    votes, mass, den, settled = layer
     if exact:
-        return Fraction((mass * sixths.astype(object)).sum(), 6 * len(trues) * den)
+        return Fraction(settled + _error_mass(votes, mass, trues), 6 * len(trues) * den)
+    sixths = _error_sixths(votes, trues)
     parts = []
     for k in range(len(trues)):
         err = sixths[:, k] > 0
@@ -424,34 +494,31 @@ def forward_error_prob(n: int, ch: ChannelParams, rule: StrategyRule) -> Number:
     return _mean_error(_forward_layer(n, ch, rule, trues), trues, ch.exact)
 
 
-def sorted_lattice(kmax: int) -> list[MetricState]:
-    """All sorted metric states (0, a, b), a <= b <= kmax.
-
-    State (0, a, b) has index b(b+1)/2 + a, so each lattice is a prefix of
-    the next.  Public as the lattice order that the oracle tests use.
-    """
-    return [(0, a, b) for b in range(kmax + 1) for a in range(b + 1)]
-
-
 def _lattice_size(kmax: int) -> int:
+    """The number of states in lattice kmax (see _lattice_coords)."""
     return (kmax + 1) * (kmax + 2) // 2
 
 
 def _lattice_coords(kmax: int) -> tuple[np.ndarray, np.ndarray]:
-    """Arrays of a and b over sorted_lattice(kmax), in lattice order."""
+    """Arrays of a and b over lattice kmax in lattice order.
+
+    Lattice kmax is the sorted metric states (0, a, b), a <= b <= kmax, and
+    lattice order puts (0, a, b) at index b(b+1)/2 + a, so each lattice is
+    a prefix of the next.
+    """
     b = np.repeat(np.arange(kmax + 1), np.arange(1, kmax + 2))
     return np.arange(b.size) - b * (b + 1) // 2, b
 
 
 def _successor_tables(kmax: int) -> tuple[np.ndarray, np.ndarray]:
-    """Successor indices and min-shift flags of every state of sorted_lattice(kmax).
+    """Successor indices and min-shift flags of every state of lattice kmax.
 
     Both arrays have shape (3 positional queries, 2 outcomes y, states).
     ``succ[j, y, i]`` is the lattice index of the sorted state reached when
     query j+1 is answered y at state i (y=1 votes against the queried
     message, y=0 against the other two); ``shift[j, y, i]`` says that the
     outcome voted against every message at the minimum, so the minimum rose
-    by one.  Successors lie in sorted_lattice(kmax + 1), and the tables of
+    by one.  Successors lie in lattice kmax + 1, and the tables of
     kmax serve every smaller lattice by slicing.
     """
     a, b = _lattice_coords(kmax)
@@ -481,9 +548,10 @@ BackwardLayer = tuple[np.ndarray, np.ndarray, np.ndarray]
 class ValueTable:
     """Scale and per-horizon results of backward induction up to ``horizon`` uses.
 
-    Layer t (t = 0..horizon uses left) covers sorted_lattice(horizon - t) in
-    lattice order.  A scaled error mass m at state i of layer t is the error
-    probability m / (step**t * norms[i]) (``probability``), where
+    Layer t (t = 0..horizon uses left) covers lattice horizon - t in
+    lattice order (see _lattice_coords).  A scaled error mass m at state i
+    of layer t is the error probability m / (step**t * norms[i])
+    (``probability``), where
     ``norms[i]`` is the state's likelihood sum Z(s) under the same scale.
     ``exact`` follows the channel: exact masses are Python integers with
     step = c for p = a/c, float masses are doubles with step = 1.  The
@@ -631,7 +699,8 @@ def optimal_query_report(n: int, ch: ChannelParams, detail: bool = False) -> dic
     order; a deficit is converted to a probability only when nonzero.
     ``detail`` adds one verdict row per (t, state).
 
-    After k uses the reachable states are all of sorted_lattice(k), except
+    After k uses the reachable states are all of lattice k, the sorted
+    states with counts up to k (see _lattice_coords), except
     (0,0,0) at k = 1: a use raises b by at most one, and every outcome at
     (0,0,0) votes against one or two messages.  Each (0,a,b) of lattice k+1
     follows from one of lattice k: from (0,a,b+1) if b < k, (0,a+1,k) if

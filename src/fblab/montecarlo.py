@@ -19,8 +19,9 @@ votes reads one byte per count.  The engine gives ``run_trials`` its
 counts.  There a trial retires as soon as its fewest-votes leader is ahead
 of every other message by more than the uses left: one use closes the gap
 between any two messages by at most one, so its decode is fixed, and its
-error is counted then.  Draws are pure functions of (seed, trial), so the
-counts are those of running every step.
+error is counted then.  ``exact_dp.contenders`` is that predicate, the one
+by which the exact forward pass drops decided states.  Draws are pure
+functions of (seed, trial), so the counts are those of running every step.
 The records and the audit run every step of every trial, and so does a
 table rule, so that a state missing from its table raises wherever a trial
 reaches it.  The engine's per-step arrays give ``run_trajectory_audit`` the
@@ -46,7 +47,7 @@ import numpy as np
 
 from .belief import MetricState, apply_outcome, leaders, normalize
 from .channel import ChannelParams
-from .exact_dp import compile_rule
+from .exact_dp import compile_rule, contenders
 from .strategy import MAX_POSTERIOR, StrategyRule, select_query
 
 _MASK64 = (1 << 64) - 1
@@ -283,24 +284,6 @@ def _array_batches(n: int, ch: ChannelParams, rule: StrategyRule, seed: int, tri
     )
 
 
-def _contenders(d: np.ndarray, left: int) -> tuple[np.ndarray, np.ndarray]:
-    """``(near, lim)`` per trial: ``lim`` is the fewest votes plus ``left``
-    (in the votes' type: after k uses the fewest votes are at most k, so lim
-    is at most n), and ``near`` counts the messages with at most ``lim`` votes
-    (uint8, 1 to 3), the only ones that ``left`` more uses could leave with
-    the fewest votes.
-
-    One use puts a vote on the query or on each of the other two messages,
-    so it closes the gap between any two messages by at most one.  A trial
-    with one contender therefore decodes to its present leader, with no tie
-    draw, whatever its remaining uses give."""
-    lim = np.minimum(np.minimum(d[0], d[1]), d[2])
-    lim += left
-    near = (d[0] <= lim).view(np.uint8) + (d[1] <= lim).view(np.uint8)
-    near += (d[2] <= lim).view(np.uint8)
-    return near, lim
-
-
 def _simulate_batch(
     n: int,
     ch: ChannelParams,
@@ -328,7 +311,7 @@ def _simulate_batch(
 
     From step ``retire_from`` on, decided trials retire as ``run_trials``
     describes; a retired trial errs when its true message is no contender
-    (``_contenders``).  ``retire_from`` must be n when ``return_arrays``.
+    (``exact_dp.contenders``).  ``retire_from`` must be n when ``return_arrays``.
     """
     count = trial_hi - trial_lo
     base, scratch, noise, h, tie = workspace[:, :count]
@@ -363,9 +346,9 @@ def _simulate_batch(
             # compacting costs about a step over the live trials: it waits until
             # a quarter of them, and a share 1/(uses left), have retired, as
             # counted on the first _PROBE of them (trials are independent)
-            sample = _contenders(d[:, :_PROBE], n - k)[0]
+            sample = contenders(d[:, :_PROBE], n - k)[0]
             if np.count_nonzero(sample == 1) * min(n - k, 4) >= len(sample):
-                near, lim = _contenders(d, n - k)
+                near, lim = contenders(d, n - k)
                 gone = np.flatnonzero(near == 1)
                 true_votes = d.ravel().take(true[gone].astype(np.intp) * count + gone)
                 errors += int(np.count_nonzero(true_votes > lim.take(gone)))

@@ -20,9 +20,10 @@ from fblab.bounds import (
 )
 from fblab.chain import path_series, reach_prob, verify_reference_transitions
 from fblab.channel import make_channel
-from fblab.exact_dp import bellman_optimum, error_curve, forward_distribution
+from fblab.exact_dp import bellman_optimum, error_curve
 from fblab.montecarlo import run_trajectory_audit, run_trials
 from fblab.strategy import MAX_POSTERIOR
+from oracles import forward_distribution
 from witnesses import HALF_CONSTANT_WITNESSES
 
 P_GRID = ["1/20", "1/10", "1/5", "3/10", "2/5"]

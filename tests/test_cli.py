@@ -179,6 +179,73 @@ def test_float_underflow_is_a_failed_check(capsys, argv, detail):
     assert detail in diag["detail"]
 
 
+def _inflate_a_float_layer(monkeypatch):
+    """Make backward induction double the error mass of (0, 0, 0) with one use left
+    after the report has read that layer, so that the next layer, computed from it,
+    has a real deficit: at (0, 1, 1) with two uses left the fewest-votes query,
+    which leads back to (0, 0, 0), is no longer optimal."""
+    from fblab import exact_dp
+
+    backward_layers = exact_dp.backward_layers
+
+    def inflated(n, ch, state_cap=None):
+        table, layers = backward_layers(n, ch, state_cap)
+
+        def stream():
+            for t, (vals, best, ties) in enumerate(layers, 1):
+                yield vals, best, ties
+                if t == 1:
+                    best[0] *= 2  # in place: the layer the next one is computed from
+
+        return table, stream()
+
+    monkeypatch.setattr(exact_dp, "backward_layers", inflated)
+
+
+def _break_a_reference_transition(monkeypatch):
+    from fblab import chain
+
+    broken = dict(chain.REFERENCE_TRANSITIONS)
+    broken[(0, 1, 1)] = (((0, 0, 0), 1, "q"), ((0, 2, 2), 1, "p"))  # swapped factors
+    monkeypatch.setattr(chain, "REFERENCE_TRANSITIONS", broken)
+
+
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out-file"])
+@pytest.mark.parametrize(
+    "argv, breaks, failed",
+    [
+        (("verify-theorem2", "--p", "0.1", "--n", "4", "--mode", "float"), _inflate_a_float_layer,
+         lambda doc: doc["report"]["per_horizon"][1]["worst_state"] == [0, 1, 1]
+         and not doc["report"]["overall"]["all_member"]),
+        (("octopus", "--p", "1/10", "--depth", "2", "--verify"), _break_a_reference_transition,
+         lambda doc: not doc["verification"]["all_match"]),
+    ],
+    ids=["verify-theorem2-float-deficit", "octopus-verify-mismatch"],
+)
+def test_exit_3_reports_go_where_results_go(capsys, monkeypatch, tmp_path, argv, breaks, failed,
+                                            to_file):
+    # a report whose check fails exits 3 and is written as a passing one is, to
+    # stdout or to --out, with nothing on stderr
+    out_file = tmp_path / "report.json"
+    extra = ("--out", str(out_file)) if to_file else ()
+    assert run_cli(capsys, *argv, *extra)[0] == 0
+    breaks(monkeypatch)
+    code, out, err = run_cli(capsys, *argv, *extra)
+    assert code == 3 and err == ""
+    if to_file:
+        assert out == ""
+        out = out_file.read_text()
+    assert failed(json.loads(out))
+
+
+def test_exit_3_diagnostics_go_to_stderr_alone(capsys):
+    # a check that fails before any report exists (here P_e* underflows) writes one
+    # JSON diagnostic to stderr and nothing to stdout, as exits 2 and 4 do
+    code, out, err = run_cli(capsys, "verify-theorem2", "--p", "5e-324", "--n", "4", "--mode", "float")
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"] == "check-failed"
+
+
 def test_paths_underflowed_return_probability_is_a_failed_check(capsys, monkeypatch):
     from fblab import chain
 
@@ -619,11 +686,7 @@ def test_simulate_worker_count_is_not_a_shard_count(capsys):
 
 
 def test_octopus_verify_mismatch_exits_nonzero(monkeypatch, capsys):
-    import fblab.chain as chain_mod
-
-    broken = dict(chain_mod.REFERENCE_TRANSITIONS)
-    broken[(0, 1, 1)] = (((0, 0, 0), 1, "q"), ((0, 2, 2), 1, "p"))  # swapped factors
-    monkeypatch.setattr(chain_mod, "REFERENCE_TRANSITIONS", broken)
+    _break_a_reference_transition(monkeypatch)
     code, out, _ = run_cli(capsys, "octopus", "--p", "1/10", "--verify", "--depth", "2")
     assert code == 3
     doc = json.loads(out)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fblab import exact_dp
+from fblab import channel, exact_dp
 from fblab.belief import apply_outcome, leaders, normalize, posteriors
 from fblab.bounds import simplex_event_prob
 from fblab.chain import derive_transitions, reach_prob
@@ -21,14 +21,13 @@ from fblab.exact_dp import (
     backward_layers,
     bellman_optimum,
     error_curve,
-    forward_distribution,
     forward_error_prob,
     move_batch,
     optimal_query_report,
-    sorted_lattice,
 )
 from fblab.montecarlo import run_trials
 from fblab.strategy import MAX_POSTERIOR, StrategyRule, select_query
+from oracles import forward_distribution, full_error_curve, full_layers, sorted_lattice
 from witnesses import HALF_CONSTANT_WITNESSES
 
 P_GRID = ["1/20", "1/10", "1/5", "3/10", "2/5"]
@@ -487,6 +486,71 @@ def test_vote_counts_past_the_key_width_hit_the_cap(monkeypatch):
     assert forward_error_prob(7, CH10, rule) == want  # counts up to 7
     with pytest.raises(ResourceCapError, match=re.escape("vote count of 2**3")):
         forward_error_prob(8, CH10, rule)
+
+
+# the rule kinds whose exact pass drops decided states
+RETIRING_RULES = [MAX_POSTERIOR, StrategyRule(kind="round-robin")] + [
+    StrategyRule(kind="fixed", fixed_query=j) for j in (1, 2, 3)
+]
+RETIRING_RULE_IDS = ["max-posterior", "round-robin", "fixed-1", "fixed-2", "fixed-3"]
+
+
+@settings(max_examples=30, deadline=None)
+@given(p=_rational_p(), n=st.integers(1, 25), m=st.integers(0, 25),
+       rule=st.sampled_from(RETIRING_RULES))
+def test_retiring_pass_equals_the_full_pass(p, n, m, rule):
+    # an exact pass drops each state once it is decided and adds its error mass to
+    # every later horizon's; its Fractions are those of the pass that drops none
+    ch = make_channel(p)
+    full = full_error_curve(ch, rule, n)
+    assert [pe for _, pe, _ in error_curve(ch, rule, n)] == full[1:]
+    assert forward_error_prob(n, ch, rule) == full[n]
+    assert forward_error_prob(min(m, n), ch, rule) == full[min(m, n)]
+
+
+@pytest.mark.parametrize("rule", RETIRING_RULES, ids=RETIRING_RULE_IDS)
+def test_retiring_pass_carries_the_undecided_states_and_the_cap_counts_them(monkeypatch, rule):
+    # after k of n uses a sorted state (0, a, b) is decided when a > n - k, and a
+    # decided state's successors are decided; so the pass carries exactly the full
+    # layer's undecided states, in its order and with its masses, and the forward
+    # cap counts those alone
+    ch, n = make_channel("2/5"), 30
+    trues = (1,) if rule.equivariant else (1, 2, 3)
+    carried = 0
+    full = full_layers(ch, rule, trues, n)
+    for k, ((fv, fm, fden), (votes, mass, den, _)) in enumerate(
+        zip(full, exact_dp._forward_layers(ch, rule, trues, n))
+    ):
+        undecided = np.array([sorted(s)[1] <= n - k for s in fv.tolist()])
+        assert votes.tolist() == fv[undecided].tolist() and mass.tolist() == fm[undecided].tolist()
+        assert den == fden
+        carried += len(votes) if k else 0
+    assert carried < sum(len(fv) for fv, _, _ in full[1:])
+    want = full_error_curve(ch, rule, n)[n]
+    monkeypatch.setattr(channel, "STATE_CAP", carried)
+    assert forward_error_prob(n, ch, rule) == want
+    monkeypatch.setattr(channel, "STATE_CAP", carried - 1)
+    with pytest.raises(ResourceCapError, match=f"touches {carried} states"):
+        forward_error_prob(n, ch, rule)
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+def test_table_pass_retires_no_state(mode):
+    # (0, 5, 5) is first reached after five uses, where it is decided for horizon 8
+    # (its runner-up trails by 5, with 3 uses left), so a pass that dropped decided
+    # states would never ask the table for it; a table's pass carries every state,
+    # so its absence raises wherever a pass reaches it
+    layers = [forward_distribution(k, CH10, MAX_POSTERIOR) for k in range(6)]
+    assert [(0, 5, 5) in layer for layer in layers] == [False] * 5 + [True]
+    table = {s: {j: Fraction(1, len(leaders(s))) for j in leaders(s)}
+             for s in STATES_10 if s != (0, 5, 5)}
+    rule = StrategyRule(kind="table", table=table)
+    ch = make_channel("1/10", mode)
+    message = re.escape("table strategy has no entry for reachable state (0, 5, 5)")
+    with pytest.raises(ValueError, match=message):
+        forward_error_prob(8, ch, rule)
+    with pytest.raises(ValueError, match=message):
+        error_curve(ch, rule, 8)
 
 
 def _bits(values):

@@ -111,9 +111,6 @@ KEPT = {
     "one_step_gap": "the printed one-step law's gap, which the acceptance checks evaluate",
     "error_upper_bound_exact": "the acceptance check that the upper bound dominates; "
     "ROADMAP item 3 gives it a command",
-    "forward_distribution": "the layer view that the oracle tests and the hub-mass "
-    "cross-check compare against",
-    "sorted_lattice": "the lattice order that the oracle tests use",
     "run_trajectory_audit": "the paper's vote invariants",
     "simulate_trajectory": "the scalar Monte Carlo oracle, which perfbench/tracing.py patches",
 }
