@@ -75,10 +75,7 @@ def derive_transitions(ch: ChannelParams, depth_bound: int) -> TransitionTable:
     """
     if depth_bound < 1:
         raise ValueError("depth bound must be at least 1")
-    if 9 * depth_bound - 2 > channel.STATE_CAP:
-        raise channel.ResourceCapError(
-            f"chain derivation reaches {9 * depth_bound - 2} states, cap is {channel.STATE_CAP}"
-        )
+    channel.check_cap(9 * depth_bound - 2, "chain derivation reaches {} states")
     moves, weights = exact_dp.move_batch(MAX_POSTERIOR, by_target=True)
     # (probability, label) by weight index and agreement
     edges = [[(w * f if ch.exact else float(w) * f, sym if w == 1 else f"{sym}/{w.denominator}")

@@ -8,7 +8,8 @@ Sampling the channel's noise is ``montecarlo``'s job.
 
 The programs' shared limits live here too, in a module that loads no
 numpy, so the CLI can read them before it imports a kernel: the state cap,
-its error, and ``log_of``, the log of a probability in either mode.
+its error, its one check ``check_cap``, and ``log_of``, the log of a
+probability in either mode.
 """
 
 from __future__ import annotations
@@ -21,12 +22,20 @@ Number = Fraction | float
 
 # Most states one dynamic program may touch: lattice states over all layers
 # of backward induction, states summed over layers of a forward pass, states
-# the chain derivation reaches.  Every program reads it at the call.
+# the chain derivation reaches.  Every program checks it by check_cap, at the call.
 STATE_CAP = 2_000_000
 
 
 class ResourceCapError(RuntimeError):
     """Raised when a dynamic program would exceed its configured state cap."""
+
+
+def check_cap(count: int, what: str, cap: int | None = None) -> None:
+    """Raise ResourceCapError if ``count`` passes ``cap`` (STATE_CAP, read at the
+    call, when None), with the message ``what.format(count)`` + ", cap is {cap}"."""
+    cap = STATE_CAP if cap is None else cap
+    if count > cap:
+        raise ResourceCapError(f"{what.format(count)}, cap is {cap}")
 
 
 def log_of(value: Number) -> float:

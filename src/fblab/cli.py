@@ -127,9 +127,13 @@ def cmd_paths(args) -> dict:
     ch = make_channel(args.p, args.mode)
     loops = args.series == "loops"
     from . import chain
+    # an exact restricted series cannot fail, and its sum can outlast the capped pass
+    first = ch.exact and args.variant == "restricted" and args.n >= 2
+    reach = chain.reach_prob(args.n, ch) if first else None
     value, comps = chain.path_series(args.n, ch, loops, args.variant)
     log_of(value)  # positive for n >= 2: raises if a double underflowed to 0.0
-    reach = chain.reach_prob(args.n, ch)
+    if not first:
+        reach = chain.reach_prob(args.n, ch)
     log_of(reach)
     exceeds = None
     if loops and args.variant == "closed-form":

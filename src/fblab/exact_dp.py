@@ -42,9 +42,9 @@ denominator of p), for a float channel on doubles with a relative error of
 a few machine epsilons per layer.  See backward_layers.
 
 Both passes raise ``channel.ResourceCapError`` past ``channel.STATE_CAP``
-states, which they read at the call (the forward pass counts the states it
-carries on, not those it drops); the cap lives in ``channel`` so that
-the CLI can read it without loading numpy.
+states by ``channel.check_cap``, which reads the cap at the call (the forward
+pass counts the states it carries on, not those it drops); the cap and its
+check live in ``channel``, which the CLI loads without numpy.
 """
 
 from __future__ import annotations
@@ -331,10 +331,7 @@ def propagate(
         if keep is not None:
             ids, votes, mass = ids[keep], votes[keep], mass[keep]
         touched += ids.size
-        if touched > channel.STATE_CAP:
-            raise channel.ResourceCapError(
-                f"forward pass touches {touched} states, cap is {channel.STATE_CAP}"
-            )
+        channel.check_cap(touched, "forward pass touches {} states")
 
 
 def contenders(d: np.ndarray, left: int) -> tuple[np.ndarray, np.ndarray]:
@@ -622,13 +619,8 @@ def backward_layers(
     """
     if n < 0:
         raise ValueError("horizon must be nonnegative")
-    if state_cap is None:
-        state_cap = channel.STATE_CAP
-    total_states = sum(_lattice_size(k) for k in range(n + 1))
-    if total_states > state_cap:
-        raise channel.ResourceCapError(
-            f"backward induction needs {total_states} state evaluations, cap is {state_cap}"
-        )
+    total = (n + 1) * (n + 2) * (n + 3) // 6  # C(n + 3, 3), the states of lattices 0..n
+    channel.check_cap(total, "backward induction needs {} state evaluations", state_cap)
     exact = ch.exact
     if exact:
         a, c = ch.p.numerator, ch.p.denominator

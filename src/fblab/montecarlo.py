@@ -256,16 +256,17 @@ def _batch_outputs(
     rule: StrategyRule,
     seed: int,
     trials: int,
-    size: int,
     return_arrays: bool = False,
 ):
-    """``_simulate_batch`` outputs for trials [0, trials), at most ``size`` per
-    batch; a rule other than max-posterior is compiled once for all of them,
-    and one workspace, the five uint64 streams of a batch, is allocated once
-    and refilled by every batch."""
+    """``_simulate_batch`` outputs for trials [0, trials), ``_BATCH`` trials per
+    batch, or with the per-step arrays about ``_RECORD_STEPS`` trial-steps, so
+    memory stays bounded for any n; a rule other than max-posterior is compiled
+    once for all of them, and one workspace, the five uint64 streams of a
+    batch, is allocated once and refilled by every batch."""
     if n < 0:
         raise ValueError(f"horizon n must be non-negative, got {n}")
     _check_seed(seed)
+    size = max(1, _RECORD_STEPS // max(n, 1)) if return_arrays else _BATCH
     queries = None if rule.kind == "max-posterior" else _Queries(rule, n)
     # a lead of more than n - k needs more than k uses, so none retires before; a
     # table rule never retires, so that a state it lacks raises wherever it is reached
@@ -274,14 +275,6 @@ def _batch_outputs(
     for lo in range(0, trials, size):
         hi = min(lo + size, trials)
         yield _simulate_batch(n, ch, queries, seed, lo, hi, return_arrays, retire_from, workspace)
-
-
-def _array_batches(n: int, ch: ChannelParams, rule: StrategyRule, seed: int, trials: int):
-    """``_batch_outputs`` with the per-step arrays, in batches of about
-    ``_RECORD_STEPS`` trial-steps, so memory stays bounded for any n."""
-    return _batch_outputs(
-        n, ch, rule, seed, trials, max(1, _RECORD_STEPS // max(n, 1)), return_arrays=True
-    )
 
 
 def _simulate_batch(
@@ -415,7 +408,7 @@ def run_trials(
         raise ValueError("need at least one trial")
     if workers < 1:
         raise ValueError("workers must be positive")
-    errors = sum(out["errors"] for out in _batch_outputs(n, ch, rule, seed, trials, _BATCH))
+    errors = sum(out["errors"] for out in _batch_outputs(n, ch, rule, seed, trials))
     return SimulationStats(trials, errors, seed)
 
 
@@ -435,7 +428,7 @@ def run_trajectory_audit(
     tallies = dict.fromkeys(
         ("trials", "errors", "chain_violations", "spread_violations",
          "vote_identity_violations", "error_path_violations"), 0)
-    for out in _array_batches(n, ch, rule, seed, trials):
+    for out in _batch_outputs(n, ch, rule, seed, trials, return_arrays=True):
         history, votes, m = out["history"], out["votes"], out["zero_outputs"]
         lo, hi, total = history.min(axis=1), history.max(axis=1), history.sum(axis=1)
         mid = total - lo - hi
@@ -530,7 +523,7 @@ def trajectory_records(
     votes after each step, the final absolute ``votes``, ``zero_outputs`` m
     (the number of y = 0), the ``decoded`` message and the ``rule_kind``."""
     ch.require_float("trajectory_records")
-    for out in _array_batches(n, ch, rule, seed, count):
+    for out in _batch_outputs(n, ch, rule, seed, count, return_arrays=True):
         # a generator expression: its column lists go when it is spent, before
         # the next batch is made
         yield from (

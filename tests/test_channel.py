@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fblab.channel import ChannelParams, make_channel
-from fblab.montecarlo import _array_batches, counter_hash
+from fblab.montecarlo import _batch_outputs, counter_hash
 from fblab.strategy import StrategyRule
 
 P_GRID = ["1/20", "1/10", "1/5", "3/10", "2/5"]
@@ -61,7 +61,8 @@ def test_empirical_flip_rate(p):
     # querying message 1 sends x = (true != 1), so the flip is y ^ x
     ch = make_channel(str(p), "float")
     steps, trials = 100, 10**4
-    batches = _array_batches(steps, ch, StrategyRule(kind="fixed", fixed_query=1), 2024, trials)
+    rule = StrategyRule(kind="fixed", fixed_query=1)
+    batches = _batch_outputs(steps, ch, rule, 2024, trials, return_arrays=True)
     flips = np.concatenate([out["ys"] ^ (out["true"] != 1) for out in batches], axis=1)
     assert flips.shape == (steps, trials)
     n = steps * trials

@@ -145,6 +145,18 @@ def test_bellman_resource_cap_exit_code(capsys):
     assert json.loads(err)["error"] == "resource-cap"
 
 
+def test_bellman_state_cap_counts_every_lattice_state(capsys):
+    # lattices 0..5 hold 1 + 3 + 6 + 10 + 15 + 21 = 56 states
+    code, _, _ = run_cli(capsys, "bellman", "--p", "1/10", "--n", "5", "--state-cap", "56")
+    assert code == 0
+    code, out, err = run_cli(capsys, "bellman", "--p", "1/10", "--n", "5", "--state-cap", "55")
+    assert code == 4 and out == ""
+    assert json.loads(err) == {
+        "error": "resource-cap",
+        "detail": "backward induction needs 56 state evaluations, cap is 55",
+    }
+
+
 @pytest.mark.parametrize(
     "argv, detail",
     [
@@ -290,6 +302,18 @@ def test_every_program_respects_state_cap(capsys, monkeypatch, argv):
     code, _, err = run_cli(capsys, *argv)
     assert code == 4
     assert json.loads(err)["error"] == "resource-cap"
+
+
+def test_octopus_state_cap_boundary(capsys, monkeypatch):
+    # depth 3 reaches 9 * 3 - 2 = 25 chain states
+    monkeypatch.setattr(channel, "STATE_CAP", 25)
+    assert run_cli(capsys, "octopus", "--p", "1/10", "--depth", "3")[0] == 0
+    monkeypatch.setattr(channel, "STATE_CAP", 24)
+    code, out, err = run_cli(capsys, "octopus", "--p", "1/10", "--depth", "3")
+    assert code == 4 and out == ""
+    assert json.loads(err) == {
+        "error": "resource-cap", "detail": "chain derivation reaches 25 states, cap is 24"
+    }
 
 
 # stdout digests of float jobs: a change in the order of any float operation of the
@@ -780,6 +804,32 @@ def test_paths_checks_the_series_before_the_return_probability(capsys, monkeypat
                            "--series", series, "--variant", "closed-form")
     assert code == 3
     assert "underflow" in json.loads(err)["detail"]
+
+
+@pytest.mark.parametrize(
+    "extra, calls",
+    [
+        ((), ["reach_prob"]),
+        (("--mode", "float"), ["path_series", "reach_prob"]),
+        (("--variant", "closed-form"), ["path_series", "reach_prob"]),
+    ],
+)
+def test_paths_sums_an_exact_restricted_series_after_the_return_probability(
+    capsys, monkeypatch, extra, calls
+):
+    # an exact restricted series cannot fail its check, and its sum can outlast the
+    # capped return probability by minutes; every other series is checked first
+    from fblab import chain
+
+    monkeypatch.setattr(channel, "STATE_CAP", 100)
+    seen = []
+    for name in ("path_series", "reach_prob"):
+        fn = getattr(chain, name)
+        monkeypatch.setattr(chain, name, lambda *a, fn=fn, name=name: seen.append(name) or fn(*a))
+    code, out, err = run_cli(capsys, "paths", "--p", "1/10", "--n", "40", *extra)
+    assert code == 4 and out == ""
+    assert "forward pass touches" in json.loads(err)["detail"]
+    assert seen == calls
 
 
 def test_bounds_json_with_several_probabilities_is_invalid_input(capsys):

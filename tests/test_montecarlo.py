@@ -74,14 +74,15 @@ class TestDeterminism:
         ]
         assert len({(r.trials, r.errors) for r in runs}) == 1
 
-    def test_batch_size_is_irrelevant(self):
+    def test_batch_size_is_irrelevant(self, monkeypatch):
         want = run_trials(8, CHF, MAX_POSTERIOR, trials=10_000, seed=1).errors
         for size in (137, 10_000):
-            outs = _batch_outputs(8, CHF, MAX_POSTERIOR, 1, 10_000, size)
+            monkeypatch.setattr(montecarlo, "_BATCH", size)
+            outs = _batch_outputs(8, CHF, MAX_POSTERIOR, 1, 10_000)
             assert sum(out["errors"] for out in outs) == want
 
     @pytest.mark.parametrize("name", sorted(ORACLE_RULES))
-    def test_batch_size_is_irrelevant_for_every_rule(self, name):
+    def test_batch_size_is_irrelevant_for_every_rule(self, name, monkeypatch):
         # the engine hashes tie draws for the tied trials of a batch only; n = 0
         # makes every decode a three-way tie, and batch 1 makes the tied subset
         # of a batch every trial or none
@@ -89,8 +90,10 @@ class TestDeterminism:
         for n in (0, 1, 8):
             want = run_trials(n, CHF, rule, trials, seed=1).errors
             for size in (1, 137, trials):
-                outs = _batch_outputs(n, CHF, rule, 1, trials, size)
-                assert sum(out["errors"] for out in outs) == want, (n, size)
+                with monkeypatch.context() as m:
+                    m.setattr(montecarlo, "_BATCH", size)
+                    outs = _batch_outputs(n, CHF, rule, 1, trials)
+                    assert sum(out["errors"] for out in outs) == want, (n, size)
 
     def test_scalar_and_batch_engines_agree_per_trial(self):
         # a record holds the true and decoded messages, the final votes, the
@@ -139,7 +142,8 @@ class TestDeterminism:
         rule = ORACLE_RULES[name]
         for p, n, seed in itertools.product(("0.05", "0.3", "0.5"), (0, 1, 2, 7, 30), (0, 1, 2)):
             ch = make_channel(p, "float")
-            full = sum(out["errors"] for out in montecarlo._array_batches(n, ch, rule, seed, 400))
+            outs = montecarlo._batch_outputs(n, ch, rule, seed, 400, return_arrays=True)
+            full = sum(out["errors"] for out in outs)
             assert run_trials(n, ch, rule, 400, seed).errors == full, (p, n, seed)
 
     def test_table_rules_never_retire(self):
@@ -333,7 +337,8 @@ def test_narrow_vote_rows_agree_with_the_oracle(p, name, n):
     # query, past 255 at n = 300; at p = 0.5 trials err with about n/2 votes on
     # the true message, so the audit's 3e + 1 passes 255
     ch, rule, seed = make_channel(p, "float"), ORACLE_RULES[name], 3
-    full = sum(out["errors"] for out in montecarlo._array_batches(n, ch, rule, seed, 300))
+    outs = montecarlo._batch_outputs(n, ch, rule, seed, 300, return_arrays=True)
+    full = sum(out["errors"] for out in outs)
     assert run_trials(n, ch, rule, 300, seed).errors == full
     records = [simulate_trajectory(n, ch, rule, seed, t) for t in range(12)]
     assert list(trajectory_records(n, ch, rule, seed, 12)) == records
