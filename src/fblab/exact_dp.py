@@ -39,7 +39,10 @@ the unnormalised error mass E_t(s) = Z(s) * (1 - V_t(s)),
 Z(s) = sum_i z**s_i, a min-recursion of positive terms: for an exact
 channel on Python integers (E scaled by powers of the numerator and
 denominator of p), for a float channel on doubles with a relative error of
-a few machine epsilons per layer.  See backward_layers.
+a few machine epsilons per layer.  An exact pass evaluates the min-recursion
+only at the states that ``contenders`` does not call decided, and gives a
+decided state's mass in closed form; a float pass evaluates every state.
+See backward_layers.
 
 Both passes raise ``channel.ResourceCapError`` past ``channel.STATE_CAP``
 states by ``channel.check_cap``, which reads the cap at the call (the forward
@@ -546,7 +549,8 @@ class ValueTable:
     """Scale and per-horizon results of backward induction up to ``horizon`` uses.
 
     Layer t (t = 0..horizon uses left) covers lattice horizon - t in
-    lattice order (see _lattice_coords).  A scaled error mass m at state i
+    lattice order (see _lattice_coords), and evaluates the states that
+    ``band`` names.  A scaled error mass m at lattice index i
     of layer t is the error probability m / (step**t * norms[i])
     (``probability``), where
     ``norms[i]`` is the state's likelihood sum Z(s) under the same scale.
@@ -566,7 +570,7 @@ class ValueTable:
     ties: np.ndarray = field(repr=False)
 
     def probability(self, t: int, i: int, mass) -> Number:
-        """A mass at state index i of layer t, in probability units."""
+        """A mass at lattice index i of layer t, in probability units."""
         den = self.step**t * self.norms[i]
         return Fraction(mass, den) if self.exact else float(mass / den)
 
@@ -578,6 +582,12 @@ class ValueTable:
     def tie_counts(self) -> tuple[int, int, int]:
         """Number of (t >= 1, state) entries with 1, 2 and 3 optimal queries."""
         return int(self.ties[1]), int(self.ties[2]), int(self.ties[3])
+
+    def band(self, t: int) -> int:
+        """The largest a of the states (0, a, b) at which layer t evaluates the
+        min-of-sums, in lattice order: t for an exact table, whose states with
+        a > t are decided, and horizon - t, every state, for a float one."""
+        return t if self.exact else self.horizon - t
 
 
 def backward_layers(
@@ -611,11 +621,25 @@ def backward_layers(
     of the minimum mass plus FLOAT_TIE_TOL of the smallest normal double,
     since a subnormal mass keeps only an absolute precision.
 
+    With t uses left a sorted state (0, a, b) with a > t is decided
+    (``contenders`` gives it one contender): one use closes a gap by at most
+    one, so message 1 leads alone at the end, every query gives the same
+    mass and E_t(s) = E_0(s), J_t(s) = c**t * J_0(s).  An exact layer t
+    therefore evaluates the min-of-sums only at the states with a <= t
+    (``ValueTable.band``), through their columns of the successor table, and
+    counts each decided state as a three-way tie.  Layer t + 1 reads
+    successors with a up to t + 2, so the lattice array it reads holds layer
+    t's masses and, for a in {t + 1, t + 2}, the closed form, and no other
+    decided state.  A float layer evaluates every state, so that no double
+    moves.  The state cap still counts every lattice state, C(n + 3, 3).
+
     Returns the ValueTable, holding layer 0, and an iterator that computes
     each further layer from the one before alone, records it in the table
-    and yields it as a BackwardLayer in lattice order.  Raises
-    ResourceCapError up front when the layers exceed ``state_cap`` states
-    (by default ``channel.STATE_CAP``, read at the call).
+    and yields it as a BackwardLayer over the states it evaluates, in
+    lattice order.  The next layer reads the yielded minimum masses as the
+    caller leaves them.  Raises ResourceCapError up front when the layers
+    exceed ``state_cap`` states (by default ``channel.STATE_CAP``, read at
+    the call).
     """
     if n < 0:
         raise ValueError("horizon must be nonnegative")
@@ -643,19 +667,32 @@ def backward_layers(
     )
     succ, shift = _successor_tables(n - 1)
     weights = np.array([w_stay, w_shift], dtype=powers.dtype)[shift.astype(np.intp)]
+    votes = np.stack([np.zeros_like(s2), s2, s3]) if exact else None  # (3, states)
 
     def layers() -> Iterator[BackwardLayer]:
         prev = start
         for t in range(1, n + 1):
             size = _lattice_size(n - t)
             to, w = succ[:, :, :size], weights[:, :, :size]
+            if exact:  # the undecided states alone; see above
+                near = contenders(votes[:, :size], t)[0]
+                at = np.flatnonzero(near > 1)
+                to, w = to.take(at, axis=2), w.take(at, axis=2)
             vals = w[:, 0] * prev[to[:, 0]] + w[:, 1] * prev[to[:, 1]]
-            prev = np.minimum(np.minimum(vals[0], vals[1]), vals[2])
-            ties = vals == prev if exact else vals <= prev * (1 + FLOAT_TIE_TOL) + _SUBNORMAL_TIE
-            table.origin.append(prev[0])
+            best = np.minimum(np.minimum(vals[0], vals[1]), vals[2])
+            ties = vals == best if exact else vals <= best * (1 + FLOAT_TIE_TOL) + _SUBNORMAL_TIE
+            table.origin.append(best[0])
             table.ties += np.bincount(ties.sum(axis=0), minlength=4)
-            yield vals, prev, ties
+            table.ties[3] += size - best.size  # a decided state ties all three queries
+            yield vals, best, ties
             del vals, ties  # the caller may drop its copies before the next layer
+            if exact:  # and the decided states that the next layer reads, a <= t + 2
+                prev = np.empty(size, dtype=object)
+                prev[at] = best
+                band = np.flatnonzero((near == 1) & (s2[:size] <= t + 2))
+                prev[band] = start[band] * step**t
+            else:
+                prev = best
 
     return table, layers()
 
@@ -687,9 +724,15 @@ def optimal_query_report(n: int, ch: ChannelParams, detail: bool = False) -> dic
     the value lost by the best fewest-votes query.  Strict multi-step
     dominance is counted but not asserted.  The check consumes
     ``backward_layers``, reading each layer's per-query error masses
-    (integers for an exact channel) at the reachable states in (a, b)
-    order; a deficit is converted to a probability only when nonzero.
-    ``detail`` adds one verdict row per (t, state).
+    (integers for an exact channel) at the reachable states it evaluates,
+    in (a, b) order; a deficit is converted to a probability only when
+    nonzero.  Every other state is decided: all three queries tie there and
+    message 1 alone has fewest votes, so it is a member with deficit 0,
+    argmax (1, 2, 3) and fewest-votes (1,), and never strict.
+    ``detail`` adds one verdict row per (t, state) in (a, b) order, which
+    puts the decided states, with a > t, last.  Rows share their immutable
+    parts: one state tuple per lattice state, the query-set tuples and one
+    zero, which ``serialize`` writes once each.
 
     After k uses the reachable states are all of lattice k, the sorted
     states with counts up to k (see _lattice_coords), except
@@ -701,15 +744,19 @@ def optimal_query_report(n: int, ch: ChannelParams, detail: bool = False) -> dic
     """
     table, layers = backward_layers(n, ch)
     zero: Number = Fraction(0) if ch.exact else 0.0
+    # --detail rows share their parts: one tuple per state of lattice n - 1, in lattice order
+    states = [(0, a, b) for b in range(n) for a in range(b + 1)] if detail else []
     coord_a, coord_b = _lattice_coords(n)
     per_horizon = []
     per_state = []
     strict = 0
     for t, (vals, best, opt) in enumerate(layers, 1):
-        idx = np.arange(int(n - t == 1), _lattice_size(n - t))  # the states after n - t uses
-        idx = idx[np.lexsort((coord_b[idx], coord_a[idx]))]
-        a, b = coord_a[idx], coord_b[idx]
-        vals, best, opt = vals[:, idx], best[idx], opt[:, idx]
+        m, band = n - t, table.band(t)
+        at = np.flatnonzero(coord_a[:_lattice_size(m)] <= band)  # lattice index of each column
+        decided = _lattice_size(m) - at.size  # all reachable: a > t >= 1 rules out (0, 0, 0)
+        idx = np.lexsort((coord_b[at], coord_a[at]))[int(m == 1):]  # reachable, by (a, b)
+        at, vals, best, opt = at[idx], vals[:, idx], best[idx], opt[:, idx]
+        a, b = coord_a[at], coord_b[at]
         # normalised states (0, a, b): message 1 always has fewest votes
         lead = np.stack([np.ones_like(a, dtype=bool), a == 0, b == 0])
         loss = np.where(lead, vals, vals[0]).min(axis=0) - best
@@ -717,7 +764,7 @@ def optimal_query_report(n: int, ch: ChannelParams, detail: bool = False) -> dic
         others_lose = (lead | (vals > best)).all(axis=0)  # every other query is worse
         strict += int((member & ~lead.all(axis=0) & others_lose).sum())
         hit = np.flatnonzero(loss != 0).tolist()
-        lost = [table.probability(t, idx[k], loss[k]) for k in hit]
+        lost = [table.probability(t, at[k], loss[k]) for k in hit]
         max_deficit, worst_state = max(lost, default=zero), None
         if max_deficit > zero:  # the first state with the largest deficit
             k = hit[lost.index(max_deficit)]
@@ -725,8 +772,8 @@ def optimal_query_report(n: int, ch: ChannelParams, detail: bool = False) -> dic
         per_horizon.append(
             {
                 "t": t,
-                "states": idx.size,
-                "members": int(member.sum()),
+                "states": idx.size + decided,
+                "members": int(member.sum()) + decided,
                 "max_deficit": max_deficit,
                 "worst_state": worst_state,
             }
@@ -735,18 +782,30 @@ def optimal_query_report(n: int, ch: ChannelParams, detail: bool = False) -> dic
             deficits = [zero] * idx.size
             for k, d in zip(hit, lost):
                 deficits[k] = d
-            rows = zip(a.tolist(), b.tolist(), member.tolist(), deficits,
+            rows = zip(at.tolist(), member.tolist(), deficits,
                        (_QUERY_BITS @ opt).tolist(), (_QUERY_BITS @ lead).tolist())
             per_state.extend(
                 {
                     "t": t,
-                    "state": (0, sa, sb),
-                    "verdict": "member" if m else "outside",
+                    "state": states[i],
+                    "verdict": "member" if inside else "outside",
                     "deficit": d,
-                    "argmax": [*_QUERY_SETS[best_set]],
-                    "fewest_votes": [*_QUERY_SETS[fewest]],
+                    "argmax": _QUERY_SETS[best_set],
+                    "fewest_votes": _QUERY_SETS[fewest],
                 }
-                for sa, sb, m, d, best_set, fewest in rows
+                for i, inside, d, best_set, fewest in rows
+            )
+            per_state.extend(  # every query ties at a decided state, and message 1 leads alone
+                {
+                    "t": t,
+                    "state": states[sb * (sb + 1) // 2 + sa],
+                    "verdict": "member",
+                    "deficit": zero,
+                    "argmax": _QUERY_SETS[7],
+                    "fewest_votes": _QUERY_SETS[1],
+                }
+                for sa in range(band + 1, m + 1)
+                for sb in range(sa, m + 1)
             )
     pe_star = table.optimal_error()
     channel.log_of(pe_star)  # raises if a float P_e* underflowed: never report it as 0

@@ -1,10 +1,13 @@
 """Oracles that only the tests read: the forward pass with every state
 carried to the horizon, its layer view and error curve, and the sorted-state
-lattice of backward induction."""
+lattice of backward induction with the backward pass that evaluates every
+state of it."""
 
 from fractions import Fraction
 
-from fblab import exact_dp
+import numpy as np
+
+from fblab import channel, exact_dp
 from fblab.belief import leaders
 
 
@@ -50,3 +53,51 @@ def full_error_curve(ch, rule, n_max):
             sixths += sum(m * (6 - 6 // len(lead) if t in lead else 6) for t, m in zip(trues, row))
         curve.append(Fraction(sixths, 6 * len(trues) * den))
     return curve
+
+
+def full_backward_layers(n, ch, state_cap=None):
+    """``exact_dp.backward_layers`` as it was before it skipped decided states:
+    every layer evaluates every state of its lattice, in lattice order, for
+    an exact channel as for a float one.  Its table's ``band`` does not apply."""
+    if n < 0:
+        raise ValueError("horizon must be nonnegative")
+    total = (n + 1) * (n + 2) * (n + 3) // 6  # C(n + 3, 3), the states of lattices 0..n
+    channel.check_cap(total, "backward induction needs {} state evaluations", state_cap)
+    exact = ch.exact
+    if exact:
+        a, c = ch.p.numerator, ch.p.denominator
+        b = c - a
+        powers = np.array([a**k * b ** (n - k) for k in range(n + 1)], dtype=object)
+        w_shift, w_stay, step = a, b, c
+    else:
+        powers = ch.z ** np.arange(n + 1.0)
+        w_shift, w_stay, step = ch.p, ch.q, 1.0
+    s2, s3 = exact_dp._lattice_coords(n)
+    start = powers[s2] + powers[s3]
+    table = exact_dp.ValueTable(
+        horizon=n,
+        exact=exact,
+        tie_tolerance=0.0 if exact else exact_dp.FLOAT_TIE_TOL,
+        norms=powers[0] + start,
+        step=step,
+        origin=[start[0]],
+        ties=np.zeros(4, dtype=np.int64),
+    )
+    succ, shift = exact_dp._successor_tables(n - 1)
+    weights = np.array([w_stay, w_shift], dtype=powers.dtype)[shift.astype(np.intp)]
+
+    def layers():
+        prev = start
+        for t in range(1, n + 1):
+            size = exact_dp._lattice_size(n - t)
+            to, w = succ[:, :, :size], weights[:, :, :size]
+            vals = w[:, 0] * prev[to[:, 0]] + w[:, 1] * prev[to[:, 1]]
+            prev = np.minimum(np.minimum(vals[0], vals[1]), vals[2])
+            ties = (vals == prev if exact
+                    else vals <= prev * (1 + exact_dp.FLOAT_TIE_TOL) + exact_dp._SUBNORMAL_TIE)
+            table.origin.append(prev[0])
+            table.ties += np.bincount(ties.sum(axis=0), minlength=4)
+            yield vals, prev, ties
+            del vals, ties  # the caller may drop its copies before the next layer
+
+    return table, layers()

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import random
@@ -27,7 +28,13 @@ from fblab.exact_dp import (
 )
 from fblab.montecarlo import run_trials
 from fblab.strategy import MAX_POSTERIOR, StrategyRule, select_query
-from oracles import forward_distribution, full_error_curve, full_layers, sorted_lattice
+from oracles import (
+    forward_distribution,
+    full_backward_layers,
+    full_error_curve,
+    full_layers,
+    sorted_lattice,
+)
 from witnesses import HALF_CONSTANT_WITNESSES
 
 P_GRID = ["1/20", "1/10", "1/5", "3/10", "2/5"]
@@ -107,6 +114,25 @@ def _reference_bellman(n, ch):
     return values, argmax, queries
 
 
+def _layer_masses(table, t, layer):
+    """Layer t's (mass, per-query masses, tie mask) at every state of its
+    lattice, in lattice order.  The layer holds the states (0, a, b) with
+    a <= ``table.band(t)``, in lattice order; at every other state each query
+    gives the closed form step**t * E_0(s), in the table's units Z(s) - 1,
+    where Z(s) is ``norms[i]`` and the leader's weight 1 is a third of
+    Z(0, 0, 0)."""
+    vals, best, ties = layer
+    one = table.norms[0] // 3
+    k = 0
+    for i, s in enumerate(sorted_lattice(table.horizon - t)):
+        if s[1] <= table.band(t):
+            yield best[k], vals[:, k].tolist(), ties[:, k].tolist()
+            k += 1
+        else:
+            mass = table.step**t * (table.norms[i] - one)
+            yield mass, [mass] * 3, [True] * 3
+
+
 def _stream(n, ch):
     """The backward pass read off ``backward_layers``, keyed like ``_reference_bellman``.
 
@@ -120,11 +146,12 @@ def _stream(n, ch):
         for i, s in enumerate(sorted_lattice(n))
     }
     argmax, queries = {}, {}
-    for t, (vals, best, ties) in enumerate(layers, 1):
-        for i, s in enumerate(sorted_lattice(n - t)):
-            values[(t, s)] = 1 - table.probability(t, i, best[i])
-            argmax[(t, s)] = frozenset(j + 1 for j in range(3) if ties[j, i])
-            queries[(t, s)] = tuple(1 - table.probability(t, i, v) for v in vals[:, i])
+    for t, layer in enumerate(layers, 1):
+        masses = _layer_masses(table, t, layer)
+        for i, (s, (best, vals, ties)) in enumerate(zip(sorted_lattice(n - t), masses)):
+            values[(t, s)] = 1 - table.probability(t, i, best)
+            argmax[(t, s)] = frozenset(j + 1 for j in range(3) if ties[j])
+            queries[(t, s)] = tuple(1 - table.probability(t, i, v) for v in vals)
     return values, argmax, queries
 
 
@@ -699,15 +726,68 @@ class TestBellman:
 
     def test_pass_holds_one_layer(self):
         # at n = 60 every layer together peaks at 4.4 MB of integers, one
-        # layer and its query masses at 2.0 MB
+        # layer and its query masses at 2.0 MB, and one layer's undecided
+        # states with their query masses at 1.3 MB
         ch = make_channel("49/100")
-        tracemalloc.start()
-        try:
-            bellman_optimum(60, ch)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 3_200_000
+
+        def peak(run):
+            tracemalloc.start()
+            try:
+                run()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        reduced = peak(lambda: bellman_optimum(60, ch))
+        assert reduced < 3_200_000
+        full = peak(lambda: collections.deque(full_backward_layers(60, ch)[1], maxlen=0))
+        assert reduced < 1_600_000 <= full
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=_rational_p(), n=st.integers(0, 25))
+def test_reduced_bellman_equals_the_full_pass(p, n):
+    # an exact pass evaluates only the undecided states; read with the decided ones
+    # in closed form, every layer's masses and tie masks, P_e*(t) and the tie counts
+    # are those of the pass that evaluates every state
+    ch = make_channel(p)
+    table, layers = backward_layers(n, ch)
+    full_table, full = full_backward_layers(n, ch)
+    for t, (layer, (fvals, fbest, fties)) in enumerate(zip(layers, full), 1):
+        for i, (best, vals, ties) in enumerate(_layer_masses(table, t, layer)):
+            assert best == fbest[i] and vals == fvals[:, i].tolist()
+            assert ties == fties[:, i].tolist()
+    assert table.origin == full_table.origin and len(table.origin) == n + 1
+    assert table.tie_counts() == full_table.tie_counts()
+
+
+@pytest.mark.parametrize("pl, mode", [("1/10", "rational"), ("2/5", "rational"),
+                                      ("1/2", "rational"), ("0.1", "float")])
+def test_bellman_evaluates_the_undecided_states(pl, mode):
+    # with t uses left a sorted state (0, a, b) is decided when a > t (contenders
+    # gives it one contender), and a decided state's successors are decided: an
+    # exact layer evaluates exactly the others, in lattice order, with the full
+    # pass's masses, which it can only have read from the decided band it carried
+    # in closed form; a float layer evaluates every state, so no double moves.
+    # The cap still counts every lattice state.
+    ch, n = make_channel(pl, mode), 30
+    table, layers = backward_layers(n, ch)
+    evaluated = 0
+    for t, ((vals, best, ties), (fvals, fbest, fties)) in enumerate(
+        zip(layers, full_backward_layers(n, ch)[1]), 1
+    ):
+        lattice = np.array(sorted_lattice(n - t))
+        keep = lattice[:, 1] <= (t if ch.exact else n)
+        assert table.band(t) == (t if ch.exact else n - t) and best.size == keep.sum()
+        assert best.tolist() == fbest[keep].tolist() and vals.tolist() == fvals[:, keep].tolist()
+        assert ties.tolist() == fties[:, keep].tolist()
+        evaluated += best.size
+    nominal = (n + 1) * (n + 2) * (n + 3) // 6
+    full_evaluations = nominal - _lattice_size(n)  # every state of layers 1..n
+    assert evaluated < full_evaluations if ch.exact else evaluated == full_evaluations
+    bellman_optimum(n, ch, state_cap=nominal)
+    with pytest.raises(ResourceCapError, match=f"needs {nominal} state evaluations"):
+        bellman_optimum(n, ch, state_cap=nominal - 1)
 
 
 class TestReachability:

@@ -231,3 +231,22 @@ _EDGES = {
 @pytest.mark.parametrize("value", list(_EDGES.values()), ids=list(_EDGES))
 def test_emitter_matches_stdlib_on_edge_cases(value):
     assert dumps(value) == _stdlib(value)
+
+
+def test_table_memo_is_per_object_and_per_call():
+    # a table writes each value object's text once: rows that share one list, tuple
+    # and Fraction keep their texts apart from equal values of other types, and a
+    # shared list mutated between two calls is written anew
+    shared_list, shared_tuple, shared_ratio = [1], (1,), Fraction(1)
+    rows = [
+        {"l": shared_list, "t": shared_tuple, "f": shared_ratio},
+        {"l": [True], "t": [1], "f": 1},
+        {"l": shared_list, "t": shared_tuple, "f": shared_ratio},
+        {"l": (1,), "t": (True,), "f": Fraction(1)},
+        {"l": shared_list, "t": shared_tuple, "f": 1.0},
+    ]
+    first = dumps(rows)
+    assert first == _stdlib(rows)
+    shared_list[0] = Fraction(1, 2)
+    shared_list.append([True])
+    assert dumps(rows) == _stdlib(rows) != first
