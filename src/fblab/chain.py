@@ -179,7 +179,7 @@ def reach_prob(n: int, ch: ChannelParams) -> Number:
     f1 = np.array([[int(w * f * scale) if exact else channel.log_of(float(w) * f)
                     for f in (ch.p, ch.q) * 4] for w in weights], dtype)  # by code & 1
     start, f2 = np.full(1, one, dtype), np.full((8, 1), one, dtype)
-    layers = exact_dp.propagate(moves, f1, MAIN_STATE, start, f2)
+    layers = exact_dp.propagate(moves, f1, start, f2)
     votes, mass = next(itertools.islice(layers, n, None))
     at_hub = mass[(votes == 0).all(axis=1), 0].tolist()
     if exact:

@@ -42,7 +42,10 @@ def _parse_strategy(text: str) -> StrategyRule:
     if text == "round-robin":
         return StrategyRule(kind="round-robin")
     if text.startswith("fixed:"):
-        return StrategyRule(kind="fixed", fixed_query=int(text.split(":", 1)[1]))
+        try:
+            return StrategyRule(kind="fixed", fixed_query=int(text.split(":", 1)[1]))
+        except ValueError as exc:
+            raise ValueError(f"strategy {text!r}: {exc}") from None
     if text.startswith("table:"):
         return load_table(text.split(":", 1)[1])
     raise ValueError(f"unknown strategy {text!r}")

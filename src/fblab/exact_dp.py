@@ -42,7 +42,8 @@ denominator of p), for a float channel on doubles with a relative error of
 a few machine epsilons per layer.  An exact pass evaluates the min-recursion
 only at the states that ``contenders`` does not call decided, and gives a
 decided state's mass in closed form; a float pass evaluates every state.
-See backward_layers.
+Each layer yields the lattice indices of the states it evaluated beside
+their masses, so no reader restates which those are; see backward_layers.
 
 Both passes raise ``channel.ResourceCapError`` past ``channel.STATE_CAP``
 states by ``channel.check_cap``, which reads the cap at the call (the forward
@@ -89,6 +90,8 @@ _CODES[1:, 1] = 7 - _CODES[1:, 0]
 # a state, so that many steps pass channel.STATE_CAP first.
 _KEY_BITS = 21
 _NO_KEY = np.iinfo(np.int64).max  # above every key: a normalised state has a 0 count
+
+ORIGIN: MetricState = (0, 0, 0)  # the state before any use, where every forward pass starts
 
 
 def _state_keys(v1: np.ndarray, v2: np.ndarray, v3: np.ndarray) -> np.ndarray:
@@ -278,21 +281,20 @@ def _grow(a: np.ndarray, extra: int) -> np.ndarray:
 def propagate(
     moves: Moves,
     f1: np.ndarray,
-    start: MetricState,
     mass: np.ndarray,
     f2: np.ndarray,
     settle: Callable[[int, np.ndarray, np.ndarray], np.ndarray | None] | None = None,
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield (state votes, masses) of the start layer, then of each further step.
+    """Yield (state votes, masses) of the start layer, ``ORIGIN``, then of each further step.
 
     ``moves`` is ``move_batch``'s: given a batch of states (k, 3), those of
     one layer that have not been asked for before, it gives their moves in
     MOVES slots per state: target votes (k, MOVES, 3), weight index w, code
     c (k, MOVES each) and a mask (k, MOVES) of the slots that hold a move.
-    Masses have one column per conditioning: ``mass`` is the start state's
-    row, and a move scales column k of its source's row by
-    f1[w, c] * f2[c, k] when ``f2`` holds (object) integers and adds
-    f1[w, c] + f2[c, k] to it when ``f2`` holds log-floats.  A layer lists
+    Masses have one column per conditioning: ``mass`` is ``ORIGIN``'s row,
+    and a move scales column k of its source's row by f1[w, c] * f2[c, k]
+    when ``f2`` holds (object) integers and adds f1[w, c] + f2[c, k] to it
+    when ``f2`` holds log-floats.  A layer lists
     its states in order of first arrival: sources in their layer's order,
     each source's moves in slot order.  Masses meeting at a target add in
     that order, exactly for integers and by ``np.logaddexp.at`` for
@@ -308,7 +310,7 @@ def propagate(
     """
     exact = f2.dtype == object
     graph = _MoveGraph(moves, f1)
-    votes = np.array([start], dtype=np.intp)
+    votes = np.array([ORIGIN], dtype=np.intp)
     ids, mass = graph.ids(votes), mass[None, :]
     touched = 0
     for k in itertools.count(1):
@@ -453,7 +455,7 @@ def _forward_layers(
 
     retire = ch.exact and rule.kind != "table"
     den = 1
-    for votes, mass in propagate(moves, f1, (0, 0, 0), start, f2, settle if retire else None):
+    for votes, mass in propagate(moves, f1, start, f2, settle if retire else None):
         yield votes, mass, den, settled
         den *= step
 
@@ -540,8 +542,9 @@ FLOAT_TIE_TOL = 1e-12
 # about 2e-304 the term is below half an ulp of the relative bound and adds nothing.
 _SUBNORMAL_TIE = FLOAT_TIE_TOL * sys.float_info.min
 
-# One backward layer: (query error masses (3, states), their minimum, tie mask)
-BackwardLayer = tuple[np.ndarray, np.ndarray, np.ndarray]
+# One backward layer: (lattice indices of the states it evaluated, their query
+# error masses (3, states), their minimum, tie mask)
+BackwardLayer = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
 @dataclass(eq=False)
@@ -549,10 +552,10 @@ class ValueTable:
     """Scale and per-horizon results of backward induction up to ``horizon`` uses.
 
     Layer t (t = 0..horizon uses left) covers lattice horizon - t in
-    lattice order (see _lattice_coords), and evaluates the states that
-    ``band`` names.  A scaled error mass m at lattice index i
-    of layer t is the error probability m / (step**t * norms[i])
-    (``probability``), where
+    lattice order (see _lattice_coords); each BackwardLayer names the
+    lattice indices of the states it evaluated.  A scaled error mass m at
+    lattice index i of layer t is the error probability
+    m / (step**t * norms[i]) (``probability``), where
     ``norms[i]`` is the state's likelihood sum Z(s) under the same scale.
     ``exact`` follows the channel: exact masses are Python integers with
     step = c for p = a/c, float masses are doubles with step = 1.  The
@@ -563,7 +566,6 @@ class ValueTable:
 
     horizon: int
     exact: bool
-    tie_tolerance: float
     norms: np.ndarray = field(repr=False)
     step: Number
     origin: list = field(repr=False)
@@ -583,11 +585,10 @@ class ValueTable:
         """Number of (t >= 1, state) entries with 1, 2 and 3 optimal queries."""
         return int(self.ties[1]), int(self.ties[2]), int(self.ties[3])
 
-    def band(self, t: int) -> int:
-        """The largest a of the states (0, a, b) at which layer t evaluates the
-        min-of-sums, in lattice order: t for an exact table, whose states with
-        a > t are decided, and horizon - t, every state, for a float one."""
-        return t if self.exact else self.horizon - t
+    @property
+    def tie_tolerance(self) -> float:
+        """The relative slack of a float tie (see backward_layers); exact ties are equalities."""
+        return 0.0 if self.exact else FLOAT_TIE_TOL
 
 
 def backward_layers(
@@ -625,21 +626,24 @@ def backward_layers(
     (``contenders`` gives it one contender): one use closes a gap by at most
     one, so message 1 leads alone at the end, every query gives the same
     mass and E_t(s) = E_0(s), J_t(s) = c**t * J_0(s).  An exact layer t
-    therefore evaluates the min-of-sums only at the states with a <= t
-    (``ValueTable.band``), through their columns of the successor table, and
-    counts each decided state as a three-way tie.  Layer t + 1 reads
-    successors with a up to t + 2, so the lattice array it reads holds layer
-    t's masses and, for a in {t + 1, t + 2}, the closed form, and no other
-    decided state.  A float layer evaluates every state, so that no double
+    therefore evaluates the min-of-sums only at the states with a <= t,
+    those that ``contenders`` leaves undecided, through their columns of the
+    successor table, and counts each decided state as a three-way tie.
+    Layer t + 1 reads successors with a up to t + 2, so the lattice array it
+    reads holds layer t's masses and, for a in {t + 1, t + 2}, the closed
+    form, and no other decided state.  A float layer evaluates every state, so that no double
     moves.  The state cap still counts every lattice state, C(n + 3, 3).
 
     Returns the ValueTable, holding layer 0, and an iterator that computes
     each further layer from the one before alone, records it in the table
-    and yields it as a BackwardLayer over the states it evaluates, in
-    lattice order.  The next layer reads the yielded minimum masses as the
-    caller leaves them.  Raises ResourceCapError up front when the layers
-    exceed ``state_cap`` states (by default ``channel.STATE_CAP``, read at
-    the call).
+    and yields it as a BackwardLayer (at, vals, best, ties) over the states
+    it evaluates, in lattice order: ``at`` holds their lattice indices (an
+    exact layer's undecided states, every index of a float one), ``vals``
+    their per-query masses (3, states), ``best`` the minimum and ``ties``
+    the optimal queries.  The next layer reads the yielded minimum masses
+    as the caller leaves them.  Raises ResourceCapError up front when the
+    layers exceed ``state_cap`` states (by default ``channel.STATE_CAP``,
+    read at the call).
     """
     if n < 0:
         raise ValueError("horizon must be nonnegative")
@@ -659,7 +663,6 @@ def backward_layers(
     table = ValueTable(
         horizon=n,
         exact=exact,
-        tie_tolerance=0.0 if exact else FLOAT_TIE_TOL,
         norms=powers[0] + start,
         step=step,
         origin=[start[0]],
@@ -673,10 +676,10 @@ def backward_layers(
         prev = start
         for t in range(1, n + 1):
             size = _lattice_size(n - t)
-            to, w = succ[:, :, :size], weights[:, :, :size]
+            to, w, at = succ[:, :, :size], weights[:, :, :size], np.arange(size)
             if exact:  # the undecided states alone; see above
                 near = contenders(votes[:, :size], t)[0]
-                at = np.flatnonzero(near > 1)
+                at = at[near > 1]
                 to, w = to.take(at, axis=2), w.take(at, axis=2)
             vals = w[:, 0] * prev[to[:, 0]] + w[:, 1] * prev[to[:, 1]]
             best = np.minimum(np.minimum(vals[0], vals[1]), vals[2])
@@ -684,7 +687,7 @@ def backward_layers(
             table.origin.append(best[0])
             table.ties += np.bincount(ties.sum(axis=0), minlength=4)
             table.ties[3] += size - best.size  # a decided state ties all three queries
-            yield vals, best, ties
+            yield at, vals, best, ties
             del vals, ties  # the caller may drop its copies before the next layer
             if exact:  # and the decided states that the next layer reads, a <= t + 2
                 prev = np.empty(size, dtype=object)
@@ -724,15 +727,16 @@ def optimal_query_report(n: int, ch: ChannelParams, detail: bool = False) -> dic
     the value lost by the best fewest-votes query.  Strict multi-step
     dominance is counted but not asserted.  The check consumes
     ``backward_layers``, reading each layer's per-query error masses
-    (integers for an exact channel) at the reachable states it evaluates,
-    in (a, b) order; a deficit is converted to a probability only when
-    nonzero.  Every other state is decided: all three queries tie there and
-    message 1 alone has fewest votes, so it is a member with deficit 0,
-    argmax (1, 2, 3) and fewest-votes (1,), and never strict.
-    ``detail`` adds one verdict row per (t, state) in (a, b) order, which
-    puts the decided states, with a > t, last.  Rows share their immutable
-    parts: one state tuple per lattice state, the query-set tuples and one
-    zero, which ``serialize`` writes once each.
+    (integers for an exact channel) at the states its ``at`` names, and
+    scatters their membership, loss and argmax into arrays over the whole
+    lattice; a deficit is converted to a probability only when nonzero.
+    Every other state is decided: all three queries tie there and message 1
+    alone has fewest votes, so it keeps the defaults, a member with deficit
+    0, argmax (1, 2, 3) and fewest-votes (1,), and is never strict.
+    ``detail`` adds one verdict row per reachable (t, state), all built in
+    one pass in (a, b) order.  Rows share their immutable parts: one state
+    tuple per lattice state, the query-set tuples and one zero, which
+    ``serialize`` writes once each.
 
     After k uses the reachable states are all of lattice k, the sorted
     states with counts up to k (see _lattice_coords), except
@@ -747,43 +751,46 @@ def optimal_query_report(n: int, ch: ChannelParams, detail: bool = False) -> dic
     # --detail rows share their parts: one tuple per state of lattice n - 1, in lattice order
     states = [(0, a, b) for b in range(n) for a in range(b + 1)] if detail else []
     coord_a, coord_b = _lattice_coords(n)
+    # normalised states (0, a, b): message 1 always has fewest votes
+    lead = np.stack([np.ones_like(coord_a, dtype=bool), coord_a == 0, coord_b == 0])
+    fewest = _QUERY_BITS @ lead
     per_horizon = []
     per_state = []
     strict = 0
-    for t, (vals, best, opt) in enumerate(layers, 1):
-        m, band = n - t, table.band(t)
-        at = np.flatnonzero(coord_a[:_lattice_size(m)] <= band)  # lattice index of each column
-        decided = _lattice_size(m) - at.size  # all reachable: a > t >= 1 rules out (0, 0, 0)
-        idx = np.lexsort((coord_b[at], coord_a[at]))[int(m == 1):]  # reachable, by (a, b)
-        at, vals, best, opt = at[idx], vals[:, idx], best[idx], opt[:, idx]
-        a, b = coord_a[at], coord_b[at]
-        # normalised states (0, a, b): message 1 always has fewest votes
-        lead = np.stack([np.ones_like(a, dtype=bool), a == 0, b == 0])
-        loss = np.where(lead, vals, vals[0]).min(axis=0) - best
-        member = (opt & lead).any(axis=0)
-        others_lose = (lead | (vals > best)).all(axis=0)  # every other query is worse
-        strict += int((member & ~lead.all(axis=0) & others_lose).sum())
+    for t, (at, vals, best, opt) in enumerate(layers, 1):
+        size = _lattice_size(n - t)
+        here = lead[:, at]
+        meets = (opt & here).any(axis=0)
+        others_lose = (here | (vals > best)).all(axis=0)  # every other query is worse
+        strict += int((meets & ~here.all(axis=0) & others_lose).sum())  # (0, 0, 0) never is
+        # a state the layer did not evaluate is decided: deficit 0, a member, argmax (1, 2, 3)
+        loss, member, argmax = np.zeros(size, best.dtype), np.ones(size, bool), np.full(size, 7)
+        loss[at] = np.where(here, vals, vals[0]).min(axis=0) - best
+        member[at], argmax[at] = meets, _QUERY_BITS @ opt
+        # the reachable states by (a, b): lattice n - t, without (0, 0, 0) when n - t = 1
+        order = np.lexsort((coord_b[:size], coord_a[:size]))[int(n - t == 1):]
+        loss, member = loss[order], member[order]
         hit = np.flatnonzero(loss != 0).tolist()
-        lost = [table.probability(t, at[k], loss[k]) for k in hit]
+        lost = [table.probability(t, order[k], loss[k]) for k in hit]
         max_deficit, worst_state = max(lost, default=zero), None
         if max_deficit > zero:  # the first state with the largest deficit
-            k = hit[lost.index(max_deficit)]
-            worst_state = (0, int(a[k]), int(b[k]))
+            i = order[hit[lost.index(max_deficit)]]
+            worst_state = (0, int(coord_a[i]), int(coord_b[i]))
         per_horizon.append(
             {
                 "t": t,
-                "states": idx.size + decided,
-                "members": int(member.sum()) + decided,
+                "states": order.size,
+                "members": int(member.sum()),
                 "max_deficit": max_deficit,
                 "worst_state": worst_state,
             }
         )
         if detail:
-            deficits = [zero] * idx.size
+            deficits = [zero] * order.size
             for k, d in zip(hit, lost):
                 deficits[k] = d
-            rows = zip(at.tolist(), member.tolist(), deficits,
-                       (_QUERY_BITS @ opt).tolist(), (_QUERY_BITS @ lead).tolist())
+            rows = zip(order.tolist(), member.tolist(), deficits,
+                       argmax[order].tolist(), fewest[order].tolist())
             per_state.extend(
                 {
                     "t": t,
@@ -791,21 +798,9 @@ def optimal_query_report(n: int, ch: ChannelParams, detail: bool = False) -> dic
                     "verdict": "member" if inside else "outside",
                     "deficit": d,
                     "argmax": _QUERY_SETS[best_set],
-                    "fewest_votes": _QUERY_SETS[fewest],
+                    "fewest_votes": _QUERY_SETS[fewest_set],
                 }
-                for i, inside, d, best_set, fewest in rows
-            )
-            per_state.extend(  # every query ties at a decided state, and message 1 leads alone
-                {
-                    "t": t,
-                    "state": states[sb * (sb + 1) // 2 + sa],
-                    "verdict": "member",
-                    "deficit": zero,
-                    "argmax": _QUERY_SETS[7],
-                    "fewest_votes": _QUERY_SETS[1],
-                }
-                for sa in range(band + 1, m + 1)
-                for sb in range(sa, m + 1)
+                for i, inside, d, best_set, fewest_set in rows
             )
     pe_star = table.optimal_error()
     channel.log_of(pe_star)  # raises if a float P_e* underflowed: never report it as 0

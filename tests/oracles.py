@@ -24,7 +24,7 @@ def full_layers(ch, rule, trues, n):
     (denominator 1) for a float one."""
     moves, weights = exact_dp.move_batch(rule, horizon=n)
     f1, f2, start, step = exact_dp._forward_factors(ch, weights, trues)
-    layers = exact_dp.propagate(moves, f1, (0, 0, 0), start, f2)
+    layers = exact_dp.propagate(moves, f1, start, f2)
     return [(votes, mass, step**k) for k, (votes, mass) in zip(range(n + 1), layers)]
 
 
@@ -58,7 +58,7 @@ def full_error_curve(ch, rule, n_max):
 def full_backward_layers(n, ch, state_cap=None):
     """``exact_dp.backward_layers`` as it was before it skipped decided states:
     every layer evaluates every state of its lattice, in lattice order, for
-    an exact channel as for a float one.  Its table's ``band`` does not apply."""
+    an exact channel as for a float one, and names them all, np.arange(size)."""
     if n < 0:
         raise ValueError("horizon must be nonnegative")
     total = (n + 1) * (n + 2) * (n + 3) // 6  # C(n + 3, 3), the states of lattices 0..n
@@ -77,7 +77,6 @@ def full_backward_layers(n, ch, state_cap=None):
     table = exact_dp.ValueTable(
         horizon=n,
         exact=exact,
-        tie_tolerance=0.0 if exact else exact_dp.FLOAT_TIE_TOL,
         norms=powers[0] + start,
         step=step,
         origin=[start[0]],
@@ -97,7 +96,7 @@ def full_backward_layers(n, ch, state_cap=None):
                     else vals <= prev * (1 + exact_dp.FLOAT_TIE_TOL) + exact_dp._SUBNORMAL_TIE)
             table.origin.append(prev[0])
             table.ties += np.bincount(ties.sum(axis=0), minlength=4)
-            yield vals, prev, ties
+            yield np.arange(size), vals, prev, ties
             del vals, ties  # the caller may drop its copies before the next layer
 
     return table, layers()

@@ -204,9 +204,10 @@ def _inflate_a_float_layer(monkeypatch):
         table, layers = backward_layers(n, ch, state_cap)
 
         def stream():
-            for t, (vals, best, ties) in enumerate(layers, 1):
-                yield vals, best, ties
+            for t, (at, vals, best, ties) in enumerate(layers, 1):
+                yield at, vals, best, ties
                 if t == 1:
+                    assert at[0] == 0  # (0, 0, 0) is the first state a layer evaluates
                     best[0] *= 2  # in place: the layer the next one is computed from
 
         return table, stream()
@@ -784,9 +785,13 @@ def test_invalid_probability_exit_code(capsys, argv):
          "seed must lie in [0, 2**64), got -1"),
         (("simulate", "--p", "0.2", "--n", "30", "--trials", "100", "--seed", str(1 << 64)),
          f"seed must lie in [0, 2**64), got {1 << 64}"),
+        # a fixed query that is not an integer: the detail names the strategy as given
+        (("exact", "--p", "1/10", "--n", "3", "--strategy", "fixed:x"), "strategy 'fixed:x'"),
+        (("exact", "--p", "1/10", "--n", "3", "--strategy", "fixed:"), "strategy 'fixed:'"),
     ],
     ids=["octopus-dot-verify", "bellman-zero-state-cap", "bellman-negative-state-cap",
-         "simulate-negative-seed", "simulate-seed-past-64-bits"],
+         "simulate-negative-seed", "simulate-seed-past-64-bits", "exact-fixed-not-a-query",
+         "exact-fixed-no-query"],
 )
 def test_invalid_flag_values_are_invalid_input(capsys, argv, detail):
     code, out, err = run_cli(capsys, *argv)

@@ -116,18 +116,19 @@ def _reference_bellman(n, ch):
 
 def _layer_masses(table, t, layer):
     """Layer t's (mass, per-query masses, tie mask) at every state of its
-    lattice, in lattice order.  The layer holds the states (0, a, b) with
-    a <= ``table.band(t)``, in lattice order; at every other state each query
+    lattice, in lattice order.  The layer holds the states at its lattice
+    indices ``at``, in lattice order; at every other state each query
     gives the closed form step**t * E_0(s), in the table's units Z(s) - 1,
     where Z(s) is ``norms[i]`` and the leader's weight 1 is a third of
     Z(0, 0, 0)."""
-    vals, best, ties = layer
+    at, vals, best, ties = layer
+    assert at.tolist() == sorted(set(at.tolist()))
+    column = {i: k for k, i in enumerate(at.tolist())}
     one = table.norms[0] // 3
-    k = 0
     for i, s in enumerate(sorted_lattice(table.horizon - t)):
-        if s[1] <= table.band(t):
+        if i in column:
+            k = column[i]
             yield best[k], vals[:, k].tolist(), ties[:, k].tolist()
-            k += 1
         else:
             mass = table.step**t * (table.norms[i] - one)
             yield mass, [mass] * 3, [True] * 3
@@ -695,10 +696,10 @@ class TestBellman:
             assert Fraction(1, 3) <= v <= 1
 
     def test_float_mode_agrees(self):
-        pe_r, _ = bellman_optimum(12, CH10)
+        pe_r, table_r = bellman_optimum(12, CH10)
         pe_f, table = bellman_optimum(12, make_channel("0.1", "float"))
         assert abs(float(pe_r) - pe_f) <= 1e-12
-        assert table.tie_tolerance == 1e-12
+        assert table.tie_tolerance == 1e-12 and table_r.tie_tolerance == 0.0
 
     @pytest.mark.parametrize("pl,n", [("1/10", 12), ("1/5", 30), ("2/5", 20), ("1/2", 6)])
     def test_matches_fraction_recursion(self, pl, n):
@@ -753,7 +754,8 @@ def test_reduced_bellman_equals_the_full_pass(p, n):
     ch = make_channel(p)
     table, layers = backward_layers(n, ch)
     full_table, full = full_backward_layers(n, ch)
-    for t, (layer, (fvals, fbest, fties)) in enumerate(zip(layers, full), 1):
+    for t, (layer, (fat, fvals, fbest, fties)) in enumerate(zip(layers, full), 1):
+        assert fat.tolist() == list(range(fbest.size))
         for i, (best, vals, ties) in enumerate(_layer_masses(table, t, layer)):
             assert best == fbest[i] and vals == fvals[:, i].tolist()
             assert ties == fties[:, i].tolist()
@@ -773,12 +775,13 @@ def test_bellman_evaluates_the_undecided_states(pl, mode):
     ch, n = make_channel(pl, mode), 30
     table, layers = backward_layers(n, ch)
     evaluated = 0
-    for t, ((vals, best, ties), (fvals, fbest, fties)) in enumerate(
+    for t, ((at, vals, best, ties), (fat, fvals, fbest, fties)) in enumerate(
         zip(layers, full_backward_layers(n, ch)[1]), 1
     ):
         lattice = np.array(sorted_lattice(n - t))
         keep = lattice[:, 1] <= (t if ch.exact else n)
-        assert table.band(t) == (t if ch.exact else n - t) and best.size == keep.sum()
+        assert at.tolist() == np.flatnonzero(keep).tolist() and best.size == keep.sum()
+        assert fat.tolist() == list(range(len(lattice)))
         assert best.tolist() == fbest[keep].tolist() and vals.tolist() == fvals[:, keep].tolist()
         assert ties.tolist() == fties[:, keep].tolist()
         evaluated += best.size
@@ -788,6 +791,20 @@ def test_bellman_evaluates_the_undecided_states(pl, mode):
     bellman_optimum(n, ch, state_cap=nominal)
     with pytest.raises(ResourceCapError, match=f"needs {nominal} state evaluations"):
         bellman_optimum(n, ch, state_cap=nominal - 1)
+
+
+@settings(max_examples=25, deadline=None)
+@given(p=_rational_p(), n=st.integers(0, 20))
+def test_reduced_report_equals_the_full_pass(p, n):
+    # the report reads each exact layer at the states it names and gives every other,
+    # decided, state the default row: with every state evaluated instead, each row,
+    # count, deficit and the strict tally come out the same
+    ch = make_channel(p)
+    reduced = optimal_query_report(n, ch, detail=True)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(exact_dp, "backward_layers", full_backward_layers)
+        full = optimal_query_report(n, ch, detail=True)
+    assert reduced == full
 
 
 class TestReachability:
