@@ -168,7 +168,11 @@ def reach_prob(n: int, ch: ChannelParams) -> Number:
     float.  The forward programs' kernel, ``exact_dp.propagate``, steps the
     chain's moves (those of ``derive_transitions``), with f1[w, code] the
     scaled integer or the log of the probability of a move of query weight
-    w whose code's bit 0 picks q, else p, and f2 all ones.
+    w whose code's bit 0 picks q, else p, and f2 all ones.  A state that
+    ``exact_dp.contenders`` gives one contender with n - k uses left after k
+    can never return to the hub, nor can its successors, so the pass drops
+    it; none is decided before k = n // 2 + 1.  The states it keeps, their
+    order and so every fold are those of the pass that keeps all.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -179,7 +183,14 @@ def reach_prob(n: int, ch: ChannelParams) -> Number:
     f1 = np.array([[int(w * f * scale) if exact else channel.log_of(float(w) * f)
                     for f in (ch.p, ch.q) * 4] for w in weights], dtype)  # by code & 1
     start, f2 = np.full(1, one, dtype), np.full((8, 1), one, dtype)
-    layers = exact_dp.propagate(moves, f1, start, f2)
+
+    def settle(k: int, votes: np.ndarray, mass: np.ndarray) -> np.ndarray | None:
+        if k <= n // 2:
+            return None
+        keep = exact_dp.contenders(votes.T, n - k)[0] > 1
+        return None if keep.all() else keep
+
+    layers = exact_dp.propagate(moves, f1, start, f2, settle)
     votes, mass = next(itertools.islice(layers, n, None))
     at_hub = mass[(votes == 0).all(axis=1), 0].tolist()
     if exact:

@@ -40,10 +40,12 @@ Z(s) = sum_i z**s_i, a min-recursion of positive terms: for an exact
 channel on Python integers (E scaled by powers of the numerator and
 denominator of p), for a float channel on doubles with a relative error of
 a few machine epsilons per layer.  An exact pass evaluates the min-recursion
-only at the states that ``contenders`` does not call decided, and gives a
-decided state's mass in closed form; a float pass evaluates every state.
-Each layer yields the lattice indices of the states it evaluated beside
-their masses, so no reader restates which those are; see backward_layers.
+only at the states where all three messages can still have fewest votes, and
+gives every other state's mass from a walk on the gap between the two
+messages with fewer votes, one number per gap; a float pass evaluates every
+state.  Each layer yields the lattice indices of the states it evaluated
+beside their masses, and an exact layer that walk's two candidates per gap,
+so no reader restates which those are; see backward_layers.
 
 Both passes raise ``channel.ResourceCapError`` past ``channel.STATE_CAP``
 states by ``channel.check_cap``, which reads the cap at the call (the forward
@@ -543,8 +545,10 @@ FLOAT_TIE_TOL = 1e-12
 _SUBNORMAL_TIE = FLOAT_TIE_TOL * sys.float_info.min
 
 # One backward layer: (lattice indices of the states it evaluated, their query
-# error masses (3, states), their minimum, tie mask)
-BackwardLayer = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+# error masses (3, states), their minimum, tie mask, and an exact layer's gap-walk
+# candidates move and wait, None in a float layer); see backward_layers
+BackwardLayer = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray,
+                      np.ndarray | None, np.ndarray | None]
 
 
 @dataclass(eq=False)
@@ -608,9 +612,9 @@ def backward_layers(
     p when that outcome raises the vote minimum and q otherwise.  Every
     term is positive, so nothing cancels; P_e*(t) = E_t(0,0,0) / 3.
 
-    An exact channel writes p = a/c, b = c - a and runs on the integers
-    J_t = c**t * b**n * E_t: J_0(s) = a**s_2 b**(n-s_2) + a**s_3 b**(n-s_3)
-    and the weights are a and b, so there is no Fraction and no gcd, and
+    An exact channel writes p = A/c, B = c - A and runs on the integers
+    J_t = c**t * B**n * E_t: J_0(s) = A**s_2 B**(n-s_2) + A**s_3 B**(n-s_3)
+    and the weights are A and B, so there is no Fraction and no gcd, and
     optimal-query ties are exact integer equalities.  A float channel runs
     the same loop on doubles with weights (p, q); each layer adds at most a
     few roundings to positive terms, so the relative error of P_e* stays
@@ -622,28 +626,72 @@ def backward_layers(
     of the minimum mass plus FLOAT_TIE_TOL of the smallest normal double,
     since a subnormal mass keeps only an absolute precision.
 
-    With t uses left a sorted state (0, a, b) with a > t is decided
-    (``contenders`` gives it one contender): one use closes a gap by at most
-    one, so message 1 leads alone at the end, every query gives the same
-    mass and E_t(s) = E_0(s), J_t(s) = c**t * J_0(s).  An exact layer t
-    therefore evaluates the min-of-sums only at the states with a <= t,
-    those that ``contenders`` leaves undecided, through their columns of the
-    successor table, and counts each decided state as a three-way tie.
-    Layer t + 1 reads successors with a up to t + 2, so the lattice array it
-    reads holds layer t's masses and, for a in {t + 1, t + 2}, the closed
-    form, and no other decided state.  A float layer evaluates every state, so that no double
+    With t uses left an exact layer evaluates the min-of-sums only on the
+    three-contender triangle, the states (0, a, b) with b <= min(t, n - t),
+    which lattice order puts first, through the prefix of the successor
+    table; the rest of its lattice follows from a walk on one gap.  One use
+    closes a gap by at most one, so with b > t message 3 can never again
+    have fewest votes.  Write G_0(g) = A**g * B**(n - g) and
+    X_t(b) = c**t * A**b * B**(n - b), so that J_0(0, a, b) = G_0(a) + X_0(b).
+    Then every state with b > t has
+
+        J_t(0, a, b) = G_t(a) + X_t(b)
+        G_t(g) = min(move_t(g), wait_t(g))     for g <= t
+        G_t(g) = c**t * G_0(g)                 for g > t
+        move_t(0) = 2B * G_{t-1}(1)
+        move_t(g) = A * G_{t-1}(g - 1) + B * G_{t-1}(g + 1)    (g >= 1)
+        wait_t(g) = c * G_{t-1}(g)
+
+    Proof, by induction on t: every successor of (0, a, b) has a third count
+    of b - 1, b or b + 1, all above t - 1, so the identity holds there.  At
+    a >= 1, query 1 answered 1 (weight A, the minimum rises) reaches
+    (0, a - 1, b - 1) and answered 0 (weight B) reaches (0, a + 1, b + 1);
+    query 2 reaches (0, a + 1, b) by B and (0, a - 1, b) by A; query 3
+    reaches (0, a, b + 1) by B and (0, a, b - 1) by A.  At a = 0 queries 1
+    and 2 both reach (0, 1, b) and (0, 1, b + 1), each by B, and query 3
+    moves as before.  In each sum the X terms add to
+    c**(t-1) * A**b * B**(n-b) * (A + B) = X_t(b), and the G terms give
+    move_t(a) for queries 1 and 2 and wait_t(a) for query 3: a walk on the
+    gap between messages 1 and 2 in which query 3 waits one use.  At a > t
+    the state is decided (``contenders`` gives it one contender): every
+    query gives c**t * J_0, and move_t = wait_t = c**t * G_0 there.
+
+    Query 1, which has fewest votes, is optimal at every such state, so
+    Theorem 2 holds there: move_t <= wait_t.  Write S for the step
+    G_{t-1} -> move_t; it has positive weights, so it keeps an order, and
+    it commutes with the factor c.  At t = 1, S G_0 = c * G_0 = wait_1 at
+    g >= 1 and S G_0(0) = 2A * B**n <= c * B**n = wait_1(0), since
+    2A <= c; so G_1 = S G_0.  If G_t = S G_{t-1} (at g > t both are the
+    closed form), then, since G_t <= c * G_{t-1},
+    move_{t+1} = S G_t <= c * S G_{t-1} = c * G_t = wait_{t+1}.  So queries
+    1 and 2 tie with mass move_t(a) + X_t(b), and query 3, with
+    wait_t(a) + X_t(b), ties with them exactly when move_t(a) = wait_t(a).
+    That is everywhere at p = 1/2, as 2A = c, and below it where t - a is
+    even: wait_t - move_t = S**(t-1) of (c - 2A) * B**n at gap 0 alone, which
+    reaches gap a only by a walk of t - 1 steps from a to 0.  Nothing here
+    assumes that parity.  ``ties`` counts each such state with
+    three or two optimal queries from that equality, and a decided state as
+    a three-way tie.  The step keeps both candidates, so these are exact
+    integer comparisons.
+
+    Layer t + 1 reads successors with b up to min(t + 2, n - t), so the
+    lattice array it reads holds layer t's triangle and, for b in
+    {t + 1, t + 2}, G_t(a) + X_t(b) at every a: the band a <= t and the
+    decided states.  A float layer evaluates every state, so that no double
     moves.  The state cap still counts every lattice state, C(n + 3, 3).
 
     Returns the ValueTable, holding layer 0, and an iterator that computes
     each further layer from the one before alone, records it in the table
-    and yields it as a BackwardLayer (at, vals, best, ties) over the states
-    it evaluates, in lattice order: ``at`` holds their lattice indices (an
-    exact layer's undecided states, every index of a float one), ``vals``
+    and yields it as a BackwardLayer (at, vals, best, ties, move, wait).
+    ``at`` holds the lattice indices of the states it evaluates, in lattice
+    order (an exact layer's triangle, every index of a float one), ``vals``
     their per-query masses (3, states), ``best`` the minimum and ``ties``
-    the optimal queries.  The next layer reads the yielded minimum masses
-    as the caller leaves them.  Raises ResourceCapError up front when the
-    layers exceed ``state_cap`` states (by default ``channel.STATE_CAP``,
-    read at the call).
+    the optimal queries.  ``move`` and ``wait`` are an exact layer's
+    move_t(g) and wait_t(g) for g = 0..min(t, n - t), which place the band;
+    a float layer carries None for both.  The next layer reads the yielded
+    minimum masses as the caller leaves them.  Raises ResourceCapError up
+    front when the layers exceed ``state_cap`` states (by default
+    ``channel.STATE_CAP``, read at the call).
     """
     if n < 0:
         raise ValueError("horizon must be nonnegative")
@@ -670,30 +718,39 @@ def backward_layers(
     )
     succ, shift = _successor_tables(n - 1)
     weights = np.array([w_stay, w_shift], dtype=powers.dtype)[shift.astype(np.intp)]
-    votes = np.stack([np.zeros_like(s2), s2, s3]) if exact else None  # (3, states)
 
     def layers() -> Iterator[BackwardLayer]:
-        prev = start
+        prev, gap = start, powers[:3]  # gap: G_{t-1}(g) for g = 0..min(t + 1, n - t + 1)
         for t in range(1, n + 1):
             size = _lattice_size(n - t)
-            to, w, at = succ[:, :, :size], weights[:, :, :size], np.arange(size)
-            if exact:  # the undecided states alone; see above
-                near = contenders(votes[:, :size], t)[0]
-                at = at[near > 1]
-                to, w = to.take(at, axis=2), w.take(at, axis=2)
+            at = np.arange(_lattice_size(min(t, n - t)) if exact else size)
+            to, w = succ[:, :, :at.size], weights[:, :, :at.size]
             vals = w[:, 0] * prev[to[:, 0]] + w[:, 1] * prev[to[:, 1]]
             best = np.minimum(np.minimum(vals[0], vals[1]), vals[2])
             ties = vals == best if exact else vals <= best * (1 + FLOAT_TIE_TOL) + _SUBNORMAL_TIE
             table.origin.append(best[0])
             table.ties += np.bincount(ties.sum(axis=0), minlength=4)
-            table.ties[3] += size - best.size  # a decided state ties all three queries
-            yield at, vals, best, ties
+            move = wait = None
+            if exact:  # the gap walk, g = 0..min(t, n - t); see above
+                top = min(t, n - t)
+                move = np.empty(top + 1, dtype=object)
+                move[0] = 2 * w_stay * gap[1]
+                move[1:] = w_shift * gap[:top] + w_stay * gap[2:top + 2]
+                wait = step * gap[:top + 1]
+                # each g <= t has n - 2t band states, with two or three optimal queries
+                band, tied = max(n - 2 * t, 0), int((move == wait).sum())
+                table.ties[2] += band * (move.size - tied)
+                table.ties[3] += band * tied + size - at.size - band * move.size  # and the decided
+            yield at, vals, best, ties, move, wait
             del vals, ties  # the caller may drop its copies before the next layer
-            if exact:  # and the decided states that the next layer reads, a <= t + 2
-                prev = np.empty(size, dtype=object)
-                prev[at] = best
-                band = np.flatnonzero((near == 1) & (s2[:size] <= t + 2))
-                prev[band] = start[band] * step**t
+            if exact:  # G_t, then the lattice min(t + 2, n - t) that layer t + 1 reads
+                scale, kmax = step**t, min(t + 2, n - t)
+                gap = np.concatenate([np.minimum(move, wait), scale * powers[top + 1:kmax + 1]])
+                prev = np.empty(_lattice_size(kmax), dtype=object)
+                prev[:at.size] = best
+                for row in range(t + 1, kmax + 1):  # J_t = G_t(a) + X_t(b) at b = row, every a
+                    first = _lattice_size(row - 1)
+                    prev[first:first + row + 1] = gap[:row + 1] + scale * powers[row]
             else:
                 prev = best
 
@@ -730,9 +787,15 @@ def optimal_query_report(n: int, ch: ChannelParams, detail: bool = False) -> dic
     (integers for an exact channel) at the states its ``at`` names, and
     scatters their membership, loss and argmax into arrays over the whole
     lattice; a deficit is converted to a probability only when nonzero.
-    Every other state is decided: all three queries tie there and message 1
-    alone has fewest votes, so it keeps the defaults, a member with deficit
-    0, argmax (1, 2, 3) and fewest-votes (1,), and is never strict.
+    Every other state is decided or on an exact layer's two-contender band.
+    A decided state ties all three queries and only message 1 has fewest
+    votes, so it keeps the defaults, a member with deficit 0, argmax
+    (1, 2, 3) and fewest-votes (1,), and is never strict.  A band state
+    (0, a, b), a <= t < b, is a member with deficit 0 too, since query 1
+    is optimal there (see backward_layers); its argmax is (1, 2, 3) where
+    the layer's move and wait tie at a, else (1, 2), and it is strict just
+    at a = 0 when query 3 loses, since then queries 1 and 2 are its
+    fewest-votes queries.
     ``detail`` adds one verdict row per reachable (t, state), all built in
     one pass in (a, b) order.  Rows share their immutable parts: one state
     tuple per lattice state, the query-set tuples and one zero, which
@@ -757,16 +820,21 @@ def optimal_query_report(n: int, ch: ChannelParams, detail: bool = False) -> dic
     per_horizon = []
     per_state = []
     strict = 0
-    for t, (at, vals, best, opt) in enumerate(layers, 1):
+    for t, (at, vals, best, opt, move, wait) in enumerate(layers, 1):
         size = _lattice_size(n - t)
         here = lead[:, at]
         meets = (opt & here).any(axis=0)
         others_lose = (here | (vals > best)).all(axis=0)  # every other query is worse
         strict += int((meets & ~here.all(axis=0) & others_lose).sum())  # (0, 0, 0) never is
-        # a state the layer did not evaluate is decided: deficit 0, a member, argmax (1, 2, 3)
+        # a state the layer did not evaluate is decided or on the band: deficit 0, a member
         loss, member, argmax = np.zeros(size, best.dtype), np.ones(size, bool), np.full(size, 7)
         loss[at] = np.where(here, vals, vals[0]).min(axis=0) - best
         member[at], argmax[at] = meets, _QUERY_BITS @ opt
+        if move is not None:  # the band rows b = t + 1..n - t, each a = 0..t
+            rows = np.arange(t + 1, n - t + 1)
+            argmax[(rows * (rows + 1) // 2)[:, None] + np.arange(move.size)] = np.where(
+                move == wait, 7, 3)
+            strict += rows.size * int(wait[0] > move[0])
         # the reachable states by (a, b): lattice n - t, without (0, 0, 0) when n - t = 1
         order = np.lexsort((coord_b[:size], coord_a[:size]))[int(n - t == 1):]
         loss, member = loss[order], member[order]

@@ -58,7 +58,8 @@ def full_error_curve(ch, rule, n_max):
 def full_backward_layers(n, ch, state_cap=None):
     """``exact_dp.backward_layers`` as it was before it skipped decided states:
     every layer evaluates every state of its lattice, in lattice order, for
-    an exact channel as for a float one, and names them all, np.arange(size)."""
+    an exact channel as for a float one, and names them all, np.arange(size);
+    like a float layer, it carries no gap walk (move and wait are None)."""
     if n < 0:
         raise ValueError("horizon must be nonnegative")
     total = (n + 1) * (n + 2) * (n + 3) // 6  # C(n + 3, 3), the states of lattices 0..n
@@ -96,7 +97,7 @@ def full_backward_layers(n, ch, state_cap=None):
                     else vals <= prev * (1 + exact_dp.FLOAT_TIE_TOL) + exact_dp._SUBNORMAL_TIE)
             table.origin.append(prev[0])
             table.ties += np.bincount(ties.sum(axis=0), minlength=4)
-            yield np.arange(size), vals, prev, ties
+            yield np.arange(size), vals, prev, ties, None, None
             del vals, ties  # the caller may drop its copies before the next layer
 
     return table, layers()

@@ -204,9 +204,10 @@ def _inflate_a_float_layer(monkeypatch):
         table, layers = backward_layers(n, ch, state_cap)
 
         def stream():
-            for t, (at, vals, best, ties) in enumerate(layers, 1):
-                yield at, vals, best, ties
+            for t, layer in enumerate(layers, 1):
+                yield layer
                 if t == 1:
+                    at, _, best = layer[:3]
                     assert at[0] == 0  # (0, 0, 0) is the first state a layer evaluates
                     best[0] *= 2  # in place: the layer the next one is computed from
 

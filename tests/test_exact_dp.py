@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fblab import channel, exact_dp
@@ -117,18 +117,26 @@ def _reference_bellman(n, ch):
 def _layer_masses(table, t, layer):
     """Layer t's (mass, per-query masses, tie mask) at every state of its
     lattice, in lattice order.  The layer holds the states at its lattice
-    indices ``at``, in lattice order; at every other state each query
-    gives the closed form step**t * E_0(s), in the table's units Z(s) - 1,
-    where Z(s) is ``norms[i]`` and the leader's weight 1 is a third of
+    indices ``at``, in lattice order.  An exact layer's two-contender band,
+    the states (0, a, b) with a <= t < b, gives queries 1 and 2 the mass
+    move[a] + X and query 3 wait[a] + X, where X = step**t * A**b * B**(n - b)
+    is half of Z(0, b, b) - 1 in the table's units.  Every other state gives
+    each query the closed form step**t * E_0(s), in the table's units
+    Z(s) - 1.  Z(s) is ``norms[i]``, and the leader's weight 1 is a third of
     Z(0, 0, 0)."""
-    at, vals, best, ties = layer
+    at, vals, best, ties, move, wait = layer
     assert at.tolist() == sorted(set(at.tolist()))
     column = {i: k for k, i in enumerate(at.tolist())}
     one = table.norms[0] // 3
-    for i, s in enumerate(sorted_lattice(table.horizon - t)):
+    for i, (_, a, b) in enumerate(sorted_lattice(table.horizon - t)):
         if i in column:
             k = column[i]
             yield best[k], vals[:, k].tolist(), ties[:, k].tolist()
+        elif a <= t:
+            x = table.step**t * ((table.norms[_lattice_size(b) - 1] - one) // 2)
+            masses = [move[a] + x, move[a] + x, wait[a] + x]
+            low = min(masses)
+            yield low, masses, [m == low for m in masses]
         else:
             mass = table.step**t * (table.norms[i] - one)
             yield mass, [mass] * 3, [True] * 3
@@ -727,8 +735,8 @@ class TestBellman:
 
     def test_pass_holds_one_layer(self):
         # at n = 60 every layer together peaks at 4.4 MB of integers, one
-        # layer and its query masses at 2.0 MB, and one layer's undecided
-        # states with their query masses at 1.3 MB
+        # layer and its query masses at 2.0 MB, and one layer's triangle with
+        # its query masses and the band it carries at 1.1 MB
         ch = make_channel("49/100")
 
         def peak(run):
@@ -754,7 +762,7 @@ def test_reduced_bellman_equals_the_full_pass(p, n):
     ch = make_channel(p)
     table, layers = backward_layers(n, ch)
     full_table, full = full_backward_layers(n, ch)
-    for t, (layer, (fat, fvals, fbest, fties)) in enumerate(zip(layers, full), 1):
+    for t, (layer, (fat, fvals, fbest, fties, _, _)) in enumerate(zip(layers, full), 1):
         assert fat.tolist() == list(range(fbest.size))
         for i, (best, vals, ties) in enumerate(_layer_masses(table, t, layer)):
             assert best == fbest[i] and vals == fvals[:, i].tolist()
@@ -763,23 +771,71 @@ def test_reduced_bellman_equals_the_full_pass(p, n):
     assert table.tie_counts() == full_table.tie_counts()
 
 
+def _gap_walk(n, p):
+    """(move_t, wait_t) for t = 1..n, lists over g = 0..min(t, n - 1), by the
+    scalar recursion that backward_layers' docstring derives: for p = A/c and
+    B = c - A (the weights w_shift and w_stay), from G_0(g) = A**g * B**(n - g),
+    move_t(0) = 2B * G_{t-1}(1), move_t(g) = A * G_{t-1}(g - 1) + B * G_{t-1}(g + 1),
+    wait_t(g) = c * G_{t-1}(g), and G_t = min(move_t, wait_t) there, c**t * G_0
+    beyond."""
+    w_shift, c = p.numerator, p.denominator
+    w_stay = c - w_shift
+    gap = [w_shift**k * w_stay ** (n - k) for k in range(n + 1)]
+    walk = []
+    for t in range(1, n + 1):
+        move = [2 * w_stay * gap[1] if g == 0 else w_shift * gap[g - 1] + w_stay * gap[g + 1]
+                for g in range(min(t, n - 1) + 1)]
+        wait = [c * x for x in gap[:len(move)]]
+        gap = [min(m, w) for m, w in zip(move, wait)] + [c * x for x in gap[len(move):]]
+        walk.append((move, wait))
+    return walk
+
+
+@settings(max_examples=30, deadline=None)
+@given(p=_rational_p(), n=st.integers(0, 25))
+@example(p=Fraction(1, 3), n=14)
+@example(p=Fraction(1, 10), n=18)
+@example(p=Fraction(2, 5), n=22)
+@example(p=Fraction(49, 100), n=16)
+@example(p=Fraction(1, 2), n=10)
+def test_two_contender_states_follow_the_gap_walk(p, n):
+    # with t uses left every state (0, a, b) with a <= t < b of the full pass has
+    # J_t = G_t(a) + X, X = c**t * A**b * B**(n - b), and per-query masses
+    # [move + X, move + X, wait + X]: query 1, a fewest-votes query, is optimal
+    # (move <= wait), and query 3 ties at p = 1/2 and where t - a is even.  The
+    # reduced pass's move and wait are the same walk.
+    ch = make_channel(p)
+    w_shift, c = p.numerator, p.denominator
+    w_stay = c - w_shift
+    layers = zip(backward_layers(n, ch)[1], full_backward_layers(n, ch)[1], _gap_walk(n, p))
+    for t, (layer, (_, fvals, fbest, _, _, _), (move, wait)) in enumerate(layers, 1):
+        assert layer[4].tolist() == move[:layer[4].size]
+        assert layer[5].tolist() == wait[:layer[5].size]
+        for i, (_, a, b) in enumerate(sorted_lattice(n - t)):
+            if a <= t < b:
+                x = c**t * w_shift**b * w_stay ** (n - b)
+                assert fvals[:, i].tolist() == [move[a] + x, move[a] + x, wait[a] + x]
+                assert fbest[i] == min(move[a], wait[a]) + x and move[a] <= wait[a]
+                assert (move[a] == wait[a]) == (2 * w_shift == c or (t - a) % 2 == 0)
+
+
 @pytest.mark.parametrize("pl, mode", [("1/10", "rational"), ("2/5", "rational"),
                                       ("1/2", "rational"), ("0.1", "float")])
 def test_bellman_evaluates_the_undecided_states(pl, mode):
-    # with t uses left a sorted state (0, a, b) is decided when a > t (contenders
-    # gives it one contender), and a decided state's successors are decided: an
-    # exact layer evaluates exactly the others, in lattice order, with the full
-    # pass's masses, which it can only have read from the decided band it carried
-    # in closed form; a float layer evaluates every state, so no double moves.
-    # The cap still counts every lattice state.
+    # with t uses left a sorted state (0, a, b) with b > t has at most two
+    # contenders, and its successors too: an exact layer evaluates exactly the
+    # three-contender triangle b <= t, in lattice order, with the full pass's
+    # masses, which it can only have read from the two-contender and decided
+    # states it carried in closed form; a float layer evaluates every state, so no
+    # double moves.  The cap still counts every lattice state.
     ch, n = make_channel(pl, mode), 30
     table, layers = backward_layers(n, ch)
     evaluated = 0
-    for t, ((at, vals, best, ties), (fat, fvals, fbest, fties)) in enumerate(
+    for t, ((at, vals, best, ties, _, _), (fat, fvals, fbest, fties, _, _)) in enumerate(
         zip(layers, full_backward_layers(n, ch)[1]), 1
     ):
         lattice = np.array(sorted_lattice(n - t))
-        keep = lattice[:, 1] <= (t if ch.exact else n)
+        keep = lattice[:, 2] <= (t if ch.exact else n)
         assert at.tolist() == np.flatnonzero(keep).tolist() and best.size == keep.sum()
         assert fat.tolist() == list(range(len(lattice)))
         assert best.tolist() == fbest[keep].tolist() and vals.tolist() == fvals[:, keep].tolist()
