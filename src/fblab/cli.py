@@ -198,7 +198,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def add(name, func, summary, n="--n", mode=True, **n_kw):
-        """A subcommand with --p, the horizon flag ``n`` (None: none) and --mode, in that order."""
+        """A subcommand with --p, the horizon flag ``n`` (None: none), --mode and --out,
+        in that order."""
         sp = sub.add_parser(name, help=summary)
         sp.set_defaults(func=func)
         sp.add_argument("--p", required=True, help='crossover probability, "a/b" or decimal')
@@ -207,37 +208,29 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument(n, type=int, **n_kw)
         if mode:
             sp.add_argument("--mode", choices=["rational", "float"], default="rational")
-        return sp
-
-    def out(sp):
         sp.add_argument("--out", default=None, help="output path (default: stdout)")
+        return sp
 
     sp = add("bounds", cmd_bounds, "closed-form exponents and bounds (csv: --p takes a comma list)",
              required=False)
     sp.add_argument("--format", choices=["json", "csv"], default="json")
-    out(sp)
 
     sp = add("exact", cmd_exact, "forward error probability of a strategy")
-    out(sp)
     sp.add_argument("--strategy", default="max-posterior")
 
     sp = add("bellman", cmd_bellman, "optimal error by backward induction")
-    out(sp)
     # channel.STATE_CAP read at each build, as every program reads it at its call
     sp.add_argument("--state-cap", type=int, default=channel.STATE_CAP)
 
     sp = add("verify-theorem2", cmd_verify_theorem2, "check fewest-votes queries are optimal")
-    out(sp)
     sp.add_argument("--detail", action="store_true", help="emit one verdict row per state")
 
     sp = add("octopus", cmd_octopus, "derive and check the strategy's Markov chain", n=None)
-    out(sp)
     sp.add_argument("--depth", type=int, default=6, help="tentacle depth bound")
     sp.add_argument("--verify", action="store_true", help="compare with the reference tables")
     sp.add_argument("--format", choices=["json", "dot"], default="json")
 
     sp = add("paths", cmd_paths, "return-path series and compositions")
-    out(sp)
     sp.add_argument("--series", choices=["basic", "loops"], default="loops")
     sp.add_argument("--variant", choices=["restricted", "closed-form"], default="restricted")
 
@@ -254,16 +247,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--strategy", default="max-posterior")
     sp.add_argument("--dump-trajectories", default=None, help="JSON-lines path for episode records")
     sp.add_argument("--dump-count", type=int, default=100, help="bound on dumped episodes")
-    out(sp)
 
     sp = add("simplex", cmd_simplex, "equal-likelihood event of the simplex code")
-    out(sp)
     sp.add_argument("--method", choices=["block-sum", "enumeration"], default="block-sum")
 
     sp = add("sweep", cmd_sweep, "error curve over a horizon range (CSV)", n="--n-max",
              help="largest horizon")
     sp.add_argument("--strategy", default="max-posterior", help="a strategy or 'optimal'")
-    out(sp)
 
     return parser
 

@@ -43,9 +43,8 @@ a few machine epsilons per layer.  An exact pass evaluates the min-recursion
 only at the states where all three messages can still have fewest votes, and
 gives every other state's mass from a walk on the gap between the two
 messages with fewer votes, one number per gap; a float pass evaluates every
-state.  Each layer yields the lattice indices of the states it evaluated
-beside their masses, and an exact layer that walk's two candidates per gap,
-so no reader restates which those are; see backward_layers.
+state.  Each layer yields the masses of the lattice prefix it evaluated, and
+an exact layer that walk's two candidates per gap; see backward_layers.
 
 Both passes raise ``channel.ResourceCapError`` past ``channel.STATE_CAP``
 states by ``channel.check_cap``, which reads the cap at the call (the forward
@@ -544,11 +543,10 @@ FLOAT_TIE_TOL = 1e-12
 # about 2e-304 the term is below half an ulp of the relative bound and adds nothing.
 _SUBNORMAL_TIE = FLOAT_TIE_TOL * sys.float_info.min
 
-# One backward layer: (lattice indices of the states it evaluated, their query
-# error masses (3, states), their minimum, tie mask, and an exact layer's gap-walk
-# candidates move and wait, None in a float layer); see backward_layers
-BackwardLayer = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray,
-                      np.ndarray | None, np.ndarray | None]
+# One backward layer: (the query error masses (3, states) of the lattice prefix it
+# evaluated, their minimum, tie mask, and an exact layer's gap-walk candidates move
+# and wait, None in a float layer); see backward_layers
+BackwardLayer = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None, np.ndarray | None]
 
 
 @dataclass(eq=False)
@@ -556,8 +554,8 @@ class ValueTable:
     """Scale and per-horizon results of backward induction up to ``horizon`` uses.
 
     Layer t (t = 0..horizon uses left) covers lattice horizon - t in
-    lattice order (see _lattice_coords); each BackwardLayer names the
-    lattice indices of the states it evaluated.  A scaled error mass m at
+    lattice order (see _lattice_coords); each BackwardLayer evaluates a
+    prefix of it, of ``best.size`` states.  A scaled error mass m at
     lattice index i of layer t is the error probability
     m / (step**t * norms[i]) (``probability``), where
     ``norms[i]`` is the state's likelihood sum Z(s) under the same scale.
@@ -682,9 +680,9 @@ def backward_layers(
 
     Returns the ValueTable, holding layer 0, and an iterator that computes
     each further layer from the one before alone, records it in the table
-    and yields it as a BackwardLayer (at, vals, best, ties, move, wait).
-    ``at`` holds the lattice indices of the states it evaluates, in lattice
-    order (an exact layer's triangle, every index of a float one), ``vals``
+    and yields it as a BackwardLayer (vals, best, ties, move, wait) over
+    the lattice prefix it evaluates, lattice min(t, n - t) in an exact
+    layer (the triangle) and lattice n - t in a float one: ``vals`` holds
     their per-query masses (3, states), ``best`` the minimum and ``ties``
     the optimal queries.  ``move`` and ``wait`` are an exact layer's
     move_t(g) and wait_t(g) for g = 0..min(t, n - t), which place the band;
@@ -723,8 +721,8 @@ def backward_layers(
         prev, gap = start, powers[:3]  # gap: G_{t-1}(g) for g = 0..min(t + 1, n - t + 1)
         for t in range(1, n + 1):
             size = _lattice_size(n - t)
-            at = np.arange(_lattice_size(min(t, n - t)) if exact else size)
-            to, w = succ[:, :, :at.size], weights[:, :, :at.size]
+            k = _lattice_size(min(t, n - t)) if exact else size
+            to, w = succ[:, :, :k], weights[:, :, :k]
             vals = w[:, 0] * prev[to[:, 0]] + w[:, 1] * prev[to[:, 1]]
             best = np.minimum(np.minimum(vals[0], vals[1]), vals[2])
             ties = vals == best if exact else vals <= best * (1 + FLOAT_TIE_TOL) + _SUBNORMAL_TIE
@@ -740,14 +738,14 @@ def backward_layers(
                 # each g <= t has n - 2t band states, with two or three optimal queries
                 band, tied = max(n - 2 * t, 0), int((move == wait).sum())
                 table.ties[2] += band * (move.size - tied)
-                table.ties[3] += band * tied + size - at.size - band * move.size  # and the decided
-            yield at, vals, best, ties, move, wait
+                table.ties[3] += band * tied + size - k - band * move.size  # and the decided
+            yield vals, best, ties, move, wait
             del vals, ties  # the caller may drop its copies before the next layer
             if exact:  # G_t, then the lattice min(t + 2, n - t) that layer t + 1 reads
                 scale, kmax = step**t, min(t + 2, n - t)
                 gap = np.concatenate([np.minimum(move, wait), scale * powers[top + 1:kmax + 1]])
                 prev = np.empty(_lattice_size(kmax), dtype=object)
-                prev[:at.size] = best
+                prev[:k] = best
                 for row in range(t + 1, kmax + 1):  # J_t = G_t(a) + X_t(b) at b = row, every a
                     first = _lattice_size(row - 1)
                     prev[first:first + row + 1] = gap[:row + 1] + scale * powers[row]
@@ -784,7 +782,7 @@ def optimal_query_report(n: int, ch: ChannelParams, detail: bool = False) -> dic
     the value lost by the best fewest-votes query.  Strict multi-step
     dominance is counted but not asserted.  The check consumes
     ``backward_layers``, reading each layer's per-query error masses
-    (integers for an exact channel) at the states its ``at`` names, and
+    (integers for an exact channel) at the lattice prefix it evaluates, and
     scatters their membership, loss and argmax into arrays over the whole
     lattice; a deficit is converted to a probability only when nonzero.
     Every other state is decided or on an exact layer's two-contender band.
@@ -820,16 +818,16 @@ def optimal_query_report(n: int, ch: ChannelParams, detail: bool = False) -> dic
     per_horizon = []
     per_state = []
     strict = 0
-    for t, (at, vals, best, opt, move, wait) in enumerate(layers, 1):
-        size = _lattice_size(n - t)
-        here = lead[:, at]
+    for t, (vals, best, opt, move, wait) in enumerate(layers, 1):
+        size, evaluated = _lattice_size(n - t), slice(best.size)  # a lattice prefix
+        here = lead[:, evaluated]
         meets = (opt & here).any(axis=0)
         others_lose = (here | (vals > best)).all(axis=0)  # every other query is worse
         strict += int((meets & ~here.all(axis=0) & others_lose).sum())  # (0, 0, 0) never is
         # a state the layer did not evaluate is decided or on the band: deficit 0, a member
         loss, member, argmax = np.zeros(size, best.dtype), np.ones(size, bool), np.full(size, 7)
-        loss[at] = np.where(here, vals, vals[0]).min(axis=0) - best
-        member[at], argmax[at] = meets, _QUERY_BITS @ opt
+        loss[evaluated] = np.where(here, vals, vals[0]).min(axis=0) - best
+        member[evaluated], argmax[evaluated] = meets, _QUERY_BITS @ opt
         if move is not None:  # the band rows b = t + 1..n - t, each a = 0..t
             rows = np.arange(t + 1, n - t + 1)
             argmax[(rows * (rows + 1) // 2)[:, None] + np.arange(move.size)] = np.where(

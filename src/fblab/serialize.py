@@ -4,17 +4,16 @@ Dicts, lists, tuples and scalars are JSON's own; ``_default`` writes exact
 rationals as {"num": ..., "den": ...} digit strings, dataclasses as their
 fields in declaration order, and sets as sorted lists.  Floats use the
 shortest round-trip decimal; key order is construction order, so re-reading
-and re-serializing a file is byte-identical.  Indented output comes from
-fblab's own walker, byte for byte that of ``json.dumps(indent=2)``; JSON
-lines come from ``json``'s C encoder.  CSV uses CRLF line endings (RFC 4180).
+and re-serializing a file is byte-identical.  JSON lines come from ``json``'s
+C encoder; CSV uses CRLF line endings (RFC 4180).
 
-The walker writes a list of plain dicts, such as the per-state rows of
-``verify-theorem2 --detail``, as a table: one row template per key tuple,
-and the text of each value object once per table, memoised by identity, so
-rows that share their state tuples, query sets and zero write each once.
-On that report at p = 1/5, n = 36 (8,435 rows, 2.7 MB) the walker takes
-about 25 ms, against 170 ms for ``json.dumps(indent=2)`` (best of 25, Python
-3.11.7 on a shared 2-core machine).
+Indented JSON is byte for byte that of ``json.dumps(indent=2)``, and comes from
+``json``'s own encoder except for tables, lists of plain dicts with str keys,
+such as the 8,435 per-state rows of ``verify-theorem2 --p 1/5 --n 36 --detail``
+(2.7 MB).  ``dumps`` walks plain dicts with str keys to reach the tables and
+writes each with one row template per key tuple and the text of each value
+object once, memoised by identity: about 17 ms on that report, against about
+140 ms for ``json.dumps`` (Python 3.11.7, a shared 2-core machine).
 """
 
 from __future__ import annotations
@@ -37,6 +36,10 @@ def _default(value):
     raise TypeError(f"cannot encode {type(value).__name__} for JSON output")
 
 
+_ENCODER = json.JSONEncoder(indent=2, ensure_ascii=False, default=_default)
+_quote = json.encoder.encode_basestring
+
+
 def dumps(obj) -> str:
     """The text of ``json.dumps(obj, indent=2, ensure_ascii=False, default=_default) + "\\n"``."""
     out: list[str] = []
@@ -45,95 +48,60 @@ def dumps(obj) -> str:
     return "".join(out)
 
 
-_quote = json.encoder.encode_basestring
-_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-_SCALARS = {  # the text of each scalar, by exact type
-    str: _quote, int: int.__repr__, type(None): lambda _: "null",
-    float: lambda v: _NONFINITE.get(text := float.__repr__(v), text),
-    bool: {True: "true", False: "false"}.__getitem__,
-}
-
-
-def _text(o) -> str | None:
-    """The text of a str, int, float, bool or None, subclasses (numpy's float64) too."""
-    return next((_SCALARS[k](o) for k in type(o).__mro__ if k in _SCALARS), None)
-
-
-def _key(k) -> str:
-    if (text := k if isinstance(k, str) else _text(k)) is None:
-        raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
-    return _quote(text) + ": "
-
-
 def _write(o, pad: str, out: list[str]) -> None:
     """Append the text of o, whose depth's newline and indent is pad; raise ``json``'s
-    TypeError.  Unlike ``json``'s indented walk (pure Python before 3.13, a generator per
-    container), it dispatches on the exact type and writes scalar children inline."""
-    if (writer := _WRITERS.get(type(o))) or isinstance(o, (list, tuple, dict)):
-        (writer or _container)(o, pad, out)
-    elif (text := _text(o)) is not None:
-        out.append(text)
-    else:
-        _write(_default(o), pad, out)
+    TypeError.  A str, a Fraction and a list or tuple of plain ints (a state or a query
+    set, thousands of each in a report) are written directly, and anything that is not
+    a table or a plain dict with str keys by ``json``, re-indented to pad (``json``
+    escapes newlines in strings, so each one it writes starts a line).  ``dumps`` joins
+    the pieces once, so no table is copied into the text of the dict that holds it."""
+    inner = pad + "  "
+    if type(o) is dict and o and all(type(k) is str for k in o):
+        sep = "{"
+        for k, v in o.items():
+            out.append(f"{sep}{inner}{_quote(k)}: ")
+            _write(v, inner, out)
+            sep = ","
+        out.append(pad + "}")
+    elif type(o) is str:
+        out.append(_quote(o))
+    elif type(o) is Fraction:
+        out.append(f'{{{inner}"num": "{o.numerator}",{inner}"den": "{o.denominator}"{pad}}}')
+    elif type(o) in (list, tuple) and o and all(type(x) is int for x in o):
+        out.append(f"[{inner}{(',' + inner).join(map(str, o))}{pad}]")
+    elif not _rows(o, pad, out):
+        out.append(_ENCODER.encode(o).replace("\n", pad))
 
 
-def _container(o, pad: str, out: list[str]) -> None:
-    inner, keyed = pad + "  ", isinstance(o, dict)
-    kinds = set() if keyed else {*map(type, o)}
-    if not o:
-        out.append("{}" if keyed else "[]")
-    elif kinds == {int}:  # a state or a query set: one join
-        out.append(f"[{inner}{(',' + inner).join(map(int.__repr__, o))}{pad}]")
-    elif kinds == {dict}:
-        out.append(f"[{inner}{(',' + inner).join(_rows(o, inner))}{pad}]")
-    else:
-        sep, comma = ("{" if keyed else "[") + inner, "," + inner
-        for k, v in o.items() if keyed else enumerate(o):
-            head = (f"{sep}{_quote(k)}: " if type(k) is str else sep + _key(k)) if keyed else sep
-            if (scalar := _SCALARS.get(type(v))) is not None:
-                out.append(head + scalar(v))
-            else:
-                out.append(head)
-                _WRITERS.get(type(v), _write)(v, inner, out)
-            sep = comma
-        out.append(pad + ("}" if keyed else "]"))
-
-
-def _rows(rows: list[dict], pad: str) -> list[str]:
-    """The text of each row of a table (a list of plain dicts) at pad.  A key tuple's
-    %-template is built once, and the text of each value that is not a scalar once per
-    object, memoised by its id: the rows hold every value until the call returns, so no
-    id is reused within it.  The verify report's rows share their state tuples, query
-    sets and zero, and its walk at n = 36 takes about 25 ms (see above).  Equal keys can
-    have different texts (``True``, ``1`` and ``1.0``), so only templates of str keys are
-    cached."""
-    inner, templates, memo = pad + "  ", {}, {}
+def _rows(rows, pad: str, out: list[str]) -> bool:
+    """Append the text of a table (a list or tuple of plain dicts with str keys) at pad
+    and return True, else append nothing and return False.  A key tuple's %-template is
+    built once, and the text of each value once per object, memoised by its id: the rows
+    hold every value until the call returns, so no id is reused within it."""
+    if type(rows) not in (list, tuple) or not rows or any(type(r) is not dict for r in rows):
+        return False
+    inner, mark, templates, memo = pad + "  ", len(out), {}, {}
+    cell_pad, sep, comma = inner + "  ", "[" + inner, "," + inner
 
     def cell(v) -> str:
-        if (scalar := _SCALARS.get(type(v))) is not None:
-            return scalar(v)
         if (text := memo.get(id(v))) is None:
             part: list[str] = []
-            _write(v, inner, part)
+            _write(v, cell_pad, part)
             text = memo[id(v)] = "".join(part)
         return text
 
-    texts = []
     for row in rows:
         if (template := templates.get(keys := tuple(row))) is None:
-            heads = [_key(k).replace("%", "%%") + "%s" for k in keys]
-            template = f"{{{inner}{(',' + inner).join(heads)}{pad}}}" if keys else "{}"
-            if {*map(type, keys)} <= {str}:
-                templates[keys] = template
-        texts.append(template % tuple(map(cell, row.values())))
-    return texts
-
-
-def _fraction(o: Fraction, pad: str, out: list[str]) -> None:
-    out.append(f'{{{pad}  "num": "{o.numerator}",{pad}  "den": "{o.denominator}"{pad}}}')
-
-
-_WRITERS = {dict: _container, list: _container, tuple: _container, Fraction: _fraction}
+            if not all(type(k) is str for k in keys):
+                del out[mark:]  # json writes the whole list, keys 1, 1.0 and True apart
+                return False
+            heads = [_quote(k).replace("%", "%%") + ": %s" for k in keys]
+            template = f"{{{cell_pad}{(',' + cell_pad).join(heads)}{inner}}}" if keys else "{}"
+            templates[keys] = template
+        out += sep, template % tuple(map(cell, row.values()))
+        sep = comma
+    out.append(pad + "]")
+    return True
 
 
 def dumps_line(obj) -> str:

@@ -207,8 +207,7 @@ def _inflate_a_float_layer(monkeypatch):
             for t, layer in enumerate(layers, 1):
                 yield layer
                 if t == 1:
-                    at, _, best = layer[:3]
-                    assert at[0] == 0  # (0, 0, 0) is the first state a layer evaluates
+                    best = layer[1]  # its lattice prefix: (0, 0, 0) first
                     best[0] *= 2  # in place: the layer the next one is computed from
 
         return table, stream()

@@ -116,22 +116,20 @@ def _reference_bellman(n, ch):
 
 def _layer_masses(table, t, layer):
     """Layer t's (mass, per-query masses, tie mask) at every state of its
-    lattice, in lattice order.  The layer holds the states at its lattice
-    indices ``at``, in lattice order.  An exact layer's two-contender band,
+    lattice, in lattice order.  The layer holds the first ``best.size`` states
+    of its lattice, a prefix in lattice order.  An exact layer's two-contender band,
     the states (0, a, b) with a <= t < b, gives queries 1 and 2 the mass
     move[a] + X and query 3 wait[a] + X, where X = step**t * A**b * B**(n - b)
     is half of Z(0, b, b) - 1 in the table's units.  Every other state gives
     each query the closed form step**t * E_0(s), in the table's units
     Z(s) - 1.  Z(s) is ``norms[i]``, and the leader's weight 1 is a third of
     Z(0, 0, 0)."""
-    at, vals, best, ties, move, wait = layer
-    assert at.tolist() == sorted(set(at.tolist()))
-    column = {i: k for k, i in enumerate(at.tolist())}
+    vals, best, ties, move, wait = layer
+    assert vals.shape[1] == best.size == ties.shape[1]
     one = table.norms[0] // 3
     for i, (_, a, b) in enumerate(sorted_lattice(table.horizon - t)):
-        if i in column:
-            k = column[i]
-            yield best[k], vals[:, k].tolist(), ties[:, k].tolist()
+        if i < best.size:
+            yield best[i], vals[:, i].tolist(), ties[:, i].tolist()
         elif a <= t:
             x = table.step**t * ((table.norms[_lattice_size(b) - 1] - one) // 2)
             masses = [move[a] + x, move[a] + x, wait[a] + x]
@@ -762,8 +760,8 @@ def test_reduced_bellman_equals_the_full_pass(p, n):
     ch = make_channel(p)
     table, layers = backward_layers(n, ch)
     full_table, full = full_backward_layers(n, ch)
-    for t, (layer, (fat, fvals, fbest, fties, _, _)) in enumerate(zip(layers, full), 1):
-        assert fat.tolist() == list(range(fbest.size))
+    for t, (layer, (fvals, fbest, fties, _, _)) in enumerate(zip(layers, full), 1):
+        assert fbest.size == _lattice_size(n - t)
         for i, (best, vals, ties) in enumerate(_layer_masses(table, t, layer)):
             assert best == fbest[i] and vals == fvals[:, i].tolist()
             assert ties == fties[:, i].tolist()
@@ -808,9 +806,9 @@ def test_two_contender_states_follow_the_gap_walk(p, n):
     w_shift, c = p.numerator, p.denominator
     w_stay = c - w_shift
     layers = zip(backward_layers(n, ch)[1], full_backward_layers(n, ch)[1], _gap_walk(n, p))
-    for t, (layer, (_, fvals, fbest, _, _, _), (move, wait)) in enumerate(layers, 1):
-        assert layer[4].tolist() == move[:layer[4].size]
-        assert layer[5].tolist() == wait[:layer[5].size]
+    for t, (layer, (fvals, fbest, _, _, _), (move, wait)) in enumerate(layers, 1):
+        assert layer[3].tolist() == move[:layer[3].size]
+        assert layer[4].tolist() == wait[:layer[4].size]
         for i, (_, a, b) in enumerate(sorted_lattice(n - t)):
             if a <= t < b:
                 x = c**t * w_shift**b * w_stay ** (n - b)
@@ -831,13 +829,13 @@ def test_bellman_evaluates_the_undecided_states(pl, mode):
     ch, n = make_channel(pl, mode), 30
     table, layers = backward_layers(n, ch)
     evaluated = 0
-    for t, ((at, vals, best, ties, _, _), (fat, fvals, fbest, fties, _, _)) in enumerate(
+    for t, ((vals, best, ties, _, _), (fvals, fbest, fties, _, _)) in enumerate(
         zip(layers, full_backward_layers(n, ch)[1]), 1
     ):
         lattice = np.array(sorted_lattice(n - t))
         keep = lattice[:, 2] <= (t if ch.exact else n)
-        assert at.tolist() == np.flatnonzero(keep).tolist() and best.size == keep.sum()
-        assert fat.tolist() == list(range(len(lattice)))
+        assert keep.tolist() == [True] * best.size + [False] * (len(lattice) - best.size)
+        assert fbest.size == len(lattice)
         assert best.tolist() == fbest[keep].tolist() and vals.tolist() == fvals[:, keep].tolist()
         assert ties.tolist() == fties[:, keep].tolist()
         evaluated += best.size
@@ -852,7 +850,7 @@ def test_bellman_evaluates_the_undecided_states(pl, mode):
 @settings(max_examples=25, deadline=None)
 @given(p=_rational_p(), n=st.integers(0, 20))
 def test_reduced_report_equals_the_full_pass(p, n):
-    # the report reads each exact layer at the states it names and gives every other,
+    # the report reads each exact layer at the lattice prefix it evaluates and gives every other,
     # decided, state the default row: with every state evaluated instead, each row,
     # count, deficit and the strict tally come out the same
     ch = make_channel(p)

@@ -215,6 +215,10 @@ _EDGES = {
     "table-empty-rows": [{}, {"a": Fraction(0)}, {}, {"a": Fraction(0)}],
     "table-dict-subclass": [[{"a": (1, 2)}, _Dict(a=(1, 2))], [_Dict(a=1), _Dict(a=1)]],
     "table-non-str-keys": [{1: [3], False: "x", None: 0.5}, {1: [3], False: "y", None: 1.5}],
+    # a non-str key found partway: the rows already written are dropped, json writes the list
+    "table-int-key-in-third-row": [{"a": 1, "b": [2]}, {"a": 3, "b": [2]}, {"a": 4, 5: [2]}],
+    # a bool is no plain int: (1, True) is written by json, not joined as ints
+    "int-tuple-with-bool": {"s": (1, True), "rows": [{"s": (1, True)}, {"s": (True, 1)}]},
     "table-equal-keys": [{1: 0}, {True: 0}, {1.0: 0}, {_Int(1): 0}, {"1": 0}, {1: 0}],
     "table-nested": [
         {"f": Fraction(1, 3), "rows": [{"f": Fraction(1, 3), "s": (0, 1)}, {"f": [1]}]},
