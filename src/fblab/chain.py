@@ -168,11 +168,13 @@ def reach_prob(n: int, ch: ChannelParams) -> Number:
     float.  The forward programs' kernel, ``exact_dp.propagate``, steps the
     chain's moves (those of ``derive_transitions``), with f1[w, code] the
     scaled integer or the log of the probability of a move of query weight
-    w whose code's bit 0 picks q, else p, and f2 all ones.  A state that
-    ``exact_dp.contenders`` gives one contender with n - k uses left after k
-    can never return to the hub, nor can its successors, so the pass drops
-    it; none is decided before k = n // 2 + 1.  The states it keeps, their
-    order and so every fold are those of the pass that keeps all.
+    w whose code's bit 0 picks q, else p, and f2 all ones.  The hub needs
+    all three counts equal, so a state that ``exact_dp.contenders`` gives
+    fewer than three contenders with n - k uses left after k (its largest
+    gap exceeds the uses left) can never return to it, nor can its
+    successors, and the pass drops it; every state has three before
+    k = n // 2 + 1.  The states it keeps, their order and so every fold are
+    those of the pass that keeps all.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -187,7 +189,7 @@ def reach_prob(n: int, ch: ChannelParams) -> Number:
     def settle(k: int, votes: np.ndarray, mass: np.ndarray) -> np.ndarray | None:
         if k <= n // 2:
             return None
-        keep = exact_dp.contenders(votes.T, n - k)[0] > 1
+        keep = exact_dp.contenders(votes.T, n - k)[0] == 3
         return None if keep.all() else keep
 
     layers = exact_dp.propagate(moves, f1, start, f2, settle)

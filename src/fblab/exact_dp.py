@@ -13,18 +13,18 @@ layer or in log-domain floats.  The moves depend on the rule only, so the
 three conditionings share one graph and one pass, with one mass column
 each.  Its layer kernel, ``propagate``, steps an indexed frontier: it
 asks ``move_batch`` for the moves of each layer's new states in one batch
-call, which gives numpy arrays of target votes (k, 6, 3), weight index,
-code and a mask of the slots that hold a move (k, 6 each), reads each
-move's factor from a table f1[weight index, code], numbers states by a
-packed integer key, and lists each layer's states in order of first
-arrival; log-float masses meeting at a state combine by
-``np.logaddexp.at`` in that order, bit for bit as a scalar loop would.
+call, numbers states by a packed integer key, and tabulates each state's
+live moves once, into flat lists of target, factor f1[weight index, code]
+and code, which each layer gathers by repeat and take; it lists each
+layer's states in order of first arrival; log-float masses meeting at a
+state combine by ``np.logaddexp.at`` in that order, bit for bit as a
+scalar loop would.
 ``compile_rule`` turns a rule into its distinct ``select_query`` rows and
 a map from vote triples to rows; it is the one place that maps a rule kind
 to a row key, and the Monte Carlo engine draws its queries from the same rows.
 ``move_batch`` builds each row's moves in the order of the per-state law,
 which is the order in which masses fold.  The same kernel steps the chain
-module's return probability, with every state carried to the end.
+module's return probability, carrying the states that can still return.
 
 An exact forward pass of a rule other than a table drops each state once
 its decode is fixed (``contenders``, the predicate by which the Monte Carlo
@@ -226,24 +226,27 @@ def move_batch(
 
 
 class _MoveGraph:
-    """States numbered in order of discovery, and their moves in numpy arrays.
+    """States numbered in order of discovery, and their moves in flat numpy arrays.
 
     ``number`` maps a state's key to its number i, and ``votes[i]`` is the
-    state.  Row i of ``target`` (state numbers), ``factor`` (the move's
-    ``f1[w, code]``, of f1's dtype: object for integers), ``code`` and
-    ``live`` holds the moves of state i in ``moves`` order; ``done[i]`` says
-    that ``expand`` has asked ``moves`` for them.
+    state.  ``expand`` tabulates each state's moves once, its live slots in
+    ``moves`` order, as ``count[i]`` entries from ``start[i]`` of the flat
+    ``target`` (state numbers), ``factor`` (the move's ``f1[w, code]``, of
+    f1's dtype: object for integers) and ``code``, which hold ``size``
+    entries.  ``expand`` asks ``moves`` for a state whose ``count[i]`` is 0:
+    it has not asked for it yet, or the state has no move.
     """
 
     def __init__(self, moves: Moves, f1: np.ndarray) -> None:
         self._moves, self._f1 = moves, f1
         self.number: dict[int, int] = {}
         self.votes = np.empty((0, 3), dtype=np.intp)
-        self.done = np.empty(0, dtype=bool)
-        self.live = np.empty((0, MOVES), dtype=bool)
-        self.target = np.empty((0, MOVES), dtype=np.intp)
-        self.factor = np.empty((0, MOVES), dtype=f1.dtype)
-        self.code = np.empty((0, MOVES), dtype=np.int8)
+        self.start = np.empty(0, dtype=np.intp)
+        self.count = np.empty(0, dtype=np.intp)
+        self.target = np.empty(0, dtype=np.intp)
+        self.factor = np.empty(0, dtype=f1.dtype)
+        self.code = np.empty(0, dtype=np.int8)
+        self.size = 0
 
     def ids(self, votes: np.ndarray) -> np.ndarray:
         """State numbers of the rows of ``votes``, numbering the new ones."""
@@ -252,31 +255,34 @@ class _MoveGraph:
         number = self.number
         keys = _state_keys(*votes.T).tolist()
         out = np.array([number.setdefault(k, len(number)) for k in keys], dtype=np.intp)
-        if len(number) > self.done.size:  # grow every table to at least double
-            extra = max(len(number), 2 * self.done.size) - self.done.size
-            self.votes, self.done, self.live, self.target, self.factor, self.code = (
-                _grow(a, extra) for a in
-                (self.votes, self.done, self.live, self.target, self.factor, self.code)
-            )
+        self.votes, self.start, self.count = _grow((self.votes, self.start, self.count), len(number))
         self.votes[out] = votes
         return out
 
     def expand(self, ids: np.ndarray) -> None:
         """Tabulate the moves of every state in ``ids`` that has none yet."""
-        new = ids[~self.done[ids]]
+        new = ids[self.count.take(ids) == 0]
         if not new.size:
             return
         target, wid, code, live = self._moves(self.votes[new])
-        number = np.zeros(live.shape, dtype=np.intp)
-        number[live] = self.ids(target[live])  # may grow the tables
-        self.target[new], self.factor[new] = number, self._f1[wid, code]
-        self.code[new], self.live[new] = code, live
-        self.done[new] = True
+        number = self.ids(target[live])  # may grow the per-state tables
+        low, high = self.size, self.size + number.size
+        self.target, self.factor, self.code = _grow((self.target, self.factor, self.code), high)
+        code = code[live]
+        self.target[low:high], self.factor[low:high] = number, self._f1[wid[live], code]
+        self.code[low:high], self.size = code, high
+        count = live.sum(axis=1)
+        self.count[new], self.start[new] = count, np.cumsum(count) - count + low
 
 
-def _grow(a: np.ndarray, extra: int) -> np.ndarray:
-    """``a`` with ``extra`` more rows of zeros."""
-    return np.concatenate([a, np.zeros((extra, *a.shape[1:]), a.dtype)])
+def _grow(arrays: tuple[np.ndarray, ...], rows: int) -> tuple[np.ndarray, ...]:
+    """``arrays``, of one length, as they are if they hold ``rows`` rows, else
+    with rows of zeros added up to ``rows`` and at least double their length."""
+    size = len(arrays[0])
+    if rows <= size:
+        return arrays
+    extra = max(rows, 2 * size) - size
+    return tuple(np.concatenate([a, np.zeros((extra, *a.shape[1:]), a.dtype)]) for a in arrays)
 
 
 def propagate(
@@ -292,6 +298,8 @@ def propagate(
     one layer that have not been asked for before, it gives their moves in
     MOVES slots per state: target votes (k, MOVES, 3), weight index w, code
     c (k, MOVES each) and a mask (k, MOVES) of the slots that hold a move.
+    The pass tabulates each state's moves once, compacted into flat lists
+    (see ``_MoveGraph``), and each layer gathers its sources' lists.
     Masses have one column per conditioning: ``mass`` is ``ORIGIN``'s row,
     and a move scales column k of its source's row by f1[w, c] * f2[c, k]
     when ``f2`` holds (object) integers and adds f1[w, c] + f2[c, k] to it
@@ -317,12 +325,15 @@ def propagate(
     for k in itertools.count(1):
         yield votes, mass
         graph.expand(ids)
-        live = graph.live.take(ids, axis=0)
-        target = graph.target.take(ids, axis=0)[live]
-        step = mass[np.nonzero(live)[0]]
+        # each source's moves, in layer order: flat entries start[i]:start[i] + count[i]
+        count = graph.count.take(ids)
+        first = np.cumsum(count) - count
+        flat = np.repeat(graph.start.take(ids) - first, count) + np.arange(count.sum())
+        target = graph.target.take(flat)
+        step = mass.take(np.repeat(np.arange(ids.size), count), axis=0)
         combine = np.multiply if exact else np.add  # (mass . f1) . f2, in place
-        combine(step, graph.factor.take(ids, axis=0)[live][:, None], out=step)
-        combine(step, f2[graph.code.take(ids, axis=0)[live]], out=step)
+        combine(step, graph.factor.take(flat)[:, None], out=step)
+        combine(step, f2[graph.code.take(flat)], out=step)
         # the targets in order of first arrival, and each move's row among them
         arrival = np.arange(target.size)
         slot = np.full(len(graph.number), target.size)

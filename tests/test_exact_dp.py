@@ -436,6 +436,52 @@ def test_chain_move_order_is_scalar_law_sorted_by_target():
         assert got == sorted(want, key=lambda row: row[0]), s
 
 
+@pytest.mark.parametrize("mode", ["rational", "float"])
+def test_flat_move_lists_match_move_batch(monkeypatch, mode):
+    # propagate tabulates each state's live moves once, compacted into flat lists that
+    # every layer gathers by start and count: state i's entries start[i]:start[i] + count[i]
+    # are move_batch's live slots at votes[i], in slot order, with their targets' votes,
+    # f1[w, code] and code, through every grow of the flat arrays
+    graphs = []
+
+    class Recorded(exact_dp._MoveGraph):
+        def __init__(self, *args):
+            super().__init__(*args)
+            graphs.append(self)
+
+    monkeypatch.setattr(exact_dp, "_MoveGraph", Recorded)
+    ch = make_channel("1/10", mode)
+    rules = [MAX_POSTERIOR, StrategyRule(kind="round-robin"),
+             StrategyRule(kind="fixed", fixed_query=2), UNORDERED]
+    for rule in rules:
+        moves, weights = move_batch(rule)
+        f1, f2, start, _ = exact_dp._forward_factors(ch, weights, (1, 2, 3))
+        collections.deque(itertools.islice(exact_dp.propagate(moves, f1, start, f2), 5), maxlen=0)
+        graph = graphs.pop()
+        tabulated = graph.size
+        graph.expand(graph.ids(np.array(STATES_10, dtype=np.intp)))  # more than doubles them
+        assert graph.size > 2 * tabulated
+        votes = graph.votes[:len(graph.number)]
+        expanded = np.flatnonzero(graph.count[:len(graph.number)])
+        target, wid, code, live = moves(votes[expanded])
+        for row, i in enumerate(expanded.tolist()):
+            at = slice(graph.start[i], graph.start[i] + graph.count[i])
+            got = (votes[graph.target[at]].tolist(), graph.factor[at].tolist(),
+                   graph.code[at].tolist())
+            slots = live[row]
+            want = (target[row][slots].tolist(), f1[wid[row][slots], code[row][slots]].tolist(),
+                    code[row][slots].tolist())
+            assert got == want, (rule.kind, votes[i].tolist())
+    # a layer can carry no state, and the pass steps on past it
+    moves, weights = move_batch(MAX_POSTERIOR)
+    f1, f2, start, _ = exact_dp._forward_factors(ch, weights, (1,))
+    drop = lambda k, votes, mass: np.zeros(len(votes), dtype=bool) if k == 2 else None
+    layers = list(itertools.islice(exact_dp.propagate(moves, f1, start, f2, drop), 5))
+    assert [len(votes) for votes, _ in layers] == [1, 6, 0, 0, 0]
+    assert all(mass.shape == (0, 1) for _, mass in layers[2:])
+    assert reach_prob(1, ch) == 0  # its one layer after the start carries no state
+
+
 def test_compile_rule_rows_are_select_query_at_shifted_triples():
     # row_of reads a triple up to a common shift, in either layout: the columns of
     # (k, 3) intp votes, as the forward pass holds them, and the rows of (3, k)
